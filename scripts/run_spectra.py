@@ -1,8 +1,9 @@
 """Run the full randomized Gram-spectra study and write bin tables.
 
 One table per (kind, d) pair for all four MIC kinds and d = 2..5, using the
-reference bin widths (1/198 for d = 3, 1/200 otherwise).  At the default
-n = 100000 this takes a while; pass --n 2000 for a desk-scale pass.  Output
+reference bin widths of ensembles.default_bin_width (1/198 for d = 3, 1/200
+otherwise).  At the default n = 100000 this takes a while; pass --n 2000 for
+a desk-scale pass.  Output
 files land in --out-dir as <kind>_d<d>.csv and are byte-stable for a fixed
 seed regardless of --workers.
 
@@ -16,9 +17,8 @@ import argparse
 import pathlib
 import sys
 import time
-from fractions import Fraction
 
-from miclab.ensembles import MicKind, plateau_metric, spectra_study
+from miclab.ensembles import MicKind, default_bin_width, plateau_metric, spectra_study
 from miclab.serialize import histogram_to_table
 
 DIMS = (2, 3, 4, 5)
@@ -37,7 +37,7 @@ def main(argv=None) -> int:
 
     for kind in MicKind:
         for d in DIMS:
-            bin_width = Fraction(1, 198) if d == 3 else Fraction(1, 200)
+            bin_width = default_bin_width(d)
             started = time.perf_counter()
             hist = spectra_study(kind, d, args.n, bin_width, args.seed,
                                  workers=args.workers)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from math import sqrt
 
 import numpy as np
@@ -42,7 +41,7 @@ from .constructions import (
     sic_mic,
     tensorhedron_mic,
 )
-from .ensembles import MicKind, plateau_metric, random_mic, spectra_study
+from .ensembles import MicKind, default_bin_width, plateau_metric, random_mic, spectra_study
 from .errors import (
     BetaOutOfRange,
     BetaZero,
@@ -221,7 +220,7 @@ def _check_covariance(mic: Mic, tol):
 
 def _check_phi(mic: Mic, tol):
     # conditional states: the MIC's own effects, trace-normalized
-    posts = [e.matrix / e.weight for e in mic.effects]
+    posts = mic.matrices() / mic.weights()[:, None, None]
     rep = phi_matrix(mic, posts, tol)
     col_dev = float(np.abs(rep.matrix.sum(axis=0) - 1.0).max())
     min_entry = float(rep.matrix.min())
@@ -290,7 +289,7 @@ def cmd_spectra(args, tol: ToleranceConfig) -> int:
     if args.bin is not None:
         bin_width = parse_fraction(args.bin)
     else:
-        bin_width = Fraction(1, 198) if args.d == 3 else Fraction(1, 200)
+        bin_width = default_bin_width(args.d)
     hist = spectra_study(kind, args.d, args.n, bin_width, args.seed,
                          workers=args.workers)
     table = histogram_to_table(hist)
@@ -372,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sp.add_argument("--d", type=int, required=True)
     p_sp.add_argument("--n", type=int, default=1000, help="number of samples")
     p_sp.add_argument("--bin", default=None,
-                      help="bin width as a fraction, e.g. 1/198 "
-                           "(default 1/198 for d=3, else 1/200)")
+                      help="bin width as a fraction, e.g. 1/198 (default "
+                           "1/(d * (200 // d)): 1/200 for d=2, 1/198 for d=3)")
     p_sp.add_argument("--seed", type=int, default=0)
     p_sp.add_argument("--workers", type=int, default=1,
                       help="parallel sampling processes (output-invariant)")
@@ -395,9 +394,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse already printed its message; fold exits into the contract
         return 0 if exc.code == 0 else 2
-    tol = tolerances_from_env()
     try:
-        return args.func(args, tol)
+        return args.func(args, tolerances_from_env())
     except USAGE_ERRORS as exc:
         _fail(str(exc))
         return 2

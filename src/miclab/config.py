@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from math import isfinite
 
 # Dense numerics only.  Everything is built on full eigendecompositions, so
 # Hilbert space dimensions are capped rather than silently degrading.
@@ -34,17 +35,23 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("eig_tol", "rank_tol", "hermitian_tol", "zero_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 DEFAULT_TOL = ToleranceConfig()
 
 
 def tolerances_from_env() -> ToleranceConfig:
-    """Default tolerances, with eig/rank overridden by MIC_LAB_TOL if set."""
+    """Default tolerances, with eig/rank overridden by MIC_LAB_TOL if set.
+
+    A value that is not a positive finite number raises ValueError.
+    """
     raw = os.environ.get(TOLERANCE_ENV_VAR)
     if raw is None:
         return DEFAULT_TOL
-    value = float(raw)
-    return ToleranceConfig(eig_tol=value, rank_tol=value)
+    try:
+        return ToleranceConfig(eig_tol=float(raw), rank_tol=float(raw))
+    except ValueError as exc:
+        raise ValueError(f"{TOLERANCE_ENV_VAR}={raw!r}: {exc}") from None

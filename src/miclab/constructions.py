@@ -145,7 +145,7 @@ def wh_mic(rho, overlap_tol: float = 1e-8, tol: ToleranceConfig = DEFAULT_TOL) -
         idx = int(np.argmax(small))
         raise DegenerateFiducial(idx // d, idx % d, float(np.abs(components[idx])))
     effects = np.einsum("kab,bc,kdc->kad", ops, rho, ops.conj()) / d
-    return mic_from_matrices(list(effects), tol)
+    return mic_from_matrices(effects, tol)
 
 
 @functools.lru_cache(maxsize=None)
@@ -281,7 +281,7 @@ def mic_from_psd_basis(basis, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
     omega = stack.sum(axis=0)
     r = inv_sqrt_psd(omega, tol)
     effects = np.einsum("ab,kbc,cd->kad", r, stack, r)
-    return mic_from_matrices(list(effects), tol)
+    return mic_from_matrices(effects, tol)
 
 
 # ------------------------------------------------------------ equiangular MICs
@@ -304,11 +304,7 @@ def equiangular_mic(sic: Mic, beta: float, tol: ToleranceConfig = DEFAULT_TOL) -
     lo = -1.0 / (d - 1) if d > 1 else -1.0
     if not (lo - 1e-12 <= beta <= 1 + 1e-12):
         raise BetaOutOfRange(f"beta={beta!r} outside [{lo!r}, 1]")
-    eye = np.eye(d)
-    effects = [
-        (beta / d) * (d * e.matrix) + (1 - beta) / (d * d) * eye
-        for e in sic.effects
-    ]
+    effects = (beta / d) * (d * sic.matrices()) + (1 - beta) / (d * d) * np.eye(d)
     return mic_from_matrices(effects, tol)
 
 
@@ -334,7 +330,7 @@ def appleby_mic(d: int, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
     conjugates = np.einsum("kab,bc,kdc->kad", ops, b, ops.conj())
     eye = np.eye(d)
     effects = (eye[None, :, :] + conjugates / np.sqrt(d + 1)) / (d * d)
-    return mic_from_matrices(list(effects), tol)
+    return mic_from_matrices(effects, tol)
 
 
 # ------------------------------------------------------------- tensor products
@@ -432,8 +428,5 @@ def near_orthogonal_family(a_basis, b: Mic, t: float,
     n = b.dim * b.dim
     if len(a_povm) != n:
         raise WrongCount(len(a_povm), n)
-    effects = [
-        t * a.matrix + (1 - t) * e.matrix
-        for a, e in zip(a_povm.effects, b.effects)
-    ]
+    effects = t * a_povm.matrices() + (1 - t) * b.matrices()
     return mic_from_matrices(effects, tol)

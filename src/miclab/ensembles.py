@@ -149,6 +149,13 @@ class SpectraHistogram:
         return [k * self.bin_width for k in range(len(self.counts) + 1)]
 
 
+def default_bin_width(d: int) -> Fraction:
+    """Reference bin width 1/(d * (200 // d)), the narrowest width of the
+    form 1/(d k) that is at least 1/200, so that 200 // d whole bins tile
+    (0, 1/d]: 1/200 at d = 2, 4, 5, 8, 1/198 at d = 3, 6 and 1/196 at d = 7."""
+    return Fraction(1, d * (200 // d))
+
+
 def _as_bin_width(bin_width, d: int) -> Fraction:
     # exact rationals only: floats are snapped to a nearby small fraction
     # and then required to tile (0, 1/d] in whole bins

@@ -13,7 +13,19 @@ class MicLabError(Exception):
 # ---------------------------------------------------------------- kernel
 
 class NotHermitian(MicLabError):
-    """Input matrix is not Hermitian within tolerance."""
+    """Input matrix is not Hermitian within tolerance.
+
+    index names the offending matrix of a stack, when there is one.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        self.index = index
+        self.message = message
+        super().__init__(message if index is None else f"element {index}: {message}")
+
+    # keeps the exception picklable across worker-process boundaries
+    def __reduce__(self):
+        return (type(self), (self.message, self.index))
 
 
 class ConvergenceFailure(MicLabError):
@@ -26,6 +38,18 @@ class SingularOperator(MicLabError):
 
 class ShapeMismatch(MicLabError):
     """Operands have incompatible shapes."""
+
+
+class NonFinite(MicLabError):
+    """A matrix has a NaN or infinite entry."""
+
+    def __init__(self, index: int):
+        self.index = index
+        super().__init__(f"element {index} has a non-finite entry")
+
+    # keeps the exception picklable across worker-process boundaries
+    def __reduce__(self):
+        return (type(self), (self.index,))
 
 
 # ------------------------------------------------------------- povm core

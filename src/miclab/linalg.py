@@ -13,7 +13,13 @@ from enum import Enum
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import ConvergenceFailure, NotHermitian, ShapeMismatch, SingularOperator
+from .errors import (
+    ConvergenceFailure,
+    NonFinite,
+    NotHermitian,
+    ShapeMismatch,
+    SingularOperator,
+)
 
 
 class Definiteness(Enum):
@@ -24,30 +30,41 @@ class Definiteness(Enum):
 
 def _as_square(a) -> np.ndarray:
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ShapeMismatch(f"expected a square matrix or a stack of them, got shape {a.shape}")
     return a.astype(complex, copy=False)
 
 
-def hermiticity_defect(a) -> float:
-    """Largest absolute entry of A - A^dagger."""
+def hermiticity_defect(a):
+    """Largest absolute entry of A - A^dagger; an array of one per matrix for a stack."""
     a = _as_square(a)
-    return float(np.abs(a - a.conj().T).max(initial=0.0))
+    defect = np.abs(a - np.swapaxes(a.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
+    return float(defect) if a.ndim == 2 else defect
 
 
-def eigh(h, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+def eigh(h, tol: ToleranceConfig = DEFAULT_TOL, vectors: bool = True):
+    """Eigendecomposition of a Hermitian matrix or a (..., n, n) stack of them.
 
     Returns (eigenvalues, eigenvectors) with real eigenvalues in ascending
-    order and eigenvectors as columns.  Raises NotHermitian if the input
-    deviates from its own adjoint by more than hermitian_tol, and
-    ConvergenceFailure if LAPACK does not converge.
+    order along the last axis and eigenvectors as columns.  vectors=False
+    returns None for the eigenvectors and uses LAPACK's values-only driver,
+    whose eigenvalues can differ from the full one's in the last bits.
+    The first matrix (in C order of the leading axes) that has a non-finite
+    entry raises NonFinite, or that deviates from its own adjoint by more
+    than hermitian_tol NotHermitian, either naming its index; LAPACK not
+    converging raises ConvergenceFailure.
     """
     h = _as_square(h)
-    defect = hermiticity_defect(h)
-    if defect > tol.hermitian_tol:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol.hermitian_tol:.1e}")
+    defect = np.ravel(hermiticity_defect(h))
+    if not defect.max(initial=0.0) <= tol.hermitian_tol:  # NaN fails too
+        i = int(np.argmax(~(defect <= tol.hermitian_tol)))
+        if not np.isfinite(h.reshape(-1, *h.shape[-2:])[i]).all():
+            raise NonFinite(i)
+        raise NotHermitian(f"hermiticity defect {defect[i]:.3e} exceeds "
+                           f"{tol.hermitian_tol:.1e}", index=i)
     try:
+        if not vectors:
+            return np.linalg.eigvalsh(h), None
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
@@ -55,7 +72,8 @@ def eigh(h, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]
 
 
 def eigvalsh(h, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix."""
+    """Ascending eigenvalues of a Hermitian matrix, or of each in a stack."""
+    # the full driver, so the values match eigh's bit for bit
     return eigh(h, tol)[0]
 
 

@@ -9,12 +9,15 @@ The central object throughout is the Gram matrix G with entries
 tr(E_i E_j).  It is real, symmetric, positive definite for a MIC, and its
 entries sum to d.  The dual basis {E~_i}, defined by tr(E_i E~_j) = delta_ij,
 is obtained by applying the inverse Gram matrix to the effects and is what
-turns measured probabilities back into operators.
+turns measured probabilities back into operators.  A validated POVM holds
+its N effects as one read-only (N, d, d) array beside their weights tr E_i.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from .errors import (
     IllConditionedGram,
     InvalidState,
     LinearlyDependent,
+    NonFinite,
     NotHermitian,
     NotNormalized,
     NotPsd,
@@ -41,46 +45,40 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Effect:
-    """One POVM element: a positive semidefinite matrix E with tr E <= d.
-
-    weight caches tr E.  unit_part is E / tr E (a density matrix) when the
-    weight is positive, and None for a (numerically) zero effect.
-    """
+    """One POVM element: a positive semidefinite matrix E and its weight tr E."""
 
     matrix: np.ndarray
     weight: float
-    unit_part: np.ndarray | None
-
-    @staticmethod
-    def from_matrix(e: np.ndarray, zero_tol: float) -> "Effect":
-        weight = float(np.trace(e).real)
-        unit = _frozen(e / weight) if weight > zero_tol else None
-        return Effect(_frozen(e), weight, unit)
 
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """A validated POVM: dimension plus its tuple of effects."""
+    """A validated POVM.  matrices() and weights() return the stored read-only
+    arrays, not copies; effects views them as Effect objects on first use."""
 
     dim: int
-    effects: tuple[Effect, ...]
+    stack: np.ndarray
+    traces: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.effects)
+        return len(self.stack)
+
+    @functools.cached_property
+    def effects(self) -> tuple[Effect, ...]:
+        return tuple(Effect(m, float(w)) for m, w in zip(self.stack, self.traces))
 
     def matrices(self) -> np.ndarray:
-        """Effects stacked into an (N, d, d) array."""
-        return np.array([e.matrix for e in self.effects])
+        return self.stack
 
     def weights(self) -> np.ndarray:
-        return np.array([e.weight for e in self.effects])
+        return self.traces
 
 
 @dataclass(frozen=True, eq=False)
 class Mic(Povm):
-    """A validated MIC.  gram caches the d^2 x d^2 Gram matrix."""
+    """A validated MIC with its d^2 x d^2 Gram matrix."""
 
-    gram: np.ndarray = None  # type: ignore[assignment]
+    gram: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,29 +93,53 @@ class DualBasis:
     elements: tuple[np.ndarray, ...]
 
 
-def validate_povm(effects, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
-    """Check positivity and completeness of a collection of matrices.
-
-    Raises NotPsd (with the offending index) if any element has an eigenvalue
-    below -zero_tol, and SumNotIdentity if the effects do not sum to the
-    identity within zero_tol * d in Frobenius norm.
-    """
-    mats = [np.asarray(e, dtype=complex) for e in effects]
-    if not mats:
+def _stack(effects) -> tuple[np.ndarray, ShapeMismatch | None]:
+    """The effects as a fresh complex (N, d, d) array, d from the first, cut
+    before the first effect of another shape, with the ShapeMismatch for it."""
+    try:
+        mats = np.array(effects, dtype=complex, order="C")
+        if mats.ndim == 3 and len(mats) and mats.shape[1] == mats.shape[2] > 0:
+            return mats, None
+    except ValueError:  # ragged input does not stack
+        pass
+    rows = [np.asarray(e, dtype=complex) for e in effects]
+    if not rows:
         raise WrongCount(0, 1)
-    d = mats[0].shape[0]
-    checked = []
-    for i, e in enumerate(mats):
-        if e.shape != (d, d):
-            raise ShapeMismatch(f"effect {i} has shape {e.shape}, expected {(d, d)}")
-        w = eigvalsh(e, tol)
-        if w[0] < -tol.zero_tol:
-            raise NotPsd(i, float(w[0]))
-        checked.append(Effect.from_matrix(e, tol.zero_tol))
-    deficit = float(np.linalg.norm(sum(m for m in mats) - np.eye(d)))
+    d = rows[0].shape[0] if rows[0].ndim else 0
+    i = next(i for i, e in enumerate(rows) if e.shape != (d, d) or d == 0)
+    error = ShapeMismatch(f"effect {i} has shape {rows[i].shape}, expected {(d, d)}")
+    if i == 0:
+        raise error
+    return np.array(rows[:i]), error
+
+
+def validate_povm(effects, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
+    """Check that effects, an (N, d, d) array or a sequence of d x d
+    matrices, form a POVM, with one batched eigendecomposition.
+
+    Of several faulty effects the lowest index raises: ShapeMismatch,
+    NonFinite, NotHermitian, or NotPsd for an eigenvalue below -zero_tol.
+    Then SumNotIdentity if the sum misses the identity by more than
+    zero_tol * d in Frobenius norm.
+    """
+    mats, ragged = _stack(effects)
+    try:
+        low, fault = eigh(mats, tol, vectors=False)[0][:, 0], ragged
+    except (NonFinite, NotHermitian) as exc:
+        # an effect before the faulty one may still fail first
+        low, fault = eigh(mats[:exc.index], tol, vectors=False)[0][:, 0], exc
+    if low.min(initial=0.0) < -tol.zero_tol:
+        i = int(np.argmax(low < -tol.zero_tol))
+        raise NotPsd(i, float(low[i]))
+    if fault is not None:
+        raise fault
+    d = mats.shape[1]
+    rest = mats.sum(axis=0) - np.eye(d)
+    deficit = sqrt(np.vdot(rest, rest).real)  # Frobenius norm
     if deficit > tol.zero_tol * d:
         raise SumNotIdentity(deficit)
-    return Povm(dim=d, effects=tuple(checked))
+    traces = mats.trace(axis1=1, axis2=2).real
+    return Povm(dim=d, stack=_frozen(mats), traces=_frozen(traces))
 
 
 def gram(povm: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -146,14 +168,15 @@ def validate_mic(povm: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
     n = len(povm)
     if n != d * d:
         raise WrongCount(n, d * d)
-    for i, e in enumerate(povm.effects):
-        if e.weight <= tol.zero_tol:
-            raise LinearlyDependent(n - 1, n, f"effect {i} has negligible weight")
+    negligible = povm.weights() <= tol.zero_tol
+    if negligible.any():
+        i = int(np.argmax(negligible))
+        raise LinearlyDependent(n - 1, n, f"effect {i} has negligible weight")
     g = gram(povm, tol)
     rank = numerical_rank(g, tol)
     if rank != d * d:
         raise LinearlyDependent(rank, d * d)
-    return Mic(dim=d, effects=povm.effects, gram=g)
+    return Mic(dim=d, stack=povm.stack, traces=povm.traces, gram=g)
 
 
 def mic_from_matrices(effects, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
@@ -306,13 +329,10 @@ def rank1_mic_check(vectors, weights, tol: ToleranceConfig = DEFAULT_TOL) -> tup
 
 def effect_ranks(povm: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
     """Numerical rank of each effect."""
-    return [numerical_rank(e.matrix, tol) for e in povm.effects]
+    return [numerical_rank(m, tol) for m in povm.matrices()]
 
 
 def effect_eigenvalue_ranges(povm: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[float, float]]:
     """(min, max) eigenvalue of each effect."""
-    out = []
-    for e in povm.effects:
-        w = eigh(e.matrix, tol)[0]
-        out.append((float(w[0]), float(w[-1])))
-    return out
+    w = eigvalsh(povm.matrices(), tol)
+    return [(float(lo), float(hi)) for lo, hi in zip(w[:, 0], w[:, -1])]

@@ -180,6 +180,15 @@ def test_spectra_prints_plateau_for_d3(tmp_path):
     assert header == "kind,d,bin_left,bin_right,count"
 
 
+@pytest.mark.parametrize("d", [6, 7])
+def test_spectra_default_bin_tiles_d6_and_d7(d):
+    res = run_cli("spectra", "wh", "--d", str(d), "--n", "3")
+    assert res.returncode == 0, res.stderr
+    rows = res.stdout.strip().split("\n")[1:]
+    assert len(rows) == 200 // d
+    assert sum(int(r.rsplit(",", 1)[1]) for r in rows) == 3 * d * d
+
+
 def test_spectra_rejects_dimension_outside_envelope():
     res = run_cli("spectra", "generic", "--d", "9", "--n", "5")
     assert res.returncode == 2
@@ -220,3 +229,15 @@ def test_env_tolerance_override_accepted(tmp_path):
     out = tmp_path / "mic.json"
     res = run_cli("gen", "sic", "--d", "2", "--out", str(out), env=env)
     assert res.returncode == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "nan", "inf"])
+def test_env_tolerance_rejects_bad_value(value):
+    import os
+    env = dict(os.environ, MIC_LAB_TOL=value)
+    res = run_cli("gen", "sic", "--d", "2", env=env)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: MIC_LAB_TOL=")
+    assert res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stderr

@@ -1,5 +1,6 @@
 """Random MIC samplers and the Gram-spectra histogram study."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from miclab.ensembles import (
     MicKind,
     SpectraHistogram,
+    default_bin_width,
     gue_psd_sample,
     gue_sample,
     haar_pure_state,
@@ -17,6 +19,7 @@ from miclab.ensembles import (
 )
 from miclab.errors import WrongDimension
 from miclab.povm import is_unbiased, rank1_mic_check
+from miclab.serialize import histogram_to_table
 
 
 def test_haar_state_is_normalized():
@@ -93,6 +96,44 @@ def test_histogram_validation():
     with pytest.raises(ValueError):
         SpectraHistogram(kind=MicKind.GENERIC_PSD, d=2, bin_width=Fraction(1, 100),
                          counts=np.ones(50, dtype=np.int64), n_samples=2, seed=0)
+
+
+def test_default_bin_width_tiles_every_dimension():
+    assert [default_bin_width(d) for d in range(2, 9)] == [
+        Fraction(1, 200), Fraction(1, 198), Fraction(1, 200), Fraction(1, 200),
+        Fraction(1, 198), Fraction(1, 196), Fraction(1, 200)]
+    for d in (6, 7):
+        h = spectra_study(MicKind.WH_RANK1, d, 2, default_bin_width(d), seed=0)
+        assert h.edges()[-1] == Fraction(1, d)
+
+
+# sha256 of the 16 bin tables at n = 40, seed 7, default bin widths,
+# computed before the validation path was batched
+SPECTRA_DIGESTS = {
+    ("generic", 2): "508363a4d30617bcb27fc919b3eda399f3cdb3d042bfdae6b68b5b2ab1d1df0c",
+    ("generic", 3): "3f80568134788a371b1fdaebfc96f593536abac6e1bf92cf15d72b7a69388b4d",
+    ("generic", 4): "1ef1f20a57d83ab183150a72b72b5acb73d00a56eec32bb96b059d27a0dc674b",
+    ("generic", 5): "a5bd567d5e102d4a9d50821e26b65fdafdebcfd6886fde62866b889db68cc460",
+    ("generic-rank1", 2): "136eb1b4dd1ab3452fa3caebae80a2a58d417e2a6867fed9f849585bd04e93e7",
+    ("generic-rank1", 3): "367a93f53ea1c32114c4b67b390ab409edaada8f30723fb7c80a48f54843517f",
+    ("generic-rank1", 4): "d781fd309ef7747780908298a58ecd2e416dd3bd2da6aa3670898b4ae3b856a5",
+    ("generic-rank1", 5): "19dcc0d7b492e5e074f1cfe1ae1639c164c451b5b2fa9fab38669510d1cd8e36",
+    ("wh", 2): "423db816476383e665c05c22e18f101a7e493481103bb62392c628559961e24b",
+    ("wh", 3): "01c3daefc72b44530672c7f88bf68b37004dde52bb92f8294faf406686e1d122",
+    ("wh", 4): "b04dceb4958aa516343266ce147ff97b811b246a7b31b61804ce70574994ba13",
+    ("wh", 5): "716e7a5aa348c20f365d1782481b4c6b3442612f8a3df5354a029fd63967b782",
+    ("wh-rank1", 2): "af445aed7130acab563331a79a2e2ab3203f792718e288b0e0396841c52db6fc",
+    ("wh-rank1", 3): "6b56b8e87ac0f84f8f092c42e3b31570de0cd419091c0682c993014306f472e0",
+    ("wh-rank1", 4): "93d644b98a851ec3777e92b4596a4d93658f5fb0d17aaf1ae44ed0cc15bf6482",
+    ("wh-rank1", 5): "63a892fc17430dd4f5e74d6754476790084d44e012e4ce1c13987c25e4d67910",
+}
+
+
+def test_spectra_tables_are_byte_stable():
+    for (kind, d), digest in SPECTRA_DIGESTS.items():
+        h = spectra_study(MicKind(kind), d, 40, default_bin_width(d), seed=7)
+        table = histogram_to_table(h).encode()
+        assert hashlib.sha256(table).hexdigest() == digest, (kind, d)
 
 
 def test_bin_width_must_divide_range():

@@ -1,10 +1,12 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miclab.config import ToleranceConfig
-from miclab.errors import NotHermitian, ShapeMismatch, SingularOperator
+from miclab.errors import NonFinite, NotHermitian, ShapeMismatch, SingularOperator
 from miclab.linalg import (
     Definiteness,
     definiteness,
@@ -12,6 +14,7 @@ from miclab.linalg import (
     eigvalsh,
     frobenius_distance,
     hadamard,
+    hermiticity_defect,
     inv_sqrt_psd,
     kron,
     numerical_rank,
@@ -39,6 +42,41 @@ def test_eigh_rejects_non_hermitian():
 def test_eigh_rejects_non_square():
     with pytest.raises(ShapeMismatch):
         eigvalsh(np.zeros((2, 3)))
+
+
+def test_eigh_on_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(4)
+    stack = np.array([random_hermitian(3, rng) for _ in range(5)])
+    w, v = eigh(stack)
+    for k, h in enumerate(stack):
+        wk, vk = eigh(h)
+        assert np.array_equal(w[k], wk)
+        assert np.array_equal(v[k], vk)
+    values, none = eigh(stack, vectors=False)
+    assert none is None
+    assert np.abs(values - w).max() < 1e-12
+    assert np.array_equal(hermiticity_defect(stack),
+                          [hermiticity_defect(h) for h in stack])
+
+
+def test_eigh_names_the_first_faulty_matrix_of_a_stack():
+    stack = np.array([np.eye(2)] * 4, dtype=complex)
+    stack[2, 0, 1] = 1.0
+    stack[3, 1, 1] = np.nan
+    with pytest.raises(NotHermitian) as info:
+        eigvalsh(stack)
+    assert info.value.index == 2
+    stack[1, 0, 0] = np.inf
+    with pytest.raises(NonFinite) as info:
+        eigvalsh(stack)
+    assert info.value.index == 1
+
+
+def test_indexed_errors_survive_pickling():
+    for exc in (NonFinite(2), NotHermitian("defect", index=3), NotHermitian("defect")):
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert (back.index, str(back)) == (exc.index, str(exc))
 
 
 def test_inv_sqrt_psd_inverts_square_root():

@@ -6,9 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from miclab.constructions import mic_from_psd_basis, sic_mic, sic_qubit
+from miclab.config import DEFAULT_TOL
 from miclab.errors import (
     IllConditionedGram,
     LinearlyDependent,
+    NonFinite,
+    NotHermitian,
     NotPsd,
     ShapeMismatch,
     SumNotIdentity,
@@ -64,6 +67,133 @@ def test_validate_povm_rejects_bad_sum():
 def test_validate_povm_rejects_ragged_shapes():
     with pytest.raises(ShapeMismatch):
         validate_povm([np.eye(2, dtype=complex) / 2, np.eye(3, dtype=complex)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+def test_validate_povm_rejects_non_finite_effect(bad):
+    e = np.eye(2, dtype=complex) / 2
+    f = e.copy()
+    f[0, 1] = bad
+    with pytest.raises(NonFinite) as info:
+        validate_povm([e, f])
+    assert info.value.index == 1
+
+
+def test_validate_povm_rejects_nan_pair():
+    # every NaN comparison is False, so NaN effects once passed every check
+    nan = np.full((2, 2), np.nan, dtype=complex)
+    with pytest.raises(NonFinite) as info:
+        validate_povm([nan, np.eye(2) - nan])
+    assert info.value.index == 0
+
+
+def test_validate_povm_reports_the_lowest_faulty_index():
+    e = np.eye(2, dtype=complex) / 4
+    not_psd = np.diag([0.5, -0.25]).astype(complex)
+    not_hermitian = e + np.array([[0, 1e-3], [0, 0]])
+    ragged = np.eye(3, dtype=complex)
+    with pytest.raises(NotPsd) as info:
+        validate_povm([e, not_psd, not_hermitian, ragged])
+    assert info.value.index == 1
+    with pytest.raises(NotHermitian) as info:
+        validate_povm([e, not_hermitian, not_psd, ragged])
+    assert info.value.index == 1
+    with pytest.raises(ShapeMismatch, match="effect 1 "):
+        validate_povm([e, ragged, not_psd])
+
+
+def test_array_and_list_input_give_identical_bytes():
+    stack = random_mic_fixture(3, 5).matrices()
+    from_array = mic_from_matrices(np.array(stack))
+    from_list = mic_from_matrices([np.array(m) for m in stack])
+    assert from_array.matrices().tobytes() == from_list.matrices().tobytes()
+    assert from_array.weights().tobytes() == from_list.weights().tobytes()
+    assert from_array.gram.tobytes() == from_list.gram.tobytes()
+
+
+def test_stored_arrays_are_read_only_and_not_copied():
+    mic = random_mic_fixture(2, 6)
+    assert mic.matrices() is mic.matrices()
+    assert mic.weights() is mic.weights()
+    for a in (mic.matrices(), mic.weights(), mic.gram):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_validate_povm_copies_its_input():
+    stack = np.array(sic_qubit().matrices())
+    povm = validate_povm(stack)
+    assert stack.flags.writeable
+    stack[0] = 0
+    assert povm.matrices()[0].any()
+
+
+def test_effects_view_the_stored_arrays():
+    mic = sic_qubit()
+    assert mic.effects is mic.effects
+    for e, m, w in zip(mic.effects, mic.matrices(), mic.weights()):
+        assert np.shares_memory(e.matrix, mic.matrices())
+        assert np.array_equal(e.matrix, m)
+        assert e.weight == w
+
+
+def _reference_validate(effects, tol=DEFAULT_TOL):
+    """The per-effect loop that validate_povm replaces: (error type, index)
+    for the first faulty effect, or (None, (matrices, weights))."""
+    mats = [np.asarray(e, dtype=complex) for e in effects]
+    d = mats[0].shape[0]
+    for i, e in enumerate(mats):
+        if e.shape != (d, d):
+            return ShapeMismatch, i
+        if not np.isfinite(e).all():
+            return NonFinite, i
+        if np.abs(e - e.conj().T).max() > tol.hermitian_tol:
+            return NotHermitian, i
+        if np.linalg.eigvalsh(e)[0] < -tol.zero_tol:
+            return NotPsd, i
+    if np.linalg.norm(sum(mats) - np.eye(d)) > tol.zero_tol * d:
+        return SumNotIdentity, None
+    return None, (np.array(mats), np.array([np.trace(m).real for m in mats]))
+
+
+def _break(e, fault, rng):
+    d = e.shape[0]
+    if fault == "psd":
+        return e - (0.5 + rng.random()) * np.eye(d)
+    if fault == "hermitian":
+        a = rng.standard_normal((d, d))
+        return e + 1e-6 * (a - a.T)
+    if fault == "ragged":
+        return np.eye(d + 1, dtype=complex)
+    return np.where(rng.random((d, d)) < 0.5, np.nan, e)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=20),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=19),
+                          st.sampled_from(["psd", "hermitian", "ragged", "nan"])),
+                max_size=3),
+       st.integers(min_value=0, max_value=10_000))
+def test_batched_validation_matches_per_effect_loop(d, n, faults, seed):
+    rng = np.random.default_rng(seed)
+    basis = [random_psd(d, rng) for _ in range(n)]
+    r = np.linalg.inv(np.linalg.cholesky(sum(basis)))
+    effects = [r @ a @ r.conj().T for a in basis]  # squashed to sum to I
+    for index, fault in faults:
+        effects[index % n] = _break(effects[index % n], fault, rng)
+    expected, detail = _reference_validate(effects)
+    if expected is None:
+        povm = validate_povm(effects)
+        assert np.array_equal(povm.matrices(), detail[0])
+        assert np.array_equal(povm.weights(), detail[1])
+        return
+    with pytest.raises(expected) as info:
+        validate_povm(effects)
+    if expected is ShapeMismatch:
+        assert f"effect {detail} has shape" in str(info.value)
+    elif detail is not None:
+        assert info.value.index == detail
 
 
 def test_validate_mic_wrong_count():
