@@ -24,17 +24,16 @@ TOLERANCE_ENV_VAR = "MIC_LAB_TOL"
 class ToleranceConfig:
     """Numerical tolerances used across the library.
 
-    eig_tol and rank_tol are relative (scaled by the largest singular value),
+    rank_tol is relative (scaled by the largest singular value),
     hermitian_tol and zero_tol are absolute.
     """
 
-    eig_tol: float = 1e-9
     rank_tol: float = 1e-9
     hermitian_tol: float = 1e-12
     zero_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("eig_tol", "rank_tol", "hermitian_tol", "zero_tol"):
+        for name in ("rank_tol", "hermitian_tol", "zero_tol"):
             value = getattr(self, name)
             if not (isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
@@ -44,7 +43,7 @@ DEFAULT_TOL = ToleranceConfig()
 
 
 def tolerances_from_env() -> ToleranceConfig:
-    """Default tolerances, with eig/rank overridden by MIC_LAB_TOL if set.
+    """Default tolerances, with rank_tol overridden by MIC_LAB_TOL if set.
 
     A value that is not a positive finite number raises ValueError.
     """
@@ -52,6 +51,6 @@ def tolerances_from_env() -> ToleranceConfig:
     if raw is None:
         return DEFAULT_TOL
     try:
-        return ToleranceConfig(eig_tol=float(raw), rank_tol=float(raw))
+        return ToleranceConfig(rank_tol=float(raw))
     except ValueError as exc:
         raise ValueError(f"{TOLERANCE_ENV_VAR}={raw!r}: {exc}") from None

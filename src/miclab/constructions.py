@@ -33,14 +33,13 @@ from .errors import (
     WrongCount,
     WrongDimension,
 )
-from .linalg import eigh, inv_sqrt_psd, kron, numerical_rank
+from .linalg import eigh, inv_sqrt_psd, numerical_rank
 from .povm import Mic, Povm, _check_state, _frozen, mic_from_matrices, validate_povm
 
 
 class FiducialProvenance(Enum):
     BUILT_IN = "built-in"
     USER_SUPPLIED = "user-supplied"
-    NUMERICALLY_FOUND = "numerically-found"
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,7 +352,7 @@ def tensorhedron_mic(component: Mic, n: int, tol: ToleranceConfig = DEFAULT_TOL)
     for combo in itertools.product(range(len(mats)), repeat=n):
         e = mats[combo[0]]
         for i in combo[1:]:
-            e = kron(e, mats[i])
+            e = np.kron(e, mats[i])
         effects.append(e)
     return mic_from_matrices(effects, tol)
 

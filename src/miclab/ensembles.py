@@ -19,6 +19,7 @@ substreams, so results are reproducible bit for bit at any worker count.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -195,9 +196,11 @@ def spectra_study(kind: MicKind, d: int, n_samples: int, bin_width,
 
     Sample i draws from a substream seeded by (seed, i), so the result
     is a pure function of (kind, d, n_samples, bin_width, seed) and is
-    byte-identical at any worker count.  bin_width must be an exact
-    rational (Fraction or a string like "1/198") dividing (0, 1/d] into
-    whole bins; floats are snapped to the nearest small fraction first.
+    byte-identical at any worker count.  workers > 1 splits the samples
+    into up to that many chunks, run by at most os.cpu_count() processes.
+    bin_width must be an exact rational (Fraction or a string like
+    "1/198") dividing (0, 1/d] into whole bins; floats are snapped to the
+    nearest small fraction first.
     """
     kind = MicKind(kind)
     if n_samples < 1:
@@ -212,7 +215,7 @@ def spectra_study(kind: MicKind, d: int, n_samples: int, bin_width,
         step = ceil(n_samples / workers)
         chunks = [(kind.value, d, lo, min(lo + step, n_samples), seed, n_bins)
                   for lo in range(0, n_samples, step)]
-        with multiprocessing.Pool(processes=len(chunks)) as pool:
+        with multiprocessing.Pool(processes=min(len(chunks), os.cpu_count() or 1)) as pool:
             parts = pool.starmap(_count_chunk, chunks)
         counts = np.sum(parts, axis=0, dtype=np.int64)
     return SpectraHistogram(kind=kind, d=d, bin_width=w, counts=counts,

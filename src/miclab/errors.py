@@ -5,9 +5,16 @@ that CLI and test code can branch on the exact cause rather than parsing
 messages.  All of them derive from :class:`MicLabError`.
 """
 
+import copyreg
+
 
 class MicLabError(Exception):
     """Base class for all errors raised by miclab."""
+
+    # Rebuild from args and attributes without calling __init__, so that
+    # every subclass pickles across worker-process boundaries.
+    def __reduce__(self):
+        return (copyreg.__newobj__, (type(self), *self.args), self.__dict__)
 
 
 # ---------------------------------------------------------------- kernel
@@ -23,10 +30,6 @@ class NotHermitian(MicLabError):
         self.message = message
         super().__init__(message if index is None else f"element {index}: {message}")
 
-    # keeps the exception picklable across worker-process boundaries
-    def __reduce__(self):
-        return (type(self), (self.message, self.index))
-
 
 class ConvergenceFailure(MicLabError):
     """An iterative eigensolver failed to converge."""
@@ -41,15 +44,15 @@ class ShapeMismatch(MicLabError):
 
 
 class NonFinite(MicLabError):
-    """A matrix has a NaN or infinite entry."""
+    """A NaN or infinite entry.
+
+    index names the first offending matrix of a stack, or the first
+    offending entry of a probability vector.
+    """
 
     def __init__(self, index: int):
         self.index = index
         super().__init__(f"element {index} has a non-finite entry")
-
-    # keeps the exception picklable across worker-process boundaries
-    def __reduce__(self):
-        return (type(self), (self.index,))
 
 
 # ------------------------------------------------------------- povm core
@@ -189,10 +192,6 @@ class SamplingExhausted(MicLabError):
         super().__init__(
             f"could not draw a valid {kind} MIC in d={d} after {attempts} attempts{where}"
         )
-
-    # keeps the exception picklable across worker-process boundaries
-    def __reduce__(self):
-        return (type(self), (self.kind, self.d, self.attempts, self.sample_index))
 
 
 class WrongDimension(MicLabError):

@@ -93,20 +93,6 @@ def inv_sqrt_psd(h, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return (v / np.sqrt(w)) @ v.conj().T
 
 
-def hadamard(a, b) -> np.ndarray:
-    """Entrywise product of two equal-shape matrices."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"shapes {a.shape} and {b.shape} differ")
-    return a * b
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Number of singular values above rank_tol times the largest."""
     a = np.asarray(a)
@@ -116,15 +102,6 @@ def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol.rank_tol * s[0]))
-
-
-def frobenius_distance(a, b) -> float:
-    """Frobenius norm of A - B."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"shapes {a.shape} and {b.shape} differ")
-    return float(np.linalg.norm(a - b))
 
 
 def definiteness(h, tol: ToleranceConfig = DEFAULT_TOL) -> Definiteness:

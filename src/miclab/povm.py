@@ -34,7 +34,7 @@ from .errors import (
     SumNotIdentity,
     WrongCount,
 )
-from .linalg import eigh, eigvalsh, hadamard, numerical_rank
+from .linalg import eigh, eigvalsh, numerical_rank
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -221,15 +221,23 @@ def _check_state(rho, d: int, tol: ToleranceConfig) -> np.ndarray:
     if rho.shape != (d, d):
         raise InvalidState(f"state has shape {rho.shape}, expected {(d, d)}")
     defect = float(np.abs(rho - rho.conj().T).max())
-    if defect > tol.hermitian_tol:
+    if not defect <= tol.hermitian_tol:  # a NaN or inf entry fails here
+        if not np.isfinite(defect):
+            raise InvalidState("state has a non-finite entry")
         raise InvalidState(f"state is not Hermitian (defect {defect:.3e})")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > 1e-10:
+    if not abs(tr - 1.0) <= 1e-10:
         raise InvalidState(f"state has trace {tr!r}, expected 1")
     w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
     if w[0] < -tol.zero_tol:
         raise InvalidState(f"state has negative eigenvalue {w[0]:.3e}")
     return rho
+
+
+def _check_finite(p: np.ndarray) -> None:
+    finite = np.isfinite(p)
+    if not finite.all():
+        raise NonFinite(int(np.argmin(finite)))
 
 
 def born_probabilities(rho, povm: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -244,12 +252,14 @@ def reconstruct_state(p, mic: Mic, tol: ToleranceConfig = DEFAULT_TOL) -> np.nda
 
     For p produced by born_probabilities this inverts the measurement map.
     The result is always Hermitian with trace equal to sum(p); it need not be
-    positive semidefinite for an arbitrary probability vector.
+    positive semidefinite for an arbitrary probability vector.  A NaN or
+    infinite p_i raises NonFinite(i).
     """
     p = np.asarray(p, dtype=float)
     n = mic.dim * mic.dim
     if p.shape != (n,):
         raise ShapeMismatch(f"expected {n} probabilities, got shape {p.shape}")
+    _check_finite(p)
     duals = dual_basis(mic, tol)
     out = np.einsum("i,iab->ab", p, np.array(duals.elements))
     return _frozen((out + out.conj().T) / 2)
@@ -260,12 +270,13 @@ def purity_form(p, g, tol: ToleranceConfig = DEFAULT_TOL) -> float:
 
     When p comes from measuring rho with the MIC whose Gram matrix is g this
     equals tr(rho^2), so it is 1 exactly for pure states and smaller for
-    mixed ones.
+    mixed ones.  A NaN or infinite p_i raises NonFinite(i).
     """
     p = np.asarray(p, dtype=float)
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1] or p.shape != (g.shape[0],):
         raise ShapeMismatch(f"probability shape {p.shape} vs Gram shape {g.shape}")
+    _check_finite(p)
     cond = float(np.linalg.cond(g))
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise IllConditionedGram(cond)
@@ -323,7 +334,8 @@ def rank1_mic_check(vectors, weights, tol: ToleranceConfig = DEFAULT_TOL) -> tup
     if not is_povm:
         return False, False
     n = g.shape[0]
-    is_mic = n == d * d and numerical_rank(hadamard(g, g.conj()).real, tol) == d * d
+    # the Hadamard (entrywise) product of g with its conjugate is the POVM Gram
+    is_mic = n == d * d and numerical_rank((g * g.conj()).real, tol) == d * d
     return True, is_mic
 
 

@@ -19,6 +19,10 @@ from miclab.acceptance import CRITERIA, run_criteria
 
 CRITERION_NUMBERS = list(range(1, len(CRITERIA) + 1))
 
+# the sample counts criteria print, computed from their scale-1 counts
+COUNT_PHRASES = {3: "8000 random MICs", 4: "40000 states", 5: "/2000",
+                 6: "/1000", 10: "/300", 11: "6000 MICs"}
+
 
 @pytest.mark.parametrize("number", CRITERION_NUMBERS,
                          ids=[f"{n:02d}" for n in CRITERION_NUMBERS])
@@ -28,6 +32,7 @@ def test_criterion(number):
             f"{'PASS' if result.passed else 'FAIL'} "
             f"{result.title}: {result.detail}")
     print(line)
+    assert COUNT_PHRASES.get(number, "") in line
     if (number == 12 and not result.passed
             and "top-bin mass >= n for covariant kinds: True" in result.detail):
         pytest.xfail(

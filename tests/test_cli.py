@@ -206,10 +206,36 @@ def test_spectra_rejects_unknown_kind():
 
 # ---------------------------------------------------------------- verify
 
+THEOREM_LINES = [
+    "criterion 01 qubit SIC Gram and spectrum closed forms",
+    "criterion 02 nine-outcome golden example matches its rational Gram table",
+    "criterion 03 unbiasedness predicates agree across 400 random MICs",
+    "criterion 04 orthocross spectrum closed form and probability bound",
+    "criterion 05 squared Frobenius gap to the orthogonal ideal is minimized by SICs",
+    "criterion 06 inverse-Gram distance equals 2*sqrt(3) for the qubit SIC and is minimal",
+    "criterion 07 cascaded probabilities equal direct ones; SIC conditional inverse",
+    "criterion 08 tensor-square Gram is the Kronecker square; zero count follows",
+    "criterion 09 odd-dimension covariant MIC ranks and quasiprobability normalization",
+    "criterion 10 probability quadratic form recovers purity",
+    "criterion 11 dual indefiniteness, no unscaled projectors, no d=2 orthogonality",
+    "state reconstruction and purity form",
+    "SIC Gram closed form d=2..5",
+    "equiangular Gram closed form",
+    "Weyl-Heisenberg orbit covariance",
+    "rank-1 projector Gram criterion",
+]
+
+
 def test_verify_theorems_passes():
     res = run_cli("verify", "theorems", "--seed", "42")
     assert res.returncode == 0
     assert "FAIL" not in res.stdout
+    lines = res.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"ok   {name}" for name in THEOREM_LINES]
+    # criteria 1-11 at 1/20 scale
+    assert "over 2000 states" in lines[3] and "over 300 MICs" in lines[10]
+    again = run_cli("verify", "theorems", "--seed", "42")
+    assert again.stdout == res.stdout
 
 
 def test_verify_conjectures_always_exit_zero():

@@ -1,6 +1,7 @@
 """Random MIC samplers and the Gram-spectra histogram study."""
 
 import hashlib
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -160,6 +161,31 @@ def test_determinism_across_worker_counts():
     h4 = spectra_study(MicKind.WH_RANK1, 3, workers=4, **kwargs)
     assert np.array_equal(h1.counts, h4.counts)
     assert h1.seed == h4.seed == 21
+
+
+def test_worker_pool_is_capped_by_cpu_count(monkeypatch):
+    # a stand-in pool records its size and runs the chunks in this process
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, chunks):
+            return [fn(*chunk) for chunk in chunks]
+
+    monkeypatch.setattr("miclab.ensembles.multiprocessing.Pool", InlinePool)
+    kwargs = dict(n_samples=40, bin_width=Fraction(1, 200), seed=5)
+    wide = spectra_study(MicKind.WH_GENERIC, 2, workers=10_000, **kwargs)
+    assert sizes and sizes[0] <= (os.cpu_count() or 1)
+    one = spectra_study(MicKind.WH_GENERIC, 2, workers=1, **kwargs)
+    assert np.array_equal(wide.counts, one.counts)
 
 
 def test_determinism_across_runs():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from miclab import errors
 from miclab.config import ToleranceConfig
 from miclab.errors import NonFinite, NotHermitian, ShapeMismatch, SingularOperator
 from miclab.linalg import (
@@ -12,11 +13,8 @@ from miclab.linalg import (
     definiteness,
     eigh,
     eigvalsh,
-    frobenius_distance,
-    hadamard,
     hermiticity_defect,
     inv_sqrt_psd,
-    kron,
     numerical_rank,
 )
 
@@ -72,11 +70,50 @@ def test_eigh_names_the_first_faulty_matrix_of_a_stack():
     assert info.value.index == 1
 
 
+# one instance of every error class, with its own constructor arguments
+ONE_OF_EACH_ERROR = [
+    errors.MicLabError("base"),
+    NotHermitian("defect", index=3),
+    NotHermitian("defect"),
+    errors.ConvergenceFailure("no convergence"),
+    SingularOperator("singular"),
+    ShapeMismatch("shape"),
+    NonFinite(2),
+    errors.NotPsd(1, -0.5),
+    errors.SumNotIdentity(1e-3),
+    errors.WrongCount(3, 4),
+    errors.LinearlyDependent(3, 4),
+    errors.LinearlyDependent(3, 4, "effect 2 has negligible weight"),
+    errors.IllConditionedGram(1e13),
+    errors.IllConditionedGram(1e9, "biorthogonality defect"),
+    errors.InvalidState("state has trace 2"),
+    errors.NotNormalized(0, 1.5),
+    errors.DegenerateFiducial(1, 2, 1e-14),
+    errors.NotSic(0.1),
+    errors.BetaOutOfRange("beta"),
+    errors.BetaZero("beta"),
+    errors.EvenDimension("odd dimension required"),
+    errors.EnvelopeExceeded(40, 32),
+    errors.BiasedMic("biased"),
+    errors.SingularConditionalMatrix(1e13),
+    errors.SamplingExhausted("generic", 3, 100),
+    errors.SamplingExhausted("generic", 3, 100, sample_index=7),
+    errors.WrongDimension("d=3 only"),
+]
+
+
+def test_every_error_class_has_a_pickling_case():
+    classes = {c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.MicLabError)}
+    assert classes == {type(exc) for exc in ONE_OF_EACH_ERROR}
+
+
 def test_indexed_errors_survive_pickling():
-    for exc in (NonFinite(2), NotHermitian("defect", index=3), NotHermitian("defect")):
+    for exc in ONE_OF_EACH_ERROR:
         back = pickle.loads(pickle.dumps(exc))
         assert type(back) is type(exc)
-        assert (back.index, str(back)) == (exc.index, str(exc))
+        assert str(back) == str(exc)
+        assert back.__dict__ == exc.__dict__
 
 
 def test_inv_sqrt_psd_inverts_square_root():
@@ -104,21 +141,6 @@ def test_definiteness_classification():
     assert definiteness(np.diag([1.0, 0.0])) is Definiteness.POSITIVE_SEMIDEFINITE
     assert definiteness(np.diag([-1.0, -2.0])) is Definiteness.NEGATIVE_SEMIDEFINITE
     assert definiteness(np.diag([1.0, -2.0])) is Definiteness.INDEFINITE
-
-
-def test_kron_and_hadamard_agree_with_numpy():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((2, 2))
-    b = rng.standard_normal((3, 3))
-    assert np.array_equal(kron(a, b), np.kron(a, b))
-    c = rng.standard_normal((3, 3))
-    assert np.array_equal(hadamard(b, c), b * c)
-
-
-def test_frobenius_distance():
-    a = np.eye(2)
-    b = np.zeros((2, 2))
-    assert frobenius_distance(a, b) == pytest.approx(np.sqrt(2.0))
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,6 +9,7 @@ from miclab.constructions import mic_from_psd_basis, sic_mic, sic_qubit
 from miclab.config import DEFAULT_TOL
 from miclab.errors import (
     IllConditionedGram,
+    InvalidState,
     LinearlyDependent,
     NonFinite,
     NotHermitian,
@@ -279,6 +280,33 @@ def test_purity_form_matches_state_purity():
     p = born_probabilities(rho, mic)
     assert purity_form(p, mic.gram) == pytest.approx(
         np.trace(rho @ rho).real, abs=1e-9)
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE + [complex(0, np.inf)])
+def test_born_probabilities_rejects_non_finite_state(bad):
+    for rho in (np.full((2, 2), bad), np.array([[0.5, bad], [0.0, 0.5]])):
+        with pytest.raises(InvalidState, match="non-finite"):
+            born_probabilities(rho, sic_mic(2))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_reconstruct_state_rejects_non_finite_probabilities(bad):
+    with pytest.raises(NonFinite) as info:
+        reconstruct_state(np.array([0.25, 0.25, bad, 0.25]), sic_mic(2))
+    assert info.value.index == 2
+    with pytest.raises(NonFinite):
+        reconstruct_state(np.full(4, bad), sic_mic(2))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_purity_form_rejects_non_finite_probabilities(bad):
+    mic = sic_mic(2)
+    with pytest.raises(NonFinite) as info:
+        purity_form(np.array([0.25, bad, 0.25, 0.25]), mic.gram)
+    assert info.value.index == 1
 
 
 def test_collision_probability_bounds():
