@@ -33,7 +33,7 @@ from .errors import (
     SingularConditionalMatrix,
     WrongCount,
 )
-from .linalg import Definiteness, definiteness, eigvalsh
+from .linalg import eigvalsh
 from .povm import Mic, Povm, _check_state, born_probabilities, dual_basis, is_unbiased
 
 
@@ -120,15 +120,10 @@ def dual_indefiniteness(mic: Mic, tol: ToleranceConfig = DEFAULT_TOL
     largest above +zero_tol.  For any valid MIC this always holds; a False
     here signals a numerical breakdown, not a counterexample.
     """
-    duals = dual_basis(mic, tol)
-    ranges = []
-    all_indefinite = True
-    for el in duals.elements:
-        if definiteness(el, tol) is not Definiteness.INDEFINITE:
-            all_indefinite = False
-        w = eigvalsh(el, tol)
-        ranges.append((float(w[0]), float(w[-1])))
-    return all_indefinite, ranges
+    w = eigvalsh(dual_basis(mic, tol).stack, tol)
+    low, high = w[:, 0], w[:, -1]
+    all_indefinite = bool(((low < -tol.zero_tol) & (high > tol.zero_tol)).all())
+    return all_indefinite, [(float(lo), float(hi)) for lo, hi in zip(low, high)]
 
 
 def orthogonal_pairs(g, tol: float = DEFAULT_TOL.zero_tol) -> OrthogonalityReport:

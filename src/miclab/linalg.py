@@ -8,8 +8,6 @@ decisions are made relative to the largest singular value.
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
@@ -22,12 +20,6 @@ from .errors import (
 )
 
 
-class Definiteness(Enum):
-    POSITIVE_SEMIDEFINITE = "positive-semidefinite"
-    NEGATIVE_SEMIDEFINITE = "negative-semidefinite"
-    INDEFINITE = "indefinite"
-
-
 def _as_square(a) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -36,9 +28,19 @@ def _as_square(a) -> np.ndarray:
 
 
 def hermiticity_defect(a):
-    """Largest absolute entry of A - A^dagger; an array of one per matrix for a stack."""
+    """Largest absolute entry of A - A^dagger; an array of one per matrix for a stack.
+
+    A matrix with a NaN or infinite entry has defect inf.  Finiteness is
+    tested first, so A - A^dagger never meets inf - inf.
+    """
     a = _as_square(a)
+    finite = None
+    if not np.isfinite(a).all():
+        finite = np.isfinite(a).all(axis=(-2, -1))
+        a = np.where(finite[..., None, None], a, 0)
     defect = np.abs(a - np.swapaxes(a.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
+    if finite is not None:
+        defect = np.where(finite, defect, np.inf)
     return float(defect) if a.ndim == 2 else defect
 
 
@@ -102,19 +104,3 @@ def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol.rank_tol * s[0]))
-
-
-def definiteness(h, tol: ToleranceConfig = DEFAULT_TOL) -> Definiteness:
-    """Classify a Hermitian matrix by the signs of its eigenvalues.
-
-    Eigenvalues within zero_tol of zero count as zero, so the zero matrix
-    classifies as positive semidefinite.
-    """
-    w = eigvalsh(h, tol)
-    has_negative = bool(w[0] < -tol.zero_tol)
-    has_positive = bool(w[-1] > tol.zero_tol)
-    if has_negative and has_positive:
-        return Definiteness.INDEFINITE
-    if has_negative:
-        return Definiteness.NEGATIVE_SEMIDEFINITE
-    return Definiteness.POSITIVE_SEMIDEFINITE

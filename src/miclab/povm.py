@@ -11,6 +11,9 @@ entries sum to d.  The dual basis {E~_i}, defined by tr(E_i E~_j) = delta_ij,
 is obtained by applying the inverse Gram matrix to the effects and is what
 turns measured probabilities back into operators.  A validated POVM holds
 its N effects as one read-only (N, d, d) array beside their weights tr E_i.
+A MIC computes its dual basis, with the conditioning and biorthogonality
+checks, on first use and keeps it as one read-only (d^2, d, d) array, so
+reconstructing many states from one MIC inverts its Gram matrix once.
 """
 
 from __future__ import annotations
@@ -75,22 +78,54 @@ class Povm:
 
 
 @dataclass(frozen=True, eq=False)
-class Mic(Povm):
-    """A validated MIC with its d^2 x d^2 Gram matrix."""
-
-    gram: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class DualBasis:
     """Operator basis dual to a MIC's effects: tr(E_i E~_j) = delta_ij.
 
     Every element is Hermitian with unit trace, and by the structure of MICs
-    none of them is ever positive or negative semidefinite.
+    none of them is ever positive or negative semidefinite.  stack holds the
+    elements as one read-only (d^2, d, d) array; elements views its rows.
     """
 
     dim: int
-    elements: tuple[np.ndarray, ...]
+    stack: np.ndarray
+
+    @functools.cached_property
+    def elements(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.stack)
+
+
+@dataclass(frozen=True, eq=False)
+class Mic(Povm):
+    """A validated MIC with its d^2 x d^2 Gram matrix.
+
+    duals is the dual basis, computed and checked on first use and then
+    kept: stack and gram are read-only, so it never goes stale.  A MIC whose
+    Gram matrix is refused raises IllConditionedGram on every access.
+    """
+
+    gram: np.ndarray
+
+    @functools.cached_property
+    def duals(self) -> DualBasis:
+        g = self.gram
+        cond = float(np.linalg.cond(g))
+        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+            raise IllConditionedGram(cond)
+        mats = self.matrices()
+        n = mats.shape[0]
+        coeffs = np.linalg.solve(g, np.eye(n))
+        # the exact inverse is symmetric; averaging halves the solve error
+        # that otherwise concentrates in the small-eigenvalue subspace
+        coeffs = (coeffs + coeffs.T) / 2.0
+        duals = np.einsum("ij,jab->iab", coeffs, mats)
+        # exactly Hermitian in theory; large inverse-Gram coefficients can
+        # leave rounding asymmetry big enough to trip downstream eigh gates
+        duals = (duals + duals.conj().transpose(0, 2, 1)) / 2.0
+        check = np.einsum("iab,jba->ij", mats, duals)
+        defect = float(np.abs(check - np.eye(n)).max())
+        if defect > 1e-8:
+            raise IllConditionedGram(cond, f"biorthogonality defect {defect:.3e} exceeds 1e-8")
+        return DualBasis(dim=self.dim, stack=_frozen(duals))
 
 
 def _stack(effects) -> tuple[np.ndarray, ShapeMismatch | None]:
@@ -146,13 +181,17 @@ def gram(povm: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Gram matrix [G]_ij = tr(E_i E_j).
 
     The matrix is real for Hermitian effects; any imaginary residue beyond
-    zero_tol indicates corrupted input and raises NotHermitian via the
-    underlying check.  The entries of a POVM Gram matrix always sum to d.
+    zero_tol indicates corrupted input and raises NotHermitian, or
+    NonFinite(i) for the first effect with a NaN or infinite entry.  The
+    entries of a POVM Gram matrix always sum to d.
     """
     mats = povm.matrices()
     g = np.einsum("iab,jba->ij", mats, mats)
     residue = float(np.abs(g.imag).max(initial=0.0))
-    if residue > tol.zero_tol:
+    if not residue <= tol.zero_tol:  # NaN fails too
+        finite = np.isfinite(mats).all(axis=(1, 2))
+        if not finite.all():
+            raise NonFinite(int(np.argmin(finite)))
         raise NotHermitian(f"Gram matrix has imaginary residue {residue:.3e}")
     g = g.real
     return _frozen((g + g.T) / 2)
@@ -193,37 +232,20 @@ def dual_basis(mic: Mic, tol: ToleranceConfig = DEFAULT_TOL) -> DualBasis:
     """Basis dual to the MIC's effects, E~_i = sum_j [G^-1]_ij E_j.
 
     Refuses Gram matrices with condition number above 1e12 and verifies the
-    biorthogonality relation tr(E_i E~_j) = delta_ij to 1e-8 before returning.
+    biorthogonality relation tr(E_i E~_j) = delta_ij to 1e-8, both once per
+    MIC: the result is mic.duals, cached on the MIC.  tol is not read.
     """
-    g = mic.gram
-    cond = float(np.linalg.cond(g))
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise IllConditionedGram(cond)
-    mats = mic.matrices()
-    n, d = mats.shape[0], mic.dim
-    coeffs = np.linalg.solve(g, np.eye(n))
-    # the exact inverse is symmetric; averaging halves the solve error
-    # that otherwise concentrates in the small-eigenvalue subspace
-    coeffs = (coeffs + coeffs.T) / 2.0
-    duals = np.einsum("ij,jab->iab", coeffs, mats)
-    # exactly Hermitian in theory; large inverse-Gram coefficients can
-    # leave rounding asymmetry big enough to trip downstream eigh gates
-    duals = (duals + duals.conj().transpose(0, 2, 1)) / 2.0
-    check = np.einsum("iab,jba->ij", mats, duals)
-    defect = float(np.abs(check - np.eye(n)).max())
-    if defect > 1e-8:
-        raise IllConditionedGram(cond, f"biorthogonality defect {defect:.3e} exceeds 1e-8")
-    return DualBasis(dim=d, elements=tuple(_frozen(m) for m in duals))
+    return mic.duals
 
 
 def _check_state(rho, d: int, tol: ToleranceConfig) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d, d):
         raise InvalidState(f"state has shape {rho.shape}, expected {(d, d)}")
+    if not np.isfinite(rho).all():  # before rho - rho^dagger can meet inf - inf
+        raise InvalidState("state has a non-finite entry")
     defect = float(np.abs(rho - rho.conj().T).max())
-    if not defect <= tol.hermitian_tol:  # a NaN or inf entry fails here
-        if not np.isfinite(defect):
-            raise InvalidState("state has a non-finite entry")
+    if defect > tol.hermitian_tol:
         raise InvalidState(f"state is not Hermitian (defect {defect:.3e})")
     tr = complex(np.trace(rho))
     if not abs(tr - 1.0) <= 1e-10:
@@ -260,8 +282,7 @@ def reconstruct_state(p, mic: Mic, tol: ToleranceConfig = DEFAULT_TOL) -> np.nda
     if p.shape != (n,):
         raise ShapeMismatch(f"expected {n} probabilities, got shape {p.shape}")
     _check_finite(p)
-    duals = dual_basis(mic, tol)
-    out = np.einsum("i,iab->ab", p, np.array(duals.elements))
+    out = np.einsum("i,iab->ab", p, dual_basis(mic, tol).stack)
     return _frozen((out + out.conj().T) / 2)
 
 

@@ -25,7 +25,7 @@ from miclab.constructions import (
     sic_qubit,
 )
 from miclab.errors import BiasedMic
-from miclab.povm import born_probabilities
+from miclab.povm import DualBasis, born_probabilities
 
 
 def random_psd(d, rng):
@@ -69,6 +69,20 @@ def test_all_duals_indefinite_across_kinds():
         assert all_indefinite
         for lo, hi in ranges:
             assert lo < 0 < hi
+
+
+def test_dual_indefiniteness_needs_both_signs_beyond_zero_tol():
+    # no valid MIC has a semidefinite dual, so stand-in duals are planted in
+    # the MIC's cache: PSD, PSD up to -1e-11 (within zero_tol), NSD, indefinite
+    mic = sic_qubit()
+    planted = np.array([np.diag(w) for w in
+                        ([1.0, 2.0], [1.0, -1e-11], [-1.0, -2.0], [1.0, -2.0])], dtype=complex)
+    mic.__dict__["duals"] = DualBasis(dim=2, stack=planted)
+    all_indefinite, ranges = dual_indefiniteness(mic)
+    assert not all_indefinite
+    assert ranges == [(1.0, 2.0), (-1e-11, 1.0), (-2.0, -1.0), (-2.0, 1.0)]
+    mic.__dict__["duals"] = DualBasis(dim=2, stack=planted[[3, 3, 3, 3]])
+    assert dual_indefiniteness(mic)[0]
 
 
 # ------------------------------------------------------------- ortho pairs

@@ -9,8 +9,6 @@ from miclab import errors
 from miclab.config import ToleranceConfig
 from miclab.errors import NonFinite, NotHermitian, ShapeMismatch, SingularOperator
 from miclab.linalg import (
-    Definiteness,
-    definiteness,
     eigh,
     eigvalsh,
     hermiticity_defect,
@@ -134,13 +132,6 @@ def test_numerical_rank_with_relative_threshold():
     assert numerical_rank(m) == 2
     # tighter tolerance picks up the small direction
     assert numerical_rank(m, ToleranceConfig(rank_tol=1e-13)) == 3
-
-
-def test_definiteness_classification():
-    assert definiteness(np.diag([1.0, 2.0])) is Definiteness.POSITIVE_SEMIDEFINITE
-    assert definiteness(np.diag([1.0, 0.0])) is Definiteness.POSITIVE_SEMIDEFINITE
-    assert definiteness(np.diag([-1.0, -2.0])) is Definiteness.NEGATIVE_SEMIDEFINITE
-    assert definiteness(np.diag([1.0, -2.0])) is Definiteness.INDEFINITE
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from miclab.constructions import mic_from_psd_basis, sic_mic, sic_qubit
 from miclab.config import DEFAULT_TOL
+from miclab.ensembles import MicKind, haar_pure_state, random_mic
 from miclab.errors import (
     IllConditionedGram,
     InvalidState,
@@ -19,6 +20,7 @@ from miclab.errors import (
     WrongCount,
 )
 from miclab.povm import (
+    Povm,
     born_probabilities,
     collision_probability,
     dual_basis,
@@ -226,6 +228,19 @@ def test_gram_of_sic_is_closed_form():
     assert np.abs(mic.gram - expected).max() < 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+def test_gram_rejects_non_finite_effects(bad):
+    # NaN fails every comparison, so a residue check written `> tol` passed it
+    with pytest.raises(NonFinite) as info:
+        gram(Povm(dim=2, stack=np.full((4, 2, 2), bad + 0j), traces=np.ones(4)))
+    assert info.value.index == 0
+    stack = np.array(sic_qubit().matrices())
+    stack[2, 0, 1] = bad
+    with pytest.raises(NonFinite) as info:
+        gram(Povm(dim=2, stack=stack, traces=np.ones(4)))
+    assert info.value.index == 2
+
+
 def test_weights_are_traces():
     mic = random_mic_fixture(3, 4)
     assert np.allclose(mic.weights(), [np.trace(m).real for m in mic.matrices()])
@@ -245,6 +260,39 @@ def test_dual_basis_rejects_singular_gram():
     object.__setattr__(mic, "gram", np.diag([1.0, 1.0, 1.0, 1e-14]))
     with pytest.raises(IllConditionedGram):
         dual_basis(mic)
+
+
+def test_dual_basis_is_computed_once_per_mic():
+    mic = random_mic_fixture(3, 7)
+    duals = dual_basis(mic)
+    assert dual_basis(mic) is duals
+    assert duals.stack.shape == (9, 3, 3)
+    assert not duals.stack.flags.writeable
+    with pytest.raises(ValueError):
+        duals.stack[0] = 0
+    for el, row in zip(duals.elements, duals.stack):
+        assert np.shares_memory(el, duals.stack)
+        assert np.array_equal(el, row)
+
+
+def test_cached_reconstruction_matches_a_fresh_mic_bytewise():
+    mic = random_mic_fixture(3, 8)
+    rng = np.random.default_rng(9)
+    for _ in range(3):  # the first call fills the cache, later ones reuse it
+        p = born_probabilities(random_state(3, rng), mic)
+        fresh = mic_from_matrices(mic.matrices())
+        assert reconstruct_state(p, mic).tobytes() == reconstruct_state(p, fresh).tobytes()
+
+
+def test_refused_dual_basis_is_refused_on_every_call():
+    # cond(G) is about 3.5e8: the biorthogonality gate refuses it, and a
+    # refusal is an exception, which the cache never stores
+    mic = random_mic(MicKind.GENERIC_PSD, 2, np.random.default_rng([33, 2, 0]))
+    for _ in range(2):
+        with pytest.raises(IllConditionedGram):
+            dual_basis(mic)
+    with pytest.raises(IllConditionedGram):
+        reconstruct_state(np.full(4, 0.25), mic)
 
 
 def test_effect_ranks_and_ranges():
@@ -361,6 +409,28 @@ def test_measure_then_reconstruct_roundtrip(d, seed):
     bound = max(1e-8, 100 * np.finfo(float).eps * np.linalg.cond(mic.gram))
     assert np.abs(reconstruct_state(p, mic) - rho).max() < bound
     assert 1.0 / (d * d) - 1e-12 <= collision_probability(np.abs(p) / np.abs(p).sum())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(list(MicKind)), st.integers(min_value=2, max_value=5),
+       st.integers(min_value=0, max_value=10_000), st.booleans())
+def test_reconstruct_inverts_born_for_every_kind(kind, d, seed, pure):
+    rng = np.random.default_rng(seed)
+    mic = random_mic(kind, d, rng)
+    if pure:
+        v = haar_pure_state(d, rng)
+        rho = np.outer(v, v.conj())
+    else:
+        rho = random_state(d, rng)
+    p = born_probabilities(rho, mic)
+    try:
+        back = reconstruct_state(p, mic)
+    except IllConditionedGram:
+        # a refused Gram matrix is a typed refusal, not a round-trip bug
+        assume(False)
+    bound = max(1e-13, np.finfo(float).eps * np.linalg.cond(mic.gram))
+    assert np.abs(back - rho).max() < bound
+    assert reconstruct_state(p, mic).tobytes() == back.tobytes()
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
