@@ -41,7 +41,7 @@ from .constructions import (
     tensorhedron_mic,
     wh_mic,
 )
-from .ensembles import MicKind, haar_pure_state, plateau_metric, random_mic, spectra_study
+from .ensembles import MicKind, haar_pure_states, plateau_metric, random_mic, spectra_study
 from .errors import MicLabError
 from .linalg import eigvalsh
 from .povm import (
@@ -173,7 +173,7 @@ def criterion_04(key=(400,), scale=1) -> CriterionResult:
         formula_dev = max(formula_dev, abs(bound - formula))
         mic = orthocross_mic(d)
         rng = _rng(*key, d)
-        vs = np.array([haar_pure_state(d, rng) for _ in range(n_states)])
+        vs = haar_pure_states(n_states, d, rng)
         # outcome probabilities of all states at once, row per state
         p = np.einsum("kab,mb,ma->mk", mic.matrices(), vs, vs.conj()).real
         violations += int((p > bound).sum())
@@ -305,13 +305,11 @@ def criterion_10(key=(1000,), scale=1) -> CriterionResult:
     for di, d in enumerate((2, 3, 4)):
         rng = _rng(*key, d)
         mic = random_mic(kinds[di % 4], d, rng)
-        for _ in range(per_d):
-            v = haar_pure_state(d, rng)
+        for v in haar_pure_states(per_d, d, rng):
             p = born_probabilities(np.outer(v, v.conj()), mic)
             pure_dev = max(pure_dev, abs(purity_form(p, mic.gram) - 1.0))
-        for _ in range(per_d):
-            a = haar_pure_state(d, rng)
-            b = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        pairs = haar_pure_states(2 * per_d, d, rng)
+        for a, b in zip(pairs[0::2], pairs[1::2]):
             b = b - (a.conj() @ b) * a
             b = b / np.linalg.norm(b)
             rho = 0.6 * np.outer(a, a.conj()) + 0.4 * np.outer(b, b.conj())
@@ -476,9 +474,9 @@ def _check_orbit_covariance(key) -> tuple:
 
 def _check_rank1_gram_criterion(key) -> tuple:
     rng = _rng(*key)
-    v = np.array([haar_pure_state(3, rng) for _ in range(9)])
+    v = haar_pure_states(9, 3, rng)
     # generic Haar projector family: a rank-1 POVM candidate but not tight
-    if rank1_mic_check(list(v), [1.0] * 9)[0]:
+    if rank1_mic_check(v, [1.0] * 9)[0]:
         return False, "non-POVM vector family misreported as a rank-1 POVM"
     w, u = np.linalg.eigh(sic_qubit().matrices())
     povm_ok, mic_ok = rank1_mic_check(u[:, :, -1], w[:, -1])

@@ -28,13 +28,13 @@ import numpy as np
 from .config import CONDITION_LIMIT, DEFAULT_TOL, ToleranceConfig
 from .errors import (
     BiasedMic,
-    IllConditionedGram,
     ShapeMismatch,
     SingularConditionalMatrix,
     WrongCount,
 )
 from .linalg import eigvalsh
-from .povm import Mic, Povm, _check_state, born_probabilities, dual_basis, is_unbiased
+from .povm import (Mic, Povm, _check_state, _gram_condition, born_probabilities, dual_basis,
+                   is_unbiased)
 
 
 @dataclass(frozen=True)
@@ -179,9 +179,7 @@ def inv_gram_distance(mic: Mic, norm: str = "frobenius",
     if not is_unbiased(mic):
         raise BiasedMic("inv_gram_distance requires an unbiased MIC")
     g = mic.gram
-    cond = float(np.linalg.cond(g))
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise IllConditionedGram(cond)
+    _gram_condition(g)
     n = g.shape[0]
     a = np.eye(n) - np.linalg.inv(g) / mic.dim
     a = (a + a.T) / 2
@@ -348,21 +346,14 @@ def _probe_pair_search(restarts: int = 1000, seed: int = 0,
     from .ensembles import MicKind, random_mic
 
     rng = np.random.default_rng(seed)
-    best_count = -1
-    best_source = ""
+    best_count = orthogonal_pairs(example_seven_orthogonal().gram, pair_tol).count
+    best_source = "seven-orthogonal-example"
     random_best = 0
-    candidates = [("seven-orthogonal-example", example_seven_orthogonal())]
     for i in range(restarts):
-        candidates.append((f"random-{i}", None))
-    for label, mic in candidates:
-        if mic is None:
-            mic = random_mic(MicKind.GENERIC_RANK1, 3, rng)
-        count = orthogonal_pairs(mic.gram, pair_tol).count
-        if label.startswith("random-"):
-            random_best = max(random_best, count)
+        count = orthogonal_pairs(random_mic(MicKind.GENERIC_RANK1, 3, rng).gram, pair_tol).count
+        random_best = max(random_best, count)
         if count > best_count:
-            best_count = count
-            best_source = label
+            best_count, best_source = count, f"random-{i}"
     return {
         "probe": ProbeKind.RANK1_ORTHO_PAIR_SEARCH,
         "restarts": restarts,

@@ -257,7 +257,7 @@ def orthocross_probability_bound(d: int) -> float:
 # ----------------------------------------------- generic squashed-basis MICs
 
 def mic_from_psd_basis(basis, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
-    """MIC from any linearly independent basis of d^2 PSD operators.
+    """MIC from a linearly independent (d^2, d, d) stack or list of PSD operators.
 
     With Omega the sum of the basis elements, the effects are
     E_i = Omega^{-1/2} A_i Omega^{-1/2}.  MICs themselves are fixed points
@@ -265,14 +265,13 @@ def mic_from_psd_basis(basis, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
     rank-1 MICs.  Raises LinearlyDependent if the basis does not span,
     NotPsd for a bad element, SingularOperator if Omega is singular.
     """
-    mats = [np.asarray(a, dtype=complex) for a in basis]
-    if not mats:
+    stack = np.asarray(basis, dtype=complex)
+    if not len(stack):
         raise WrongCount(0, 1)
-    d = mats[0].shape[0]
+    d = stack.shape[1]
     _check_dimension(d)
-    if len(mats) != d * d:
-        raise WrongCount(len(mats), d * d)
-    stack = np.array(mats)
+    if len(stack) != d * d:
+        raise WrongCount(len(stack), d * d)
     basis_gram = np.einsum("iab,jba->ij", stack, stack).real
     rank = numerical_rank(basis_gram, tol)
     if rank != d * d:

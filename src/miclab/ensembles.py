@@ -14,6 +14,11 @@ pin the maximal eigenvalue at exactly 1/d; the generic kinds are biased
 and satisfy only the lower bound.  spectra_study histograms the full
 eigenvalue population over [0, 1/d] with deterministic per-sample
 substreams, so results are reproducible bit for bit at any worker count.
+
+Every draw is one standard_normal block: haar_pure_states reads n vectors
+from an (n, 2, d) block, real then imaginary parts, and gue_psd_samples n
+matrices from an (n, 2 d^2 + d) block, rows x | y | diagonal.  A block holds
+n single draws in stream order, so it matches them bit for bit.
 """
 
 from __future__ import annotations
@@ -49,21 +54,25 @@ class MicKind(Enum):
     WH_RANK1 = "wh-rank1"
 
 
-def haar_pure_state(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit vector distributed by the Haar measure on C^d.
+def haar_pure_states(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """n Haar-random unit vectors in C^d, as an (n, d) array.
 
-    Independent standard complex Gaussian components, normalized.  The
-    Gaussian vector's distribution is invariant under every unitary, so
-    the normalized direction is Haar uniform on the sphere.
+    Standard complex Gaussian vectors, normalized: the Gaussian is invariant
+    under every unitary, so the direction is Haar uniform on the sphere.
     """
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return v / np.linalg.norm(v)
+    x = rng.standard_normal((n, 2, d))
+    v = x[:, 0] + 1j * x[:, 1]
+    # np.linalg.norm of one vector is two dot products over its strided real
+    # and imaginary views; contiguous sums round differently from d = 4 on
+    r, i = v.real[:, None], v.imag[:, None]
+    v /= np.sqrt(r @ r.transpose(0, 2, 1) + i @ i.transpose(0, 2, 1))[:, 0]
+    return v
 
 
-def gue_sample(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Gaussian Hermitian matrix, the M of gue_psd_sample.
+def gue_psd_samples(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """n PSD matrices M'M, each from a Gaussian Hermitian M, as an (n, d, d) array.
 
     Convention: A has off-diagonal entries (x + iy)/sqrt(2) with x, y
     standard normal (so E|A_jk|^2 = 1) and real standard-normal diagonal
@@ -71,20 +80,27 @@ def gue_sample(d: int, rng: np.random.Generator) -> np.ndarray:
     The overall scale is irrelevant downstream: both MIC constructions
     that consume these samples are invariant under rho -> c rho.
     """
-    a = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / sqrt(2.0)
-    diag = rng.standard_normal(d)
-    m = (a + a.conj().T) / 2.0
-    np.fill_diagonal(m, diag)
-    return m
-
-
-def gue_psd_sample(d: int, rng: np.random.Generator) -> np.ndarray:
-    """PSD matrix M'M built from a Gaussian Hermitian M."""
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
-    m = gue_sample(d, rng)
-    p = m.conj().T @ m
-    return (p + p.conj().T) / 2.0
+    k = d * d
+    z = rng.standard_normal((n, 2 * k + d))
+    a = (z[:, :k] + 1j * z[:, k:2 * k]).reshape(n, d, d) / sqrt(2.0)
+    m = (a + a.conj().transpose(0, 2, 1)) / 2.0
+    m.reshape(n, k)[:, ::d + 1] = z[:, 2 * k:]
+    p = m.conj().transpose(0, 2, 1) @ m
+    return (p + p.conj().transpose(0, 2, 1)) / 2.0
+
+
+def _draw(kind: MicKind, d: int, rng: np.random.Generator) -> np.ndarray:
+    # one block: the (d^2, d, d) basis of a generic kind, the (d, d) fiducial of a covariant one
+    if kind is MicKind.GENERIC_PSD:
+        return gue_psd_samples(d * d, d, rng)
+    if kind is MicKind.WH_GENERIC:
+        p = gue_psd_samples(1, d, rng)[0]
+        return p / np.trace(p).real
+    v = haar_pure_states(d * d if kind is MicKind.GENERIC_RANK1 else 1, d, rng)
+    p = v[:, :, None] * v.conj()[:, None, :]
+    return p if kind is MicKind.GENERIC_RANK1 else p[0]
 
 
 def random_mic(kind: MicKind, d: int, rng: np.random.Generator,
@@ -96,20 +112,10 @@ def random_mic(kind: MicKind, d: int, rng: np.random.Generator,
     same stream, up to MAX_DRAW_ATTEMPTS times.
     """
     kind = MicKind(kind)
-    n = d * d
     for _ in range(MAX_DRAW_ATTEMPTS):
         try:
-            if kind is MicKind.GENERIC_PSD:
-                return mic_from_psd_basis([gue_psd_sample(d, rng) for _ in range(n)], tol)
-            if kind is MicKind.GENERIC_RANK1:
-                basis = [np.outer(v, v.conj())
-                         for v in (haar_pure_state(d, rng) for _ in range(n))]
-                return mic_from_psd_basis(basis, tol)
-            if kind is MicKind.WH_GENERIC:
-                p = gue_psd_sample(d, rng)
-                return wh_mic(p / np.trace(p).real, tol=tol)
-            v = haar_pure_state(d, rng)
-            return wh_mic(np.outer(v, v.conj()), tol=tol)
+            draw = _draw(kind, d, rng)
+            return mic_from_psd_basis(draw, tol) if draw.ndim == 3 else wh_mic(draw, tol=tol)
         except (LinearlyDependent, DegenerateFiducial):
             continue
     raise SamplingExhausted(kind.value, d, MAX_DRAW_ATTEMPTS)

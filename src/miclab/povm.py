@@ -108,9 +108,7 @@ class Mic(Povm):
     @functools.cached_property
     def duals(self) -> DualBasis:
         g = self.gram
-        cond = float(np.linalg.cond(g))
-        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-            raise IllConditionedGram(cond)
+        cond = _gram_condition(g)
         mats = self.matrices()
         n = mats.shape[0]
         coeffs = np.linalg.solve(g, np.eye(n))
@@ -126,6 +124,14 @@ class Mic(Povm):
         if defect > 1e-8:
             raise IllConditionedGram(cond, f"biorthogonality defect {defect:.3e} exceeds 1e-8")
         return DualBasis(dim=self.dim, stack=_frozen(duals))
+
+
+def _gram_condition(g: np.ndarray) -> float:
+    """cond(g), or IllConditionedGram if it is not finite or exceeds CONDITION_LIMIT."""
+    cond = float(np.linalg.cond(g))
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        raise IllConditionedGram(cond)
+    return cond
 
 
 def _stack(effects) -> tuple[np.ndarray, ShapeMismatch | None]:
@@ -180,18 +186,20 @@ def validate_povm(effects, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
 def gram(povm: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Gram matrix [G]_ij = tr(E_i E_j).
 
-    The matrix is real for Hermitian effects; any imaginary residue beyond
-    zero_tol indicates corrupted input and raises NotHermitian, or
-    NonFinite(i) for the first effect with a NaN or infinite entry.  The
-    entries of a POVM Gram matrix always sum to d.
+    The matrix is real for Hermitian effects; an imaginary residue beyond
+    zero_tol raises NotHermitian.  NonFinite(i) names the first effect with a
+    NaN or infinite entry or, if all are finite but overflow, the first
+    non-finite Gram row.  The entries of a POVM Gram matrix always sum to d.
     """
     mats = povm.matrices()
     g = np.einsum("iab,jba->ij", mats, mats)
-    residue = float(np.abs(g.imag).max(initial=0.0))
-    if not residue <= tol.zero_tol:  # NaN fails too
+    if not np.isfinite(g).all():
         finite = np.isfinite(mats).all(axis=(1, 2))
-        if not finite.all():
-            raise NonFinite(int(np.argmin(finite)))
+        if finite.all():
+            finite = np.isfinite(g).all(axis=1)
+        raise NonFinite(int(np.argmin(finite)))
+    residue = float(np.abs(g.imag).max(initial=0.0))
+    if residue > tol.zero_tol:
         raise NotHermitian(f"Gram matrix has imaginary residue {residue:.3e}")
     g = g.real
     return _frozen((g + g.T) / 2)
@@ -298,9 +306,7 @@ def purity_form(p, g, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     if g.ndim != 2 or g.shape[0] != g.shape[1] or p.shape != (g.shape[0],):
         raise ShapeMismatch(f"probability shape {p.shape} vs Gram shape {g.shape}")
     _check_finite(p)
-    cond = float(np.linalg.cond(g))
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise IllConditionedGram(cond)
+    _gram_condition(g)
     return float(p @ np.linalg.solve(g, p))
 
 

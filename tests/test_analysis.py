@@ -24,8 +24,8 @@ from miclab.constructions import (
     sic_mic,
     sic_qubit,
 )
-from miclab.errors import BiasedMic
-from miclab.povm import DualBasis, born_probabilities
+from miclab.errors import BiasedMic, IllConditionedGram
+from miclab.povm import DualBasis, born_probabilities, dual_basis, purity_form
 
 
 def random_psd(d, rng):
@@ -120,6 +120,19 @@ def test_inv_gram_distance_sic_value():
     # d sqrt(d^2 - 1) at the SIC minimum
     assert inv_gram_distance(sic_qubit()) == pytest.approx(2 * np.sqrt(3), abs=1e-9)
     assert inv_gram_distance(sic_mic(3)) == pytest.approx(3 * np.sqrt(8), abs=1e-7)
+
+
+@pytest.mark.parametrize("small", [0.0, 1e-13])
+def test_gram_inverses_share_one_condition_gate(small):
+    # the dual basis, the purity form and the inverse-Gram distance all
+    # refuse a Gram matrix with condition number above 1e12
+    mic = sic_qubit()
+    g = np.diag([1.0, 1.0, 1.0, small])
+    object.__setattr__(mic, "gram", g)
+    for call in (lambda: dual_basis(mic), lambda: purity_form(np.full(4, 0.25), g),
+                 lambda: inv_gram_distance(mic)):
+        with pytest.raises(IllConditionedGram):
+            call()
 
 
 def test_inv_gram_distance_norm_validation():

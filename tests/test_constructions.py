@@ -32,6 +32,7 @@ from miclab.errors import (
     EvenDimension,
     LinearlyDependent,
     NotSic,
+    WrongCount,
 )
 from miclab.povm import born_probabilities, is_unbiased
 
@@ -267,3 +268,20 @@ def test_mic_from_psd_basis_accepts_random_operators():
     mic = mic_from_psd_basis(ops)
     assert mic.dim == 2
     assert np.abs(sum(mic.matrices()) - np.eye(2)).max() < 1e-10
+    # an (N, d, d) array is taken as it is and gives the same MIC
+    same = mic_from_psd_basis(np.array(ops))
+    assert same.matrices().tobytes() == mic.matrices().tobytes()
+
+
+@pytest.mark.parametrize("basis", [[], np.zeros((0, 2, 2))])
+def test_mic_from_psd_basis_rejects_an_empty_basis(basis):
+    with pytest.raises(WrongCount):
+        mic_from_psd_basis(basis)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_mic_from_psd_basis_needs_d_squared_elements(n):
+    basis = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2))
+    with pytest.raises(WrongCount) as info:
+        mic_from_psd_basis(basis)
+    assert (info.value.got, info.value.expected) == (n, 4)

@@ -11,9 +11,8 @@ from miclab.ensembles import (
     MicKind,
     SpectraHistogram,
     default_bin_width,
-    gue_psd_sample,
-    gue_sample,
-    haar_pure_state,
+    gue_psd_samples,
+    haar_pure_states,
     plateau_metric,
     random_mic,
     spectra_study,
@@ -23,37 +22,122 @@ from miclab.povm import is_unbiased, rank1_mic_check
 from miclab.serialize import histogram_to_table
 
 
-def test_haar_state_is_normalized():
+def test_haar_states_are_normalized():
     rng = np.random.default_rng(0)
     for d in (2, 3, 7):
-        v = haar_pure_state(d, rng)
-        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+        v = haar_pure_states(5, d, rng)
+        assert v.shape == (5, d)
+        assert np.abs(np.linalg.norm(v, axis=1) - 1.0).max() < 1e-12
 
 
 def test_haar_first_component_mean():
     # |<e1|psi>|^2 is Beta(1, d-1); its mean is 1/d
     rng = np.random.default_rng(1)
     d, n = 3, 20000
-    vals = np.array([abs(haar_pure_state(d, rng)[0]) ** 2 for _ in range(n)])
+    vals = np.abs(haar_pure_states(n, d, rng)[:, 0]) ** 2
     sigma = np.sqrt((d - 1) / (d * d * (d + 1)) / n)
     assert abs(vals.mean() - 1 / d) < 4 * sigma
 
 
-def test_gue_sample_hermitian_psd_product():
+def test_gue_psd_samples_are_hermitian_psd():
     rng = np.random.default_rng(2)
-    m = gue_sample(4, rng)
-    assert np.abs(m - m.conj().T).max() < 1e-14
-    p = gue_psd_sample(4, rng)
-    assert np.abs(p - p.conj().T).max() < 1e-14
-    assert np.linalg.eigvalsh(p)[0] > -1e-12
+    p = gue_psd_samples(6, 4, rng)
+    assert p.shape == (6, 4, 4)
+    assert np.abs(p - p.conj().transpose(0, 2, 1)).max() < 1e-14
+    assert np.linalg.eigvalsh(p)[:, 0].min() > -1e-12
 
 
 def test_gue_second_moment_convention():
     # E[tr M^dagger M] = d(d+1)/2 with unit-variance entries
     rng = np.random.default_rng(3)
     d, n = 3, 20000
-    total = sum(np.trace(gue_psd_sample(d, rng)).real for _ in range(n)) / n
+    total = gue_psd_samples(n, d, rng).trace(axis1=1, axis2=2).real.mean()
     assert abs(total - d * (d + 1) / 2) / (d * (d + 1) / 2) < 0.05
+
+
+def test_samplers_reject_dimension_below_two():
+    rng = np.random.default_rng(0)
+    for sampler in (haar_pure_states, gue_psd_samples):
+        with pytest.raises(ValueError):
+            sampler(3, 1, rng)
+
+
+# Reference samplers: one standard_normal call per vector or matrix part.
+# The block samplers must reproduce them bit for bit and leave the
+# generator in the same state.
+
+def _haar_pure_state_reference(d, rng):
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
+def _gue_psd_sample_reference(d, rng):
+    a = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+    diag = rng.standard_normal(d)
+    m = (a + a.conj().T) / 2.0
+    np.fill_diagonal(m, diag)
+    p = m.conj().T @ m
+    return (p + p.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("block, reference", [
+    (haar_pure_states, _haar_pure_state_reference),
+    (gue_psd_samples, _gue_psd_sample_reference),
+])
+def test_block_samplers_match_per_call_draws_bytewise(block, reference, d):
+    for seed in (0, 7, 96):
+        for n in (1, d * d, 500):
+            rng_block, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = block(n, d, rng_block)
+            want = np.array([reference(d, rng_ref) for _ in range(n)])
+            assert got.tobytes() == want.tobytes(), (seed, n)
+            assert rng_block.bytes(8) == rng_ref.bytes(8), (seed, n)
+
+
+# sha256 of random_mic(kind, d, default_rng(seed)).matrices().tobytes(),
+# computed with the per-call samplers the block samplers replaced.  Unlike
+# the spectra tables, these catch a change in the last bit of any effect.
+RANDOM_MIC_DIGESTS = {
+    ("generic", 2, 7): "bb8a03cca215390b03e8a573263bdf44b693c3c8deba127e2edb32bf7c02f099",
+    ("generic", 2, 96): "18b96728bcf0442aa57a22eb582a0cd1c676004c8878d82a42624e99950fa7f3",
+    ("generic", 3, 7): "d52ee99e7af21d321c2b174fe8a7d446b747ab542d92c7e0781c4ce0d7540140",
+    ("generic", 3, 96): "c2c16996e3cc8a009b612cb0701459293b236e18f4e8bbdea2982b669aa12005",
+    ("generic", 4, 7): "cb1653f8578b1267458088ffc1f3e03aa31a34d282060cf48a09b25aaa8939cb",
+    ("generic", 4, 96): "4ca22c66f7c2be509128b0a0a6a1d492b9e02636270eba00b79d33e426c73850",
+    ("generic", 5, 7): "7268da1453736e5c5559469d4906d848092970f8067c406902ffddaaa486cffa",
+    ("generic", 5, 96): "d9cca9b1bdce6db2101c570e93bcd7c6c49a075b174043e7ec5c18e7b795c3b4",
+    ("generic-rank1", 2, 7): "a9c760b5bebd0bdfa19b2d3238db16763f707c02ce32e9f8821ddc106c70af27",
+    ("generic-rank1", 2, 96): "a5e1efdc9f5e6489d2c9890af1289cccaf11e65d34a36d2e9265cfbc4efdcd19",
+    ("generic-rank1", 3, 7): "6bb0072865d3e97f054d1adf6cb99ffde5ba0ea8433711cc0b24e04630c7643a",
+    ("generic-rank1", 3, 96): "6c3c5ce7739c6a175d2d9692c5d5726a6a9992f60f5d025b41a9d72bbb1f08fc",
+    ("generic-rank1", 4, 7): "154ab4b45624cd2237bfa6e7a334be0e5e4f563cafed795eca61ab3fd4ddb3e8",
+    ("generic-rank1", 4, 96): "cd81acf97f5eed2e12ab566730b5da4572f450ed7170f5b7782c466e002c4927",
+    ("generic-rank1", 5, 7): "0fe28c4f5190142c1fd1e16ff2ac9006e8b11869c78399ac6267dab8de15ba9c",
+    ("generic-rank1", 5, 96): "fd33467f5ea3c64dce95059514fe77cd50d8fd1b9fd268cebe3e9db723ffd06d",
+    ("wh", 2, 7): "bee377eb84185c7502a029a8fc34d3887343411c8dc8ea08a5380274298bb07a",
+    ("wh", 2, 96): "08a5186b8c5427b1c68b7287c0294c4797e8ef34dd5e6ca52ab9fe05034b924b",
+    ("wh", 3, 7): "fd4627baa86166e4990fed6e5eae18b8ceb47d972f127b093dddda7ef189d8c1",
+    ("wh", 3, 96): "f0cf982fe20bf728e40e6df9f2fe60f97ed07beb39935387cf9c52e30de2031c",
+    ("wh", 4, 7): "651fd3a28e91d23681944acd3b1d4414d21d4dceed38eb09d86f825e220bb04d",
+    ("wh", 4, 96): "2b90bf63b6bfbbb828a0278c960bbbb7aa9b6a62d114876388f8bc15112d1bba",
+    ("wh", 5, 7): "2b7dcd09fe65b2094bc52505e08df12f9448cd84a91343e575f5875ae0c88ef3",
+    ("wh", 5, 96): "f86056cecdf4c5bd3248193b34818e8b723479e8a821af976f65a9fe65ac4350",
+    ("wh-rank1", 2, 7): "74b38406efa7045972860ed6e0d7e6b9bd6cb2fd282e051dca9aab778858751d",
+    ("wh-rank1", 2, 96): "8a93b25608eb69137b290dc29432b0539f17ed7041fb19b040ed00c902031105",
+    ("wh-rank1", 3, 7): "1746e4bbfa505b1810e42241b3210093ac1536a572932e4f3af5e51e4585f2fb",
+    ("wh-rank1", 3, 96): "472dc2f13f22d8cdbdf39aa8ec0ebc0edf7ff52046498406d934a09520269171",
+    ("wh-rank1", 4, 7): "347ca1b259f69b37bc86addd7ed305c8bfc5acb2fa857b4b5e69204dc7ceeaad",
+    ("wh-rank1", 4, 96): "936f0db66a4907389cd2406ea3792f821853d6837ca8269d3892411552c56130",
+    ("wh-rank1", 5, 7): "6681dbd2484bdaab78816e53659dd56471db4469ee79034ce8e1a75b20c0ee3d",
+    ("wh-rank1", 5, 96): "7fa9e6a32617b5e5f551269a1a42f008b9fe3da0a468ff53e606965f2c75e8b3",
+}
+
+
+def test_random_mic_effects_are_byte_stable():
+    for (kind, d, seed), digest in RANDOM_MIC_DIGESTS.items():
+        mic = random_mic(MicKind(kind), d, np.random.default_rng(seed))
+        assert hashlib.sha256(mic.matrices().tobytes()).hexdigest() == digest, (kind, d, seed)
 
 
 @pytest.mark.parametrize("kind", list(MicKind))

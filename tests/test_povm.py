@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from miclab.constructions import mic_from_psd_basis, sic_mic, sic_qubit
 from miclab.config import DEFAULT_TOL
-from miclab.ensembles import MicKind, haar_pure_state, random_mic
+from miclab.ensembles import MicKind, haar_pure_states, random_mic
 from miclab.errors import (
     IllConditionedGram,
     InvalidState,
@@ -241,6 +241,20 @@ def test_gram_rejects_non_finite_effects(bad):
     assert info.value.index == 2
 
 
+def test_gram_rejects_finite_effects_whose_products_overflow():
+    # every entry is finite, so only the Gram matrix shows the overflow
+    stack = np.array(sic_qubit().matrices())
+    stack[:, 0, 0] = 1e200
+    with pytest.raises(NonFinite) as info:
+        gram(Povm(dim=2, stack=stack, traces=np.ones(4)))
+    assert info.value.index == 0
+    stack = np.array(sic_qubit().matrices())
+    stack[3, 1, 1] = 1e200
+    with pytest.raises(NonFinite) as info:
+        gram(Povm(dim=2, stack=stack, traces=np.ones(4)))
+    assert info.value.index == 3
+
+
 def test_weights_are_traces():
     mic = random_mic_fixture(3, 4)
     assert np.allclose(mic.weights(), [np.trace(m).real for m in mic.matrices()])
@@ -418,7 +432,7 @@ def test_reconstruct_inverts_born_for_every_kind(kind, d, seed, pure):
     rng = np.random.default_rng(seed)
     mic = random_mic(kind, d, rng)
     if pure:
-        v = haar_pure_state(d, rng)
+        v = haar_pure_states(1, d, rng)[0]
         rho = np.outer(v, v.conj())
     else:
         rho = random_state(d, rng)
