@@ -17,13 +17,15 @@ import numpy as np
 
 from .analysis import (
     cascaded_probability,
-    conjecture_probes,
     dual_indefiniteness,
     frobenius_orthogonality_gap,
     group_covariance_check,
     inv_gram_distance,
+    orthocross_half_int_probe,
+    orthocross_min_gram_probe,
     orthogonal_pairs,
     phi_matrix,
+    rank1_pair_search_probe,
     unbiased_equivalence_report,
     wigner_quasiprobs,
 )
@@ -110,7 +112,7 @@ def criterion_02(key=(), scale=1) -> CriterionResult:
     mic = example_seven_orthogonal()
     target = np.array([[float(x) for x in row] for row in GOLDEN_NINE_GRAM])
     dev = float(np.abs(mic.gram - target).max())
-    pairs = orthogonal_pairs(mic.gram, 1e-10).count
+    pairs = orthogonal_pairs(mic.gram).count
     unbiased = is_unbiased(mic)
     rank1 = effect_ranks(mic) == [1] * 9
     covariant = group_covariance_check(mic.gram)
@@ -210,14 +212,14 @@ def criterion_05(key=(500,), scale=1) -> CriterionResult:
 def criterion_06(key=(600,), scale=1) -> CriterionResult:
     """Inverse-Gram distance of the qubit SIC: value and minimality."""
     per_kind = round(500 * scale)
-    sic_value = inv_gram_distance(sic_mic(2), "frobenius")
+    sic_value = inv_gram_distance(sic_mic(2))
     dev = abs(sic_value - 2 * np.sqrt(3))
     not_smaller = 0
     for ki, kind in enumerate((MicKind.WH_GENERIC, MicKind.WH_RANK1)):
         rng = _rng(*key, ki)
         for _ in range(per_kind):
             mic = random_mic(kind, 2, rng)
-            if inv_gram_distance(mic, "frobenius") <= sic_value:
+            if inv_gram_distance(mic) <= sic_value:
                 not_smaller += 1
     ok = dev <= 1e-9 and not_smaller == 0
     return CriterionResult(
@@ -240,8 +242,8 @@ def criterion_07(key=(700,), scale=1) -> CriterionResult:
             rho = _random_state(d, rng)
             posts = [_random_state(d, rng) for _ in range(n)]
             x1, x2 = _random_state(d, rng), _random_state(d, rng)
-            scale = 0.5 / max(np.linalg.eigvalsh(x1 + x2).max(), 1e-3)
-            b1, b2 = scale * x1, scale * x2
+            shrink = 0.5 / max(np.linalg.eigvalsh(x1 + x2).max(), 1e-3)
+            b1, b2 = shrink * x1, shrink * x2
             second = [b1, b2, np.eye(d) - b1 - b2]
             q = cascaded_probability(rho, mic, posts, second)
             direct = np.array([np.trace(rho @ b).real for b in second])
@@ -379,9 +381,9 @@ def criterion_13() -> CriterionResult:
 
 def criterion_14() -> CriterionResult:
     """Conjecture probes run to completion and report."""
-    min_gram = conjecture_probes("orthocross-min-gram", d_values=(2, 3, 4, 5, 6))
-    half_int = conjecture_probes("orthocross-invgram-halfint", d_values=(2, 3, 4, 5, 6))
-    search = conjecture_probes("rank1-orthopair-search", restarts=250, seed=1)
+    min_gram = orthocross_min_gram_probe()
+    half_int = orthocross_half_int_probe()
+    search = rank1_pair_search_probe(250, 1)
     ok = (min_gram["all_positive"] and min_gram["decreasing_in_d"]
           and "max_residue" in half_int and search["best_count"] >= 7)
     return CriterionResult(
@@ -513,8 +515,5 @@ def run_theorems(seed: int = 42) -> list:
 
 def run_conjectures(seed: int = 0) -> list:
     """All conjecture probe reports (evidence only, nothing asserted)."""
-    return [
-        conjecture_probes("orthocross-min-gram", d_values=(2, 3, 4, 5, 6)),
-        conjecture_probes("orthocross-invgram-halfint", d_values=(2, 3, 4, 5, 6)),
-        conjecture_probes("rank1-orthopair-search", restarts=500, seed=seed),
-    ]
+    return [orthocross_min_gram_probe(), orthocross_half_int_probe(),
+            rank1_pair_search_probe(500, seed)]

@@ -16,7 +16,9 @@ Implements the numerical checks behind the library's structural claims:
   column-quasistochastic and never entirely nonnegative;
 * a discrete Wigner quasiprobability transform for the odd-dimensional
   covariant construction;
-* numerical probes of three open conjectures (reported, never asserted).
+* numerical probes of three open conjectures, one function each
+  (orthocross_min_gram_probe, orthocross_half_int_probe and
+  rank1_pair_search_probe), reported and never asserted.
 """
 
 from __future__ import annotations
@@ -68,12 +70,10 @@ class ClassicalityScores:
 
     frobenius_gap is the squared Frobenius distance between G and
     (1/d) delta_ij; bound is its SIC-saturated minimum (d-1)/(d+1).
-    inv_gram_distance is ||I - (1/d) G^{-1}|| and is None until computed.
     """
 
     frobenius_gap: float
     bound: float
-    inv_gram_distance: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,13 +84,13 @@ class PhiMatrix:
     condition_number: float
 
 
-def unbiased_equivalence_report(mic: Mic, tol: ToleranceConfig = DEFAULT_TOL,
-                                eig_window: float = 1e-9) -> UnbiasedEquivalence:
+def unbiased_equivalence_report(mic: Mic, tol: ToleranceConfig = DEFAULT_TOL
+                                ) -> UnbiasedEquivalence:
     """Evaluate the three equivalent unbiasedness tests on one MIC.
 
-    Uniform weights are tested within eig_window; double stochasticity of
+    Uniform weights are tested within 1e-9; double stochasticity of
     d G by max row/column-sum deviation from 1 within d * zero_tol; the
-    eigenvalue test asks |lambda_max(G) - 1/d| <= eig_window.  The largest
+    eigenvalue test asks |lambda_max(G) - 1/d| <= 1e-9.  The largest
     Gram eigenvalue can never fall below 1/d, so the last test is one-sided
     in practice.
     """
@@ -102,9 +102,9 @@ def unbiased_equivalence_report(mic: Mic, tol: ToleranceConfig = DEFAULT_TOL,
     lam_max = float(eigvalsh(mic.gram, tol)[-1])
     eig_gap = abs(lam_max - 1.0 / d)
     return UnbiasedEquivalence(
-        weights_uniform=weight_dev <= eig_window,
+        weights_uniform=weight_dev <= 1e-9,
         doubly_stochastic=sum_dev <= d * tol.zero_tol,
-        max_eigenvalue_pinned=eig_gap <= eig_window,
+        max_eigenvalue_pinned=eig_gap <= 1e-9,
         max_weight_deviation=weight_dev,
         max_sum_deviation=sum_dev,
         max_eigenvalue_gap=eig_gap,
@@ -126,11 +126,11 @@ def dual_indefiniteness(mic: Mic, tol: ToleranceConfig = DEFAULT_TOL
     return all_indefinite, [(float(lo), float(hi)) for lo, hi in zip(low, high)]
 
 
-def orthogonal_pairs(g, tol: float = DEFAULT_TOL.zero_tol) -> OrthogonalityReport:
-    """Index pairs i < j with [G]_ij below tol.
+def orthogonal_pairs(g) -> OrthogonalityReport:
+    """Index pairs i < j with [G]_ij at most zero_tol (1e-10).
 
     Off-diagonal Gram entries of a POVM are traces of products of PSD
-    operators, hence nonnegative; an entry below tol marks an orthogonal
+    operators, hence nonnegative; an entry that small marks an orthogonal
     pair of effects.
     """
     g = np.asarray(g, dtype=float)
@@ -139,7 +139,7 @@ def orthogonal_pairs(g, tol: float = DEFAULT_TOL.zero_tol) -> OrthogonalityRepor
     n = g.shape[0]
     iu, ju = np.triu_indices(n, k=1)
     off = g[iu, ju]
-    mask = off <= tol
+    mask = off <= DEFAULT_TOL.zero_tol
     pairs = tuple((int(i), int(j)) for i, j in zip(iu[mask], ju[mask]))
     return OrthogonalityReport(
         pairs=pairs,
@@ -148,8 +148,7 @@ def orthogonal_pairs(g, tol: float = DEFAULT_TOL.zero_tol) -> OrthogonalityRepor
     )
 
 
-def frobenius_orthogonality_gap(mic: Mic, tol: ToleranceConfig = DEFAULT_TOL
-                                ) -> ClassicalityScores:
+def frobenius_orthogonality_gap(mic: Mic) -> ClassicalityScores:
     """Squared Frobenius distance of the Gram matrix from (1/d) delta_ij.
 
     Defined for unbiased MICs (BiasedMic otherwise).  The gap is bounded
@@ -164,18 +163,12 @@ def frobenius_orthogonality_gap(mic: Mic, tol: ToleranceConfig = DEFAULT_TOL
     return ClassicalityScores(frobenius_gap=gap, bound=(d - 1.0) / (d + 1.0))
 
 
-_NORMS = ("frobenius", "spectral", "trace")
-
-
-def inv_gram_distance(mic: Mic, norm: str = "frobenius",
-                      tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Unitarily invariant norm of I - (1/d) G^{-1} for an unbiased MIC.
+def inv_gram_distance(mic: Mic) -> float:
+    """Frobenius norm of I - (1/d) G^{-1} for an unbiased MIC.
 
     SICs minimize this distance over unbiased MICs for every unitarily
     invariant norm; the Frobenius value for a SIC is d sqrt(d^2 - 1).
     """
-    if norm not in _NORMS:
-        raise ValueError(f"norm must be one of {_NORMS}, got {norm!r}")
     if not is_unbiased(mic):
         raise BiasedMic("inv_gram_distance requires an unbiased MIC")
     g = mic.gram
@@ -183,23 +176,8 @@ def inv_gram_distance(mic: Mic, norm: str = "frobenius",
     n = g.shape[0]
     a = np.eye(n) - np.linalg.inv(g) / mic.dim
     a = (a + a.T) / 2
-    w = np.abs(np.linalg.eigvalsh(a))
-    if norm == "frobenius":
-        return float(np.sqrt((w ** 2).sum()))
-    if norm == "spectral":
-        return float(w.max())
-    return float(w.sum())
-
-
-def classicality_scores(mic: Mic, norm: str = "frobenius",
-                        tol: ToleranceConfig = DEFAULT_TOL) -> ClassicalityScores:
-    """Both SIC-distance measures in one record."""
-    partial = frobenius_orthogonality_gap(mic, tol)
-    return ClassicalityScores(
-        frobenius_gap=partial.frobenius_gap,
-        bound=partial.bound,
-        inv_gram_distance=inv_gram_distance(mic, norm, tol),
-    )
+    w = np.linalg.eigvalsh(a)
+    return float(np.sqrt((w ** 2).sum()))
 
 
 def phi_matrix(mic: Mic, post_states, tol: ToleranceConfig = DEFAULT_TOL) -> PhiMatrix:
@@ -254,8 +232,8 @@ def wigner_quasiprobs(rho, mic: Mic, tol: ToleranceConfig = DEFAULT_TOL) -> np.n
     return (mic.dim + 1.0) * p - 1.0 / mic.dim
 
 
-def group_covariance_check(g, tol: float = 1e-9) -> bool:
-    """True iff every Gram row is a permutation of the first row.
+def group_covariance_check(g) -> bool:
+    """True iff every Gram row is, within 1e-9, a permutation of the first row.
 
     Group-covariant MICs always pass (conjugation by the group permutes
     effects), so a False certifies non-covariance; True is necessary but
@@ -266,55 +244,26 @@ def group_covariance_check(g, tol: float = 1e-9) -> bool:
         raise ShapeMismatch(f"expected a square Gram matrix, got {g.shape}")
     reference = np.sort(g[0])
     for row in g[1:]:
-        if np.abs(np.sort(row) - reference).max() > tol:
+        if np.abs(np.sort(row) - reference).max() > 1e-9:
             return False
     return True
 
 
 # ------------------------------------------------------------ conjecture probes
+# each probe reports evidence for one open conjecture; nothing here is ever
+# asserted as a theorem
 
-class ProbeKind:
-    """Names of the numerical conjecture probes.
-
-    Probes report evidence; nothing here is ever asserted as a theorem.
-    """
-
-    ORTHOCROSS_MIN_GRAM = "orthocross-min-gram"
-    ORTHOCROSS_INV_GRAM_HALF_INT = "orthocross-invgram-halfint"
-    RANK1_ORTHO_PAIR_SEARCH = "rank1-orthopair-search"
-
-    ALL = (ORTHOCROSS_MIN_GRAM, ORTHOCROSS_INV_GRAM_HALF_INT, RANK1_ORTHO_PAIR_SEARCH)
+_PROBE_DIMENSIONS = (2, 3, 4, 5, 6)
 
 
-def conjecture_probes(kind: str, **params) -> dict:
-    """Run one conjecture probe and return a flat report.
-
-    orthocross-min-gram: smallest off-diagonal Gram entry of the orthocross
-    MIC for each d in d_values; conjectured positive but approaching zero.
-
-    orthocross-invgram-halfint: largest deviation of the entries of
-    2 G^{-1} from integers for the orthocross MIC; conjectured to vanish,
-    i.e. the inverse Gram entries are conjectured to be half-integers.
-
-    rank1-orthopair-search: randomized search over rank-1 MICs in d = 3 for
-    Gram zeros.  The known seven-pair example is always included as a seed
-    candidate; the report states the best count found and where.
-    """
-    if kind == ProbeKind.ORTHOCROSS_MIN_GRAM:
-        return _probe_min_gram(**params)
-    if kind == ProbeKind.ORTHOCROSS_INV_GRAM_HALF_INT:
-        return _probe_half_int(**params)
-    if kind == ProbeKind.RANK1_ORTHO_PAIR_SEARCH:
-        return _probe_pair_search(**params)
-    raise ValueError(f"unknown probe kind {kind!r}; valid: {ProbeKind.ALL}")
-
-
-def _probe_min_gram(d_values=(2, 3, 4, 5, 6)) -> dict:
+def orthocross_min_gram_probe() -> dict:
+    """Smallest off-diagonal Gram entry of the orthocross MIC for d = 2..6;
+    conjectured positive but approaching zero."""
     from .constructions import orthocross_mic
 
-    report: dict = {"probe": ProbeKind.ORTHOCROSS_MIN_GRAM}
+    report: dict = {"probe": "orthocross-min-gram"}
     values = []
-    for d in d_values:
+    for d in _PROBE_DIMENSIONS:
         g = orthocross_mic(d).gram
         n = g.shape[0]
         iu, ju = np.triu_indices(n, k=1)
@@ -326,12 +275,15 @@ def _probe_min_gram(d_values=(2, 3, 4, 5, 6)) -> dict:
     return report
 
 
-def _probe_half_int(d_values=(2, 3, 4, 5, 6)) -> dict:
+def orthocross_half_int_probe() -> dict:
+    """Largest deviation of the entries of 2 G^{-1} from integers for the
+    orthocross MIC, d = 2..6; conjectured to vanish, i.e. the inverse Gram
+    entries are conjectured to be half-integers."""
     from .constructions import orthocross_mic
 
-    report: dict = {"probe": ProbeKind.ORTHOCROSS_INV_GRAM_HALF_INT}
+    report: dict = {"probe": "orthocross-invgram-halfint"}
     worst = 0.0
-    for d in d_values:
+    for d in _PROBE_DIMENSIONS:
         doubled = 2 * np.linalg.inv(orthocross_mic(d).gram)
         residue = float(np.abs(doubled - np.round(doubled)).max())
         report[f"residue_d{d}"] = residue
@@ -340,25 +292,29 @@ def _probe_half_int(d_values=(2, 3, 4, 5, 6)) -> dict:
     return report
 
 
-def _probe_pair_search(restarts: int = 1000, seed: int = 0,
-                       pair_tol: float = DEFAULT_TOL.zero_tol) -> dict:
+def rank1_pair_search_probe(restarts: int, seed: int) -> dict:
+    """Randomized search over rank-1 MICs in d = 3 for Gram zeros.
+
+    The known seven-pair example is always included as a seed candidate;
+    the report states the best count found and where.
+    """
     from .constructions import example_seven_orthogonal
     from .ensembles import MicKind, random_mic
 
     rng = np.random.default_rng(seed)
-    best_count = orthogonal_pairs(example_seven_orthogonal().gram, pair_tol).count
+    best_count = orthogonal_pairs(example_seven_orthogonal().gram).count
     best_source = "seven-orthogonal-example"
     random_best = 0
     for i in range(restarts):
-        count = orthogonal_pairs(random_mic(MicKind.GENERIC_RANK1, 3, rng).gram, pair_tol).count
+        count = orthogonal_pairs(random_mic(MicKind.GENERIC_RANK1, 3, rng).gram).count
         random_best = max(random_best, count)
         if count > best_count:
             best_count, best_source = count, f"random-{i}"
     return {
-        "probe": ProbeKind.RANK1_ORTHO_PAIR_SEARCH,
+        "probe": "rank1-orthopair-search",
         "restarts": restarts,
         "seed": seed,
-        "pair_tolerance": pair_tol,
+        "pair_tolerance": DEFAULT_TOL.zero_tol,
         "best_count": best_count,
         "best_source": best_source,
         "random_best_count": random_best,

@@ -10,6 +10,10 @@ Exit codes are a stable contract: 0 success, 1 invariant failure,
 
 Given --seed, every command's output is byte-identical across runs and
 worker counts.
+
+MIC_LAB_TOL overrides the relative rank tolerance rank_tol of gen, example
+and analyze only; spectra and verify never read it.  Every command exits 2
+when it is set to anything but a positive finite number.
 """
 
 from __future__ import annotations
@@ -69,9 +73,6 @@ USAGE_ERRORS = (BetaOutOfRange, BetaZero, EnvelopeExceeded, EvenDimension,
 
 GEN_KINDS = ("sic", "wh", "orthocross", "equiangular", "appleby",
              "tensorhedron", "example7", "near-orthogonal")
-
-ANALYZE_CHECKS = ("unbiased-equivalence", "dual-indefiniteness", "ortho-pairs",
-                  "frobenius-gap", "inv-gram-distance", "covariance", "phi")
 
 
 def _fail(message: str) -> None:
@@ -179,7 +180,7 @@ def _check_dual_indefiniteness(mic: Mic, tol):
 
 
 def _check_ortho_pairs(mic: Mic, tol):
-    rep = orthogonal_pairs(mic.gram, tol.zero_tol)
+    rep = orthogonal_pairs(mic.gram)
     entry = {
         "count": rep.count,
         "pairs": [list(p) for p in rep.pairs],
@@ -192,7 +193,7 @@ def _check_ortho_pairs(mic: Mic, tol):
 
 def _check_frobenius_gap(mic: Mic, tol):
     try:
-        scores = frobenius_orthogonality_gap(mic, tol)
+        scores = frobenius_orthogonality_gap(mic)
     except BiasedMic:
         return {"status": "not-applicable", "reason": "biased MIC"}, True
     gap, bound = scores.frobenius_gap, scores.bound
@@ -206,7 +207,7 @@ def _check_frobenius_gap(mic: Mic, tol):
 
 def _check_inv_gram_distance(mic: Mic, tol):
     try:
-        value = inv_gram_distance(mic, "frobenius", tol)
+        value = inv_gram_distance(mic)
     except BiasedMic:
         return {"status": "not-applicable", "reason": "biased MIC"}, True
     d = mic.dim
@@ -241,6 +242,7 @@ _ANALYZE_DISPATCH = {
     "covariance": _check_covariance,
     "phi": _check_phi,
 }
+ANALYZE_CHECKS = tuple(_ANALYZE_DISPATCH)
 
 
 def cmd_analyze(args, tol: ToleranceConfig) -> int:

@@ -15,7 +15,6 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass
-from enum import Enum
 from importlib import resources
 
 import numpy as np
@@ -34,12 +33,7 @@ from .errors import (
     WrongDimension,
 )
 from .linalg import eigh, inv_sqrt_psd, numerical_rank
-from .povm import Mic, Povm, _check_state, _frozen, mic_from_matrices, validate_povm
-
-
-class FiducialProvenance(Enum):
-    BUILT_IN = "built-in"
-    USER_SUPPLIED = "user-supplied"
+from .povm import Mic, _check_state, _frozen, mic_from_matrices, validate_povm
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,15 +42,14 @@ class SicFiducial:
 
     dim: int
     vector: np.ndarray
-    provenance: FiducialProvenance
 
     @staticmethod
-    def from_vector(v, provenance=FiducialProvenance.USER_SUPPLIED) -> "SicFiducial":
+    def from_vector(v) -> "SicFiducial":
         v = np.asarray(v, dtype=complex).ravel()
         norm = float(np.linalg.norm(v))
         if abs(norm - 1.0) > 1e-10:
             raise NotNormalized(0, norm)
-        return SicFiducial(dim=v.shape[0], vector=_frozen(v), provenance=provenance)
+        return SicFiducial(dim=v.shape[0], vector=_frozen(v))
 
 
 def _check_dimension(d: int) -> None:
@@ -161,13 +154,13 @@ def builtin_fiducial(d: int) -> SicFiducial:
         c = np.sqrt((1 + 1 / np.sqrt(3)) / 2)
         s = np.sqrt((1 - 1 / np.sqrt(3)) / 2)
         v = np.array([c, np.exp(1j * np.pi / 4) * s])
-        fid = SicFiducial.from_vector(v, FiducialProvenance.BUILT_IN)
+        fid = SicFiducial.from_vector(v)
     elif d in (3, 4, 5):
         text = resources.files("miclab").joinpath("data/fiducials.json").read_text()
         record = json.loads(text)[str(d)]
         v = np.array([float(re) + 1j * float(im) for re, im in record["vector"]])
         v = v / np.linalg.norm(v)
-        fid = SicFiducial.from_vector(v, FiducialProvenance.BUILT_IN)
+        fid = SicFiducial.from_vector(v)
     else:
         raise WrongDimension(f"no built-in fiducial for d={d}; supported: 2..5")
     sic_from_fiducial(fid)

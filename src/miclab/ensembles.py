@@ -66,8 +66,7 @@ def haar_pure_states(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     v = x[:, 0] + 1j * x[:, 1]
     # np.linalg.norm of one vector is two dot products over its strided real
     # and imaginary views; contiguous sums round differently from d = 4 on
-    r, i = v.real[:, None], v.imag[:, None]
-    v /= np.sqrt(r @ r.transpose(0, 2, 1) + i @ i.transpose(0, 2, 1))[:, 0]
+    v /= np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]
     return v
 
 

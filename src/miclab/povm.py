@@ -294,7 +294,7 @@ def reconstruct_state(p, mic: Mic, tol: ToleranceConfig = DEFAULT_TOL) -> np.nda
     return _frozen((out + out.conj().T) / 2)
 
 
-def purity_form(p, g, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def purity_form(p, g) -> float:
     """Quadratic form sum_ij p_i p_j [G^-1]_ij.
 
     When p comes from measuring rho with the MIC whose Gram matrix is g this
@@ -308,16 +308,6 @@ def purity_form(p, g, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     _check_finite(p)
     _gram_condition(g)
     return float(p @ np.linalg.solve(g, p))
-
-
-def collision_probability(p) -> float:
-    """sum_i p_i^2 for a probability vector (bounded below by 1/d^2 on MICs)."""
-    p = np.asarray(p, dtype=float)
-    if p.min(initial=0.0) < -DEFAULT_TOL.zero_tol:
-        raise ValueError(f"negative probability {p.min():.3e}")
-    if abs(p.sum() - 1.0) > 1e-10:
-        raise ValueError(f"probabilities sum to {p.sum()!r}, expected 1")
-    return float(p @ p)
 
 
 def rescaled_vector_gram(vectors, weights, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -65,10 +65,6 @@ def dumps(doc, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(doc).__name__}")
 
 
-def loads(text: str):
-    return json.loads(text)
-
-
 def mic_to_document(mic: Mic) -> dict:
     """Plain-data form of a MIC: dimension plus effects as [re, im] grids."""
     effects = [[[ [float(z.real), float(z.imag)] for z in row] for row in m]

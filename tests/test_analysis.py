@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from miclab.analysis import (
-    ProbeKind,
     cascaded_probability,
-    classicality_scores,
-    conjecture_probes,
     dual_indefiniteness,
     frobenius_orthogonality_gap,
     group_covariance_check,
     inv_gram_distance,
+    orthocross_half_int_probe,
+    orthocross_min_gram_probe,
     orthogonal_pairs,
     phi_matrix,
+    rank1_pair_search_probe,
     unbiased_equivalence_report,
     wigner_quasiprobs,
 )
@@ -135,17 +135,6 @@ def test_gram_inverses_share_one_condition_gate(small):
             call()
 
 
-def test_inv_gram_distance_norm_validation():
-    with pytest.raises(ValueError):
-        inv_gram_distance(sic_qubit(), norm="nuclear")
-
-
-def test_classicality_scores_bundle():
-    scores = classicality_scores(sic_qubit())
-    assert scores.inv_gram_distance == pytest.approx(2 * np.sqrt(3), abs=1e-9)
-    assert scores.frobenius_gap >= scores.bound - 1e-12
-
-
 # -------------------------------------------------------------- covariance
 
 def test_group_covariance_check():
@@ -212,23 +201,19 @@ def test_wigner_quasiprobs_sum_to_one_and_flat_on_mixed():
 # ------------------------------------------------------------------ probes
 
 def test_conjecture_probe_min_gram():
-    rep = conjecture_probes(ProbeKind.ORTHOCROSS_MIN_GRAM, d_values=(2, 3, 4))
+    rep = orthocross_min_gram_probe()
     assert rep["all_positive"]
     assert rep["decreasing_in_d"]
-    assert rep["min_offdiagonal_d2"] > rep["min_offdiagonal_d4"] > 0
+    assert rep["min_offdiagonal_d2"] > rep["min_offdiagonal_d4"] > rep["min_offdiagonal_d6"] > 0
 
 
 def test_conjecture_probe_half_integers():
-    rep = conjecture_probes(ProbeKind.ORTHOCROSS_INV_GRAM_HALF_INT, d_values=(2, 3))
+    rep = orthocross_half_int_probe()
     assert rep["max_residue"] < 1e-10
 
 
 def test_conjecture_probe_pair_search_finds_seeded_example():
-    rep = conjecture_probes(ProbeKind.RANK1_ORTHO_PAIR_SEARCH, restarts=20, seed=3)
+    rep = rank1_pair_search_probe(20, 3)
     assert rep["best_count"] >= 7
     assert rep["restarts"] == 20
-
-
-def test_conjecture_probe_unknown_kind():
-    with pytest.raises(ValueError):
-        conjecture_probes("tetrahedral-telepathy")
+    assert rep["pair_tolerance"] == 1e-10

@@ -1,12 +1,13 @@
 """End-to-end CLI contract: subcommands, exit codes, byte determinism."""
 
+import hashlib
+import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
-from miclab.serialize import loads
+from miclab import cli
 
 CLI = [sys.executable, "-m", "miclab"]
 
@@ -22,7 +23,7 @@ def test_gen_sic_writes_parseable_document(tmp_path):
     out = tmp_path / "sic.json"
     res = run_cli("gen", "sic", "--d", "2", "--out", str(out))
     assert res.returncode == 0
-    doc = loads(out.read_text())
+    doc = json.loads(out.read_text())
     assert doc["dimension"] == 2
     assert len(doc["effects"]) == 4
 
@@ -87,7 +88,7 @@ def test_gen_analyze_round_trip(tmp_path):
     assert run_cli("gen", "example7", "--out", str(out)).returncode == 0
     res = run_cli("analyze", str(out), "--checks", "ortho-pairs")
     assert res.returncode == 0
-    report = loads(res.stdout)
+    report = json.loads(res.stdout)
     assert report["checks"]["ortho-pairs"]["count"] == 7
     assert report["failures"] == []
 
@@ -97,7 +98,7 @@ def test_analyze_sic_frobenius_gap(tmp_path):
     run_cli("gen", "sic", "--d", "2", "--out", str(out))
     res = run_cli("analyze", str(out), "--checks", "frobenius-gap")
     assert res.returncode == 0
-    entry = loads(res.stdout)["checks"]["frobenius-gap"]
+    entry = json.loads(res.stdout)["checks"]["frobenius-gap"]
     assert entry["gap"] == pytest.approx(1 / 3, abs=1e-9)
     assert entry["saturates_bound"] is True
 
@@ -107,7 +108,7 @@ def test_analyze_runs_all_checks_by_default(tmp_path):
     run_cli("gen", "sic", "--d", "3", "--out", str(out))
     res = run_cli("analyze", str(out))
     assert res.returncode == 0
-    checks = loads(res.stdout)["checks"]
+    checks = json.loads(res.stdout)["checks"]
     assert set(checks) == {
         "unbiased-equivalence", "dual-indefiniteness", "ortho-pairs",
         "frobenius-gap", "inv-gram-distance", "covariance", "phi",
@@ -121,7 +122,7 @@ def test_analyze_biased_mic_marks_gap_not_applicable(tmp_path):
     run_cli("gen", "orthocross", "--d", "3", "--out", str(out))
     res = run_cli("analyze", str(out), "--checks", "frobenius-gap,inv-gram-distance")
     assert res.returncode == 0
-    checks = loads(res.stdout)["checks"]
+    checks = json.loads(res.stdout)["checks"]
     assert checks["frobenius-gap"]["status"] == "not-applicable"
     assert checks["inv-gram-distance"]["status"] == "not-applicable"
 
@@ -267,3 +268,83 @@ def test_env_tolerance_rejects_bad_value(value):
     assert res.stderr.startswith("error: MIC_LAB_TOL=")
     assert res.stderr.count("\n") == 1
     assert "Traceback" not in res.stderr
+
+
+def test_env_tolerance_applies_to_gen_and_analyze_only():
+    import os
+    env = dict(os.environ, MIC_LAB_TOL="0.5")
+    # rank_tol = 0.5 refuses the random basis, so gen reads the variable
+    assert run_cli("gen", "random:generic", "--d", "3", "--seed", "5", env=env).returncode == 3
+    args = ("spectra", "generic", "--d", "3", "--n", "30", "--seed", "5")
+    plain, tuned = run_cli(*args), run_cli(*args, env=env)
+    assert tuned.returncode == plain.returncode == 0
+    assert tuned.stdout == plain.stdout
+
+
+# ------------------------------------------------------------ byte pins
+
+# sha256 of the analyze report of each gen kind, random kinds and wh at
+# seed 7; tensorhedron (n = 2) stops at d = 4, as d = 5 alone takes ~10 s
+ANALYZE_REPORT_DIGESTS = {
+    ("sic", 2): "891f561f1c737f56ea3f78714b46beb909adab90cb56517f44715a8f573778d9",
+    ("wh", 2): "4ec721954e7e7e670af89fca07c31fcf80277de7199ccc68b979b98583821402",
+    ("orthocross", 2): "e661a91e91c57bdb4435512bf994b760d6565fa0b0a0ff544304a04a27ece696",
+    ("equiangular", 2): "7bd62ef1c9af0dbae969b5e8ef8a74a863c82e483690da2ce5e5ba1180a92841",
+    ("tensorhedron", 2): "c64da88d760782c8bd507971d0caeb876aa1507cb6b17d9b81b59cc996eab6f2",
+    ("near-orthogonal", 2): "c4fae9032e973386ac0e28559ab88de9bb229f9973e3fe0cb5addd7227e9793f",
+    ("random:generic", 2): "fc023ce8b30b79128d4f8ec41fdee60d1918f2719999422eb576c0e42940983c",
+    ("random:generic-rank1", 2): "511b08c66bd209c824e53ee3403805e50ed99acb8eb79e2384e009972b820362",
+    ("random:wh", 2): "4ec721954e7e7e670af89fca07c31fcf80277de7199ccc68b979b98583821402",
+    ("random:wh-rank1", 2): "bb82b94deb892def537ec9334bcd0dadc3d32776d40c9a2ef86f446fdf48f5a1",
+    ("sic", 3): "8528927f07e67d535cd1ae3e1e6f8a465ee5db61c9fea5987ec530775cb9f30c",
+    ("wh", 3): "e6c445b582ad817e45f4248302aa9ff0c5156675a4ca4661df5e1a345d5fd3fa",
+    ("orthocross", 3): "0d67395f58b7689972c74dfe32a293be810cd51630cd0e2a9594875cccd70407",
+    ("equiangular", 3): "0fd7b6db0a21f510bea1feb365a33a47691d93a2cb06f0d20b8d4326fd659f81",
+    ("appleby", 3): "3f82bf81f416cf5d4f3d29380d9b1f5bc18831446f3984f4af718160f6bc27d9",
+    ("tensorhedron", 3): "c030283c82bdfb5384635ed4191500f841c5ca7726fcd786bcc3589648ff591b",
+    ("near-orthogonal", 3): "8fca60066666baa98211fea28a4103e7dfa6a387cea8b74aebe73dd842d90dd4",
+    ("random:generic", 3): "580f6dec740ffaad68aa939dceddabb5107bbf690b9e4720344a3eccddd2d112",
+    ("random:generic-rank1", 3): "c077ca11c9170f25a261083b7fc3c25560cd173c9cca714d61c1775fb07d226d",
+    ("random:wh", 3): "e6c445b582ad817e45f4248302aa9ff0c5156675a4ca4661df5e1a345d5fd3fa",
+    ("random:wh-rank1", 3): "65aefc1705d5962a780db4d9d4b05b11c76f88e18deff4e311a8b22715a4c154",
+    ("sic", 4): "83e293515cefcc9d4f885a4730ea484a584dd667d4964a881790ac428d98bb55",
+    ("wh", 4): "608b1ff012e2463d6c8deba9e4712c8da11599df9c08ded7b8cfb06d0ced7ab5",
+    ("orthocross", 4): "50562708b2830405aaeb57f17fe2dff24a4bf5db11b8c65bb2c64891b989b170",
+    ("equiangular", 4): "3002e5e58a3e6f8d8d0b5ca9e47a9e160a1bec3d262b8482a1b2a6dfda15fe87",
+    ("tensorhedron", 4): "691631b2b8498493c13f03a29a25a7da439cfa4ee9ce27d46a16e664f487f4ef",
+    ("near-orthogonal", 4): "75aa8379a7cef9d591e98e5ab385dc0cc0d8db0e30d126422afc82300fc45d8c",
+    ("random:generic", 4): "9e90f4def8793df468070ebb8a8b8cb6cbb2dbd84e500fb4285eaa530ca791dc",
+    ("random:generic-rank1", 4): "ac93d1eff7ff0465118a066c2b314210199b38ca336fbbf231b49021171f1a3c",
+    ("random:wh", 4): "608b1ff012e2463d6c8deba9e4712c8da11599df9c08ded7b8cfb06d0ced7ab5",
+    ("random:wh-rank1", 4): "68fed2225d84cd38dce9a65927b4f245a6040901a08ac926e2b04aa8cb52b7ef",
+    ("sic", 5): "b254fd7fd75e2796ccf670f422be848f8b11894ec40847f0eb6ebdb3f0a51b36",
+    ("wh", 5): "84726d0c3ac3cb51b8f79d5e15678fbe7f118a3033d144028f299f930dfd5b47",
+    ("orthocross", 5): "029fd08a79b5e40748bd314710e0e9f0bd258c3d9c51d79f20531a215c146982",
+    ("equiangular", 5): "7983df5b064378061c4fee5391473b0c561e8a0dae106d8213d31e4ee10c1242",
+    ("appleby", 5): "9ae9558649dad33ca60d1e299eac909de165747d17d7b4c6178d65cb4ba82f1a",
+    ("near-orthogonal", 5): "d62b1e4d0bc8084892a113fabccf79a4fa151d66194758c7a8b1c8e8666caec6",
+    ("random:generic", 5): "8cdc901bbdf785bdb27b7b0edbe52b0541d1e36f736fbbd2018a57881f584558",
+    ("random:generic-rank1", 5): "b16b8f138d974f9a71b47b86435494d1f2ba2d6c65ebab765de55379ab4f7e8f",
+    ("random:wh", 5): "84726d0c3ac3cb51b8f79d5e15678fbe7f118a3033d144028f299f930dfd5b47",
+    ("random:wh-rank1", 5): "9b03ecd509e0a73df7d81bbfaaaedcdf1d753c05f1b3a1245c53bea16162d74d",
+    ("example7", 3): "81a9d5117b071406db3b7790f7be8b8711ae68020bdebfee7a985dc990f274cd",
+}
+GEN_EXTRA_ARGS = {"wh": ["--seed", "7"], "equiangular": ["--beta", "0.5"],
+                  "near-orthogonal": ["--t", "0.9"]}
+VERIFY_CONJECTURES_DIGEST = (
+    "26c4ceb27d200c4aee247d35bf865ff09696aa7ef5c13537a58857607b59347c")
+
+
+def test_analyze_reports_are_byte_stable(tmp_path):
+    doc, report = str(tmp_path / "mic.json"), tmp_path / "report.json"
+    for (kind, d), digest in ANALYZE_REPORT_DIGESTS.items():
+        extra = ["--seed", "7"] if kind.startswith("random:") else GEN_EXTRA_ARGS.get(kind, [])
+        assert cli.main(["gen", kind, "--d", str(d), *extra, "--out", doc]) == 0
+        assert cli.main(["analyze", doc, "--out", str(report)]) == 0, (kind, d)
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest, (kind, d)
+
+
+def test_verify_conjectures_stdout_is_byte_stable(capsys):
+    assert cli.main(["verify", "conjectures"]) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == VERIFY_CONJECTURES_DIGEST

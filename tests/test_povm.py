@@ -22,7 +22,6 @@ from miclab.errors import (
 from miclab.povm import (
     Povm,
     born_probabilities,
-    collision_probability,
     dual_basis,
     effect_eigenvalue_ranges,
     effect_ranks,
@@ -371,12 +370,6 @@ def test_purity_form_rejects_non_finite_probabilities(bad):
     assert info.value.index == 1
 
 
-def test_collision_probability_bounds():
-    assert collision_probability(np.full(4, 0.25)) == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        collision_probability(np.array([0.7, 0.7, -0.4]))
-
-
 # -------------------------------------------------------- rank-1 criterion
 
 def test_rank1_mic_check_accepts_sic():
@@ -422,7 +415,6 @@ def test_measure_then_reconstruct_roundtrip(d, seed):
     # reconstruction accuracy degrades with Gram conditioning
     bound = max(1e-8, 100 * np.finfo(float).eps * np.linalg.cond(mic.gram))
     assert np.abs(reconstruct_state(p, mic) - rho).max() < bound
-    assert 1.0 / (d * d) - 1e-12 <= collision_probability(np.abs(p) / np.abs(p).sum())
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -1,5 +1,6 @@
 """Byte-stable serialization of MIC documents and histogram tables."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,6 @@ from miclab.serialize import (
     dumps,
     format_float,
     histogram_to_table,
-    loads,
     mic_from_document,
     mic_to_document,
     parse_fraction,
@@ -48,7 +48,7 @@ def test_dumps_handles_nested_structures():
     doc = {"a": [1, 2, 3], "b": {"c": 0.5, "flag": True, "none": None},
            "arr": np.array([1.0, 2.0])}
     text = dumps(doc)
-    back = loads(text)
+    back = json.loads(text)
     assert back["a"] == [1, 2, 3]
     assert back["b"]["flag"] is True
     assert back["b"]["none"] is None
@@ -56,15 +56,15 @@ def test_dumps_handles_nested_structures():
 
 
 def test_dumps_bool_not_confused_with_int():
-    assert loads(dumps({"x": True}))["x"] is True
-    assert loads(dumps({"x": 1}))["x"] == 1
+    assert json.loads(dumps({"x": True}))["x"] is True
+    assert json.loads(dumps({"x": 1}))["x"] == 1
 
 
 def test_mic_document_round_trip_is_byte_identical():
     mic = sic_qubit()
     doc = mic_to_document(mic)
     text1 = dumps(doc)
-    rebuilt = mic_from_document(loads(text1))
+    rebuilt = mic_from_document(json.loads(text1))
     assert np.array_equal(rebuilt.matrices(), mic.matrices())
     text2 = dumps(mic_to_document(rebuilt))
     assert text1 == text2
@@ -78,7 +78,7 @@ def test_mic_document_round_trip_random_mic():
         ops.append(a @ a.conj().T)
     mic = mic_from_psd_basis(ops)
     text1 = dumps(mic_to_document(mic))
-    text2 = dumps(mic_to_document(mic_from_document(loads(text1))))
+    text2 = dumps(mic_to_document(mic_from_document(json.loads(text1))))
     assert text1 == text2
 
 
@@ -115,4 +115,4 @@ def test_write_and_read_document(tmp_path):
     path = tmp_path / "mic.json"
     doc = mic_to_document(sic_qubit())
     write_document(path, doc)
-    assert read_document(path) == loads(dumps(doc))
+    assert read_document(path) == json.loads(dumps(doc))
