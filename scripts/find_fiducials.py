@@ -1,12 +1,15 @@
-"""Regenerate src/miclab/data/fiducials.json.
+"""Find a SIC fiducial per dimension and write it in the fiducials.json format.
 
-Searches for unit vectors whose Weyl-Heisenberg orbit is equiangular
+Searches for a unit vector whose Weyl-Heisenberg orbit is equiangular
 (|<f| D_kl |f>|^2 = 1/(d+1) for all (k,l) != (0,0)) in dimensions 3, 4, 5,
 then polishes each solution to 40 decimal digits with a damped Gauss-Newton
-iteration in mpmath.  The double-precision stage uses seeded random restarts,
-so rerunning the script reproduces the same vectors bit for bit.
+iteration in mpmath.  Each dimension has many fiducials, so a rerun finds
+*a* fiducial per dimension and need not regenerate the committed vectors in
+src/miclab/data/fiducials.json bit for bit (with numpy 2.4 and scipy 1.17
+it lands on other fiducials in d = 3, 4 and 5).  The committed vectors are
+checked by miclab.constructions.builtin_fiducial on first use.
 
-Usage: python scripts/find_fiducials.py [--out PATH]
+Usage: PYTHONPATH=src python scripts/find_fiducials.py --out PATH
 """
 
 from __future__ import annotations
@@ -19,27 +22,17 @@ import mpmath as mp
 import numpy as np
 from scipy.optimize import least_squares
 
+from miclab.constructions import wh_displacement
+
 DIMS = (3, 4, 5)
 SEED = 11
 POLISH_DPS = 100
 TARGET_DIGITS = 40
 
 
-def displacement(d: int, k: int, l: int) -> np.ndarray:
-    tau = -np.exp(1j * np.pi / d)
-    j = np.arange(d)
-    m = np.zeros((d, d), dtype=complex)
-    m[(j + k) % d, j] = tau ** (k * l) * np.exp(2j * np.pi * j * l / d)
-    return m
-
-
-def nontrivial_displacements(d: int) -> list[np.ndarray]:
-    return [displacement(d, k, l) for k in range(d) for l in range(d) if (k, l) != (0, 0)]
-
-
 def search_double(d: int, rng: np.random.Generator) -> np.ndarray:
     """Seeded random-restart least squares; returns a normalized solution."""
-    ops = nontrivial_displacements(d)
+    ops = [wh_displacement(d, k, l) for k in range(d) for l in range(d) if (k, l) != (0, 0)]
     target = 1.0 / (d + 1)
 
     def resid(x):
@@ -129,8 +122,8 @@ def polish_mp(d: int, f: np.ndarray) -> list[tuple[str, str]]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    default_out = pathlib.Path(__file__).resolve().parents[1] / "src/miclab/data/fiducials.json"
-    parser.add_argument("--out", type=pathlib.Path, default=default_out)
+    # no default: a bare run must not replace the package data
+    parser.add_argument("--out", type=pathlib.Path, required=True)
     args = parser.parse_args()
 
     table = {}

@@ -194,13 +194,13 @@ def criterion_05(key=(500,), scale=1) -> CriterionResult:
     short_margins = 0
     for d in (2, 3):
         bound = (d - 1) / (d + 1)
-        gap = frobenius_orthogonality_gap(sic_mic(d)).frobenius_gap
+        gap = frobenius_orthogonality_gap(sic_mic(d))
         sat_dev = max(sat_dev, abs(gap - bound))
         for ki, kind in enumerate((MicKind.WH_GENERIC, MicKind.WH_RANK1)):
             rng = _rng(*key, d, ki)
             for _ in range(per_kind):
                 mic = random_mic(kind, d, rng)
-                if frobenius_orthogonality_gap(mic).frobenius_gap - bound <= 1e-6:
+                if frobenius_orthogonality_gap(mic) - bound <= 1e-6:
                     short_margins += 1
     ok = sat_dev <= 1e-9 and short_margins == 0
     return CriterionResult(

@@ -57,23 +57,11 @@ class UnbiasedEquivalence:
 
 @dataclass(frozen=True)
 class OrthogonalityReport:
-    """Vanishing off-diagonal Gram entries of a MIC."""
+    """Vanishing off-diagonal Gram entries of a MIC, fields in report order."""
 
-    pairs: tuple[tuple[int, int], ...]
     count: int
+    pairs: tuple[tuple[int, int], ...]
     min_offdiagonal: float
-
-
-@dataclass(frozen=True)
-class ClassicalityScores:
-    """How far a Gram matrix sits from the orthogonal ideal.
-
-    frobenius_gap is the squared Frobenius distance between G and
-    (1/d) delta_ij; bound is its SIC-saturated minimum (d-1)/(d+1).
-    """
-
-    frobenius_gap: float
-    bound: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,13 +130,13 @@ def orthogonal_pairs(g) -> OrthogonalityReport:
     mask = off <= DEFAULT_TOL.zero_tol
     pairs = tuple((int(i), int(j)) for i, j in zip(iu[mask], ju[mask]))
     return OrthogonalityReport(
-        pairs=pairs,
         count=len(pairs),
+        pairs=pairs,
         min_offdiagonal=float(off.min()) if off.size else float("inf"),
     )
 
 
-def frobenius_orthogonality_gap(mic: Mic) -> ClassicalityScores:
+def frobenius_orthogonality_gap(mic: Mic) -> float:
     """Squared Frobenius distance of the Gram matrix from (1/d) delta_ij.
 
     Defined for unbiased MICs (BiasedMic otherwise).  The gap is bounded
@@ -159,8 +147,7 @@ def frobenius_orthogonality_gap(mic: Mic) -> ClassicalityScores:
         raise BiasedMic("frobenius_orthogonality_gap requires an unbiased MIC")
     d = mic.dim
     target = np.eye(d * d) / d
-    gap = float(((target - mic.gram) ** 2).sum())
-    return ClassicalityScores(frobenius_gap=gap, bound=(d - 1.0) / (d + 1.0))
+    return float(((target - mic.gram) ** 2).sum())
 
 
 def inv_gram_distance(mic: Mic) -> float:

@@ -3,10 +3,12 @@
 Four subcommands: gen constructs a MIC and writes its document, analyze
 re-reads a document and runs invariant checks, spectra runs the randomized
 Gram-spectra study, verify drives the theorem / conjecture / acceptance
-suites.  `example` is shorthand for `gen example7`.
+suites.  `example` is shorthand for `gen example7`.  gen looks each kind up
+in one table of builders, as analyze does each check.
 
 Exit codes are a stable contract: 0 success, 1 invariant failure,
-2 usage or parse error, 3 construction or sampling failure.
+2 usage or parse error, 3 construction or sampling failure.  A document
+analyze cannot read as a MIC document is a parse error.
 
 Given --seed, every command's output is byte-identical across runs and
 worker counts.
@@ -19,7 +21,9 @@ when it is set to anything but a positive finite number.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+from dataclasses import asdict
 from math import sqrt
 
 import numpy as np
@@ -71,9 +75,6 @@ from .serialize import (
 USAGE_ERRORS = (BetaOutOfRange, BetaZero, EnvelopeExceeded, EvenDimension,
                 WrongDimension)
 
-GEN_KINDS = ("sic", "wh", "orthocross", "equiangular", "appleby",
-             "tensorhedron", "example7", "near-orthogonal")
-
 
 def _fail(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
@@ -88,8 +89,8 @@ def _emit(doc: dict, out_path: str | None) -> None:
 
 # ---------------------------------------------------------------- gen
 
-def _near_orthogonal_basis(d: int) -> list:
-    """Zero-padded eigenprojectors with projector m placed at slot m*d.
+def _near_orthogonal_basis(d: int) -> np.ndarray:
+    """Eigenprojectors among zeros, projector m placed at slot m*d.
 
     Slot m*d pairs P_m with the (m, 0) element of a WH-ordered MIC, so the
     d partners carry distinct shift indices.  Pairing all projectors with
@@ -97,54 +98,51 @@ def _near_orthogonal_basis(d: int) -> list:
     before t reaches 0.99 for d >= 3; this placement keeps the family a
     MIC at least to t = 0.999 for d up to 5.
     """
-    projs = eigenprojector_basis(np.diag(np.arange(d, dtype=float)))[:d]
-    slots = [np.zeros((d, d), dtype=complex) for _ in range(d * d)]
-    for m, p in enumerate(projs):
-        slots[m * d] = p
+    slots = np.zeros((d * d, d, d), dtype=complex)
+    slots[::d] = eigenprojector_basis(np.diag(np.arange(d, dtype=float)))
     return slots
+
+
+@functools.cache
+def _random(kind: MicKind):
+    """The builder of a random kind; wh and random:wh share one."""
+    return lambda a, tol: random_mic(kind, a.d, default_rng(SeedSequence(a.seed)), tol)
+
+
+# each gen kind's builder, called with the parsed arguments and tolerances
+_GEN_DISPATCH = {
+    "sic": lambda a, tol: sic_mic(a.d, tol),
+    "wh": _random(MicKind.WH_GENERIC),
+    "orthocross": lambda a, tol: orthocross_mic(a.d, tol),
+    "equiangular": lambda a, tol: equiangular_mic(sic_mic(a.d, tol), a.beta, tol),
+    "appleby": lambda a, tol: appleby_mic(a.d, tol),
+    "tensorhedron": lambda a, tol: tensorhedron_mic(sic_mic(a.d, tol), a.n, tol),
+    "example7": lambda a, tol: example_seven_orthogonal(tol),
+    "near-orthogonal": lambda a, tol: near_orthogonal_family(
+        _near_orthogonal_basis(a.d), sic_mic(a.d, tol), a.t, tol),
+}
+GEN_KINDS = tuple(_GEN_DISPATCH)
+_GEN_DISPATCH.update({f"random:{k.value}": _random(k) for k in MicKind})
+# the option without which a kind cannot be built
+_GEN_REQUIRED = {"equiangular": "beta", "near-orthogonal": "t"}
 
 
 def cmd_gen(args, tol: ToleranceConfig) -> int:
     kind = args.kind
-    d = args.d
-    if kind.startswith("random:"):
-        try:
-            mic_kind = MicKind(kind.split(":", 1)[1])
-        except ValueError:
-            _fail(f"unknown random kind {kind!r}; "
-                  f"valid: {', '.join('random:' + k.value for k in MicKind)}")
-            return 2
-        rng = default_rng(SeedSequence(args.seed))
-        mic = random_mic(mic_kind, d, rng, tol)
-    elif kind == "sic":
-        mic = sic_mic(d, tol)
-    elif kind == "wh":
-        rng = default_rng(SeedSequence(args.seed))
-        mic = random_mic(MicKind.WH_GENERIC, d, rng, tol)
-    elif kind == "orthocross":
-        mic = orthocross_mic(d, tol)
-    elif kind == "equiangular":
-        if args.beta is None:
-            _fail("equiangular requires --beta")
-            return 2
-        mic = equiangular_mic(sic_mic(d, tol), args.beta, tol)
-    elif kind == "appleby":
-        mic = appleby_mic(d, tol)
-    elif kind == "tensorhedron":
-        mic = tensorhedron_mic(sic_mic(d, tol), args.n, tol)
-    elif kind == "example7":
-        mic = example_seven_orthogonal(tol)
-    elif kind == "near-orthogonal":
-        if args.t is None:
-            _fail("near-orthogonal requires --t")
-            return 2
-        mic = near_orthogonal_family(_near_orthogonal_basis(d), sic_mic(d, tol),
-                                     args.t, tol)
-    else:
+    build = _GEN_DISPATCH.get(kind)
+    if build is None and kind.startswith("random:"):
+        _fail(f"unknown random kind {kind!r}; "
+              f"valid: {', '.join('random:' + k.value for k in MicKind)}")
+        return 2
+    if build is None:
         _fail(f"unknown construction {kind!r}; "
               f"valid: {', '.join(GEN_KINDS)} or random:<kind>")
         return 2
-    _emit(mic_to_document(mic), args.out)
+    flag = _GEN_REQUIRED.get(kind)
+    if flag and getattr(args, flag) is None:
+        _fail(f"{kind} requires --{flag}")
+        return 2
+    _emit(mic_to_document(build(args, tol)), args.out)
     return 0
 
 
@@ -157,16 +155,8 @@ def cmd_example(args, tol: ToleranceConfig) -> int:
 
 def _check_unbiased_equivalence(mic: Mic, tol):
     rep = unbiased_equivalence_report(mic, tol)
-    entry = {
-        "weights_uniform": rep.weights_uniform,
-        "doubly_stochastic": rep.doubly_stochastic,
-        "max_eigenvalue_pinned": rep.max_eigenvalue_pinned,
-        "max_weight_deviation": rep.max_weight_deviation,
-        "max_sum_deviation": rep.max_sum_deviation,
-        "max_eigenvalue_gap": rep.max_eigenvalue_gap,
-    }
     # the three predicates are provably equivalent; disagreement is failure
-    return entry, rep.consistent
+    return asdict(rep), rep.consistent
 
 
 def _check_dual_indefiniteness(mic: Mic, tol):
@@ -181,38 +171,20 @@ def _check_dual_indefiniteness(mic: Mic, tol):
 
 def _check_ortho_pairs(mic: Mic, tol):
     rep = orthogonal_pairs(mic.gram)
-    entry = {
-        "count": rep.count,
-        "pairs": [list(p) for p in rep.pairs],
-        "min_offdiagonal": rep.min_offdiagonal,
-    }
     # d = 2 rules out orthogonal pairs entirely; higher d only reports
-    ok = rep.count == 0 if mic.dim == 2 else True
-    return entry, ok
+    return asdict(rep), mic.dim != 2 or rep.count == 0
 
 
 def _check_frobenius_gap(mic: Mic, tol):
-    try:
-        scores = frobenius_orthogonality_gap(mic)
-    except BiasedMic:
-        return {"status": "not-applicable", "reason": "biased MIC"}, True
-    gap, bound = scores.frobenius_gap, scores.bound
-    entry = {
-        "gap": gap,
-        "bound": bound,
-        "saturates_bound": bool(abs(gap - bound) <= 1e-9),
-    }
+    gap = frobenius_orthogonality_gap(mic)
+    bound = (mic.dim - 1) / (mic.dim + 1)
+    entry = {"gap": gap, "bound": bound, "saturates_bound": abs(gap - bound) <= 1e-9}
     return entry, gap >= bound - 1e-9
 
 
 def _check_inv_gram_distance(mic: Mic, tol):
-    try:
-        value = inv_gram_distance(mic)
-    except BiasedMic:
-        return {"status": "not-applicable", "reason": "biased MIC"}, True
     d = mic.dim
-    entry = {"distance": value, "sic_value": d * sqrt(d * d - 1.0)}
-    return entry, True
+    return {"distance": inv_gram_distance(mic), "sic_value": d * sqrt(d * d - 1.0)}, True
 
 
 def _check_covariance(mic: Mic, tol):
@@ -256,7 +228,7 @@ def cmd_analyze(args, tol: ToleranceConfig) -> int:
         requested = list(ANALYZE_CHECKS)
     try:
         mic = mic_from_document(read_document(args.path), tol)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         _fail(f"cannot load MIC document: {exc}")
         return 2
     except MicLabError as exc:
@@ -267,7 +239,9 @@ def cmd_analyze(args, tol: ToleranceConfig) -> int:
     for name in requested:
         try:
             entry, ok = _ANALYZE_DISPATCH[name](mic, tol)
-            entry.setdefault("status", "ok" if ok else "failed")
+            entry["status"] = "ok" if ok else "failed"
+        except BiasedMic:  # the gap and the distance are defined for unbiased MICs
+            entry, ok = {"status": "not-applicable", "reason": "biased MIC"}, True
         except MicLabError as exc:
             entry, ok = {"status": "failed", "message": str(exc)}, False
         report["checks"][name] = entry

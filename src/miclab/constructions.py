@@ -378,25 +378,17 @@ def example_seven_orthogonal(tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
 
 # ----------------------------------------------------- near-orthogonal family
 
-def eigenprojector_basis(h, count: int | None = None,
-                         tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
-    """Rank-1 eigenprojectors of a Hermitian matrix, zero-padded to count.
+def eigenprojector_basis(h, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Rank-1 eigenprojectors of a Hermitian matrix as one (d, d, d) array.
 
-    The projectors sum to the identity, so the padded list is a valid POVM
-    (of deficient operator span) suitable as the orthogonal end of
-    near_orthogonal_family.
+    The projectors sum to the identity, so placed among d^2 - d zero
+    matrices they form a valid POVM (of deficient operator span) suitable
+    as the orthogonal end of near_orthogonal_family.
     """
     h = np.asarray(h, dtype=complex)
-    d = h.shape[0]
-    _check_dimension(d)
-    if count is None:
-        count = d * d
-    if count < d:
-        raise WrongCount(count, d)
-    _, v = eigh(h, tol)
-    out = [np.outer(v[:, i], v[:, i].conj()) for i in range(d)]
-    out.extend(np.zeros((d, d), dtype=complex) for _ in range(count - d))
-    return out
+    _check_dimension(h.shape[0])
+    v = eigh(h, tol)[1].T
+    return v[:, :, None] * v.conj()[:, None, :]
 
 
 def near_orthogonal_family(a_basis, b: Mic, t: float,
@@ -404,12 +396,12 @@ def near_orthogonal_family(a_basis, b: Mic, t: float,
     """Convex interpolation E_i = t A_i + (1-t) B_i toward an orthogonal set.
 
     a_basis must be d^2 PSD matrices summing to the identity (typically
-    eigenprojector_basis output) and b a MIC.  For 0 < t < 1 the mixture is
-    a valid POVM; it remains a MIC as long as the interpolated effects stay
-    linearly independent, so the Gram matrix can be pushed arbitrarily close
-    to the diagonal matrix of weights while informational completeness
-    survives.  Raises LinearlyDependent at parameter values where the span
-    collapses.
+    the eigenprojector_basis output among zeros) and b a MIC.  For
+    0 < t < 1 the mixture is a valid POVM; it remains a MIC as long as the
+    interpolated effects stay linearly independent, so the Gram matrix can
+    be pushed arbitrarily close to the diagonal matrix of weights while
+    informational completeness survives.  Raises LinearlyDependent at
+    parameter values where the span collapses.
     """
     if not (0 < t < 1):
         raise ValueError(f"t must lie strictly between 0 and 1, got {t!r}")

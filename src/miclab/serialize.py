@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import DEFAULT_TOL, MAX_DIMENSION, ToleranceConfig
 from .povm import Mic, mic_from_matrices
 
 
@@ -67,30 +67,33 @@ def dumps(doc, indent: int = 0) -> str:
 
 def mic_to_document(mic: Mic) -> dict:
     """Plain-data form of a MIC: dimension plus effects as [re, im] grids."""
-    effects = [[[ [float(z.real), float(z.imag)] for z in row] for row in m]
-               for m in mic.matrices()]
-    return {"dimension": mic.dim, "effects": effects}
+    m = mic.matrices()
+    return {"dimension": mic.dim, "effects": np.stack([m.real, m.imag], axis=-1).tolist()}
 
 
 def mic_from_document(doc: dict, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
-    """Rebuild and fully validate a MIC from its document form."""
+    """Rebuild and fully validate a MIC from its document form.
+
+    dimension must be a JSON integer in 1..MAX_DIMENSION and effects an
+    (N, d, d, 2) array of numbers; anything else raises ValueError.
+    """
     if not isinstance(doc, dict):
         raise ValueError("MIC document must be a mapping")
     try:
-        d = int(doc["dimension"])
+        d = doc["dimension"]
         effects = doc["effects"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise ValueError(f"malformed MIC document: {exc}") from exc
-    mats = []
-    for m in effects:
-        a = np.asarray(m, dtype=float)
-        if a.shape != (d, d, 2):
-            raise ValueError(f"effect has shape {a.shape}, expected ({d}, {d}, 2)")
-        z = np.zeros((d, d), dtype=complex)
-        z.real = a[..., 0]
-        z.imag = a[..., 1]
-        mats.append(z)
-    return mic_from_matrices(mats, tol)
+    if type(d) is not int or not 1 <= d <= MAX_DIMENSION:  # bool and float fail too
+        raise ValueError(f"dimension must be an integer in 1..{MAX_DIMENSION}, got {d!r}")
+    try:
+        a = np.asarray(effects, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed MIC document: {exc}") from exc
+    if a.ndim != 4 or a.shape[1:] != (d, d, 2):
+        raise ValueError(f"effects have shape {a.shape}, expected (N, {d}, {d}, 2)")
+    # each [re, im] pair is read as the bytes of one complex number
+    return mic_from_matrices(a.view(complex)[..., 0], tol)
 
 
 def histogram_to_table(h) -> str:

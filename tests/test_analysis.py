@@ -103,12 +103,11 @@ def test_orthogonal_pairs_absent_for_sic():
 # --------------------------------------------------------------- distances
 
 def test_frobenius_gap_saturated_only_by_sic():
-    scores = frobenius_orthogonality_gap(sic_qubit())
-    assert scores.frobenius_gap == pytest.approx(scores.bound, abs=1e-12)
-    assert scores.bound == pytest.approx(1 / 3)
+    # the bound (d - 1)/(d + 1) is 1/3 at d = 2 and 1/2 at d = 3
+    assert frobenius_orthogonality_gap(sic_qubit()) == pytest.approx(1 / 3, abs=1e-12)
 
     wh = sic_mic(3)
-    assert frobenius_orthogonality_gap(wh).frobenius_gap == pytest.approx(0.5, abs=1e-8)
+    assert frobenius_orthogonality_gap(wh) == pytest.approx(0.5, abs=1e-8)
 
 
 def test_frobenius_gap_rejects_biased_mic():

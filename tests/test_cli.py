@@ -160,6 +160,24 @@ def test_analyze_invalid_mic_content(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("text", [
+    '{"dimension": 2, "effects": [{}]}',
+    '{"dimension": 2, "effects": 5}',
+    '{"dimension": 1e400, "effects": []}',  # json reads 1e400 as inf
+    '{"dimension": 2, "effects": [[[[1' + "0" * 400 + ', 0.0]]]]}',
+    '{"dimension": 2.7, "effects": []}',
+    '{"dimension": true, "effects": [[[[1.0, 0.0]]]]}',
+])
+def test_analyze_malformed_document_is_one_parse_error(tmp_path, text):
+    out = tmp_path / "bad.json"
+    out.write_text(text)
+    res = run_cli("analyze", str(out))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: cannot load MIC document: ")
+    assert res.stderr.count("\n") == 1
+
+
 # --------------------------------------------------------------- spectra
 
 def test_spectra_deterministic_across_runs_and_workers(tmp_path):
@@ -283,51 +301,94 @@ def test_env_tolerance_applies_to_gen_and_analyze_only():
 
 # ------------------------------------------------------------ byte pins
 
-# sha256 of the analyze report of each gen kind, random kinds and wh at
-# seed 7; tensorhedron (n = 2) stops at d = 4, as d = 5 alone takes ~10 s
-ANALYZE_REPORT_DIGESTS = {
-    ("sic", 2): "891f561f1c737f56ea3f78714b46beb909adab90cb56517f44715a8f573778d9",
-    ("wh", 2): "4ec721954e7e7e670af89fca07c31fcf80277de7199ccc68b979b98583821402",
-    ("orthocross", 2): "e661a91e91c57bdb4435512bf994b760d6565fa0b0a0ff544304a04a27ece696",
-    ("equiangular", 2): "7bd62ef1c9af0dbae969b5e8ef8a74a863c82e483690da2ce5e5ba1180a92841",
-    ("tensorhedron", 2): "c64da88d760782c8bd507971d0caeb876aa1507cb6b17d9b81b59cc996eab6f2",
-    ("near-orthogonal", 2): "c4fae9032e973386ac0e28559ab88de9bb229f9973e3fe0cb5addd7227e9793f",
-    ("random:generic", 2): "fc023ce8b30b79128d4f8ec41fdee60d1918f2719999422eb576c0e42940983c",
-    ("random:generic-rank1", 2): "511b08c66bd209c824e53ee3403805e50ed99acb8eb79e2384e009972b820362",
-    ("random:wh", 2): "4ec721954e7e7e670af89fca07c31fcf80277de7199ccc68b979b98583821402",
-    ("random:wh-rank1", 2): "bb82b94deb892def537ec9334bcd0dadc3d32776d40c9a2ef86f446fdf48f5a1",
-    ("sic", 3): "8528927f07e67d535cd1ae3e1e6f8a465ee5db61c9fea5987ec530775cb9f30c",
-    ("wh", 3): "e6c445b582ad817e45f4248302aa9ff0c5156675a4ca4661df5e1a345d5fd3fa",
-    ("orthocross", 3): "0d67395f58b7689972c74dfe32a293be810cd51630cd0e2a9594875cccd70407",
-    ("equiangular", 3): "0fd7b6db0a21f510bea1feb365a33a47691d93a2cb06f0d20b8d4326fd659f81",
-    ("appleby", 3): "3f82bf81f416cf5d4f3d29380d9b1f5bc18831446f3984f4af718160f6bc27d9",
-    ("tensorhedron", 3): "c030283c82bdfb5384635ed4191500f841c5ca7726fcd786bcc3589648ff591b",
-    ("near-orthogonal", 3): "8fca60066666baa98211fea28a4103e7dfa6a387cea8b74aebe73dd842d90dd4",
-    ("random:generic", 3): "580f6dec740ffaad68aa939dceddabb5107bbf690b9e4720344a3eccddd2d112",
-    ("random:generic-rank1", 3): "c077ca11c9170f25a261083b7fc3c25560cd173c9cca714d61c1775fb07d226d",
-    ("random:wh", 3): "e6c445b582ad817e45f4248302aa9ff0c5156675a4ca4661df5e1a345d5fd3fa",
-    ("random:wh-rank1", 3): "65aefc1705d5962a780db4d9d4b05b11c76f88e18deff4e311a8b22715a4c154",
-    ("sic", 4): "83e293515cefcc9d4f885a4730ea484a584dd667d4964a881790ac428d98bb55",
-    ("wh", 4): "608b1ff012e2463d6c8deba9e4712c8da11599df9c08ded7b8cfb06d0ced7ab5",
-    ("orthocross", 4): "50562708b2830405aaeb57f17fe2dff24a4bf5db11b8c65bb2c64891b989b170",
-    ("equiangular", 4): "3002e5e58a3e6f8d8d0b5ca9e47a9e160a1bec3d262b8482a1b2a6dfda15fe87",
-    ("tensorhedron", 4): "691631b2b8498493c13f03a29a25a7da439cfa4ee9ce27d46a16e664f487f4ef",
-    ("near-orthogonal", 4): "75aa8379a7cef9d591e98e5ab385dc0cc0d8db0e30d126422afc82300fc45d8c",
-    ("random:generic", 4): "9e90f4def8793df468070ebb8a8b8cb6cbb2dbd84e500fb4285eaa530ca791dc",
-    ("random:generic-rank1", 4): "ac93d1eff7ff0465118a066c2b314210199b38ca336fbbf231b49021171f1a3c",
-    ("random:wh", 4): "608b1ff012e2463d6c8deba9e4712c8da11599df9c08ded7b8cfb06d0ced7ab5",
-    ("random:wh-rank1", 4): "68fed2225d84cd38dce9a65927b4f245a6040901a08ac926e2b04aa8cb52b7ef",
-    ("sic", 5): "b254fd7fd75e2796ccf670f422be848f8b11894ec40847f0eb6ebdb3f0a51b36",
-    ("wh", 5): "84726d0c3ac3cb51b8f79d5e15678fbe7f118a3033d144028f299f930dfd5b47",
-    ("orthocross", 5): "029fd08a79b5e40748bd314710e0e9f0bd258c3d9c51d79f20531a215c146982",
-    ("equiangular", 5): "7983df5b064378061c4fee5391473b0c561e8a0dae106d8213d31e4ee10c1242",
-    ("appleby", 5): "9ae9558649dad33ca60d1e299eac909de165747d17d7b4c6178d65cb4ba82f1a",
-    ("near-orthogonal", 5): "d62b1e4d0bc8084892a113fabccf79a4fa151d66194758c7a8b1c8e8666caec6",
-    ("random:generic", 5): "8cdc901bbdf785bdb27b7b0edbe52b0541d1e36f736fbbd2018a57881f584558",
-    ("random:generic-rank1", 5): "b16b8f138d974f9a71b47b86435494d1f2ba2d6c65ebab765de55379ab4f7e8f",
-    ("random:wh", 5): "84726d0c3ac3cb51b8f79d5e15678fbe7f118a3033d144028f299f930dfd5b47",
-    ("random:wh-rank1", 5): "9b03ecd509e0a73df7d81bbfaaaedcdf1d753c05f1b3a1245c53bea16162d74d",
-    ("example7", 3): "81a9d5117b071406db3b7790f7be8b8711ae68020bdebfee7a985dc990f274cd",
+# sha256 of the gen document and of its analyze report for each gen kind,
+# random kinds and wh at seed 7; tensorhedron (n = 2) stops at d = 4, as
+# d = 5 alone takes ~10 s
+DOCUMENT_AND_REPORT_DIGESTS = {
+    ("sic", 2): ("43a1712a52fd07ed88b0ab116492dcde7eb1f808a2ca5743feecbf2fd4ba55e8",
+        "891f561f1c737f56ea3f78714b46beb909adab90cb56517f44715a8f573778d9"),
+    ("wh", 2): ("5440eccb298a7f6eea4c8e8d7fbbcb42d91e839b14bee782f8d7dec91341040e",
+        "4ec721954e7e7e670af89fca07c31fcf80277de7199ccc68b979b98583821402"),
+    ("orthocross", 2): ("4047bcac15df8dc3e86e21c0568d7faa4b09e5fb5b37b6e4fe1e8d17545b9a8c",
+        "e661a91e91c57bdb4435512bf994b760d6565fa0b0a0ff544304a04a27ece696"),
+    ("equiangular", 2): ("724b00a953692e375e3363407a62c89f5bac0c974a3d9991ded4595f27716d33",
+        "7bd62ef1c9af0dbae969b5e8ef8a74a863c82e483690da2ce5e5ba1180a92841"),
+    ("tensorhedron", 2): ("0a180209c7314a006f5247d1bd63418b5047f1cfacd3f0b7c55243a61973b534",
+        "c64da88d760782c8bd507971d0caeb876aa1507cb6b17d9b81b59cc996eab6f2"),
+    ("near-orthogonal", 2): ("c09714059762d0f11fbff251b5ec39e3a183ed8c5b760921231fdff625b28eb3",
+        "c4fae9032e973386ac0e28559ab88de9bb229f9973e3fe0cb5addd7227e9793f"),
+    ("random:generic", 2): ("bf3983045f4c0d2d77d5da77dce563bd108726ee04dc42668b9ef4654cd7baab",
+        "fc023ce8b30b79128d4f8ec41fdee60d1918f2719999422eb576c0e42940983c"),
+    ("random:generic-rank1", 2): ("6350b03408b343625c1357c8b99db5cad5ed5fe2f7922d9fa92d3264b0af9f07",
+        "511b08c66bd209c824e53ee3403805e50ed99acb8eb79e2384e009972b820362"),
+    ("random:wh", 2): ("5440eccb298a7f6eea4c8e8d7fbbcb42d91e839b14bee782f8d7dec91341040e",
+        "4ec721954e7e7e670af89fca07c31fcf80277de7199ccc68b979b98583821402"),
+    ("random:wh-rank1", 2): ("1ec726397fca979868963746ef68c7dffee04dcd07969979ff12079b0ccfbd14",
+        "bb82b94deb892def537ec9334bcd0dadc3d32776d40c9a2ef86f446fdf48f5a1"),
+    ("sic", 3): ("f0988b7f6780523b49a76dda20311210ad658ba7895f5e5ceab96e6afdb8d6a1",
+        "8528927f07e67d535cd1ae3e1e6f8a465ee5db61c9fea5987ec530775cb9f30c"),
+    ("wh", 3): ("39ed7c0a157831d4f326d3c3217678d73a8de2492af55abe1d54689450161833",
+        "e6c445b582ad817e45f4248302aa9ff0c5156675a4ca4661df5e1a345d5fd3fa"),
+    ("orthocross", 3): ("6589cbda0d9f783c479a3598932d9d606f915507a2b173789e0c79d77e556e0f",
+        "0d67395f58b7689972c74dfe32a293be810cd51630cd0e2a9594875cccd70407"),
+    ("equiangular", 3): ("18ad39a337362c7eca995d43792140f7475da674ce0e6791fef9417a7636eaca",
+        "0fd7b6db0a21f510bea1feb365a33a47691d93a2cb06f0d20b8d4326fd659f81"),
+    ("appleby", 3): ("856f047cfcd2d2f0b0f3f738cdff921d38591b52158ac45d3682562f42b0f512",
+        "3f82bf81f416cf5d4f3d29380d9b1f5bc18831446f3984f4af718160f6bc27d9"),
+    ("tensorhedron", 3): ("66fefd145be00f1133be7bf5ff58fe4862e38b8079e5ce87e7bcab71a4eb0e60",
+        "c030283c82bdfb5384635ed4191500f841c5ca7726fcd786bcc3589648ff591b"),
+    ("near-orthogonal", 3): ("3dcd883d904f0147e362ae4014cf187a41f2d1b756b59a5d25b440358f10b44c",
+        "8fca60066666baa98211fea28a4103e7dfa6a387cea8b74aebe73dd842d90dd4"),
+    ("random:generic", 3): ("cb2e3ece047202d50fcd9103e01090cf78b9fb9b469f33ba0a33c3d9ddaa9e75",
+        "580f6dec740ffaad68aa939dceddabb5107bbf690b9e4720344a3eccddd2d112"),
+    ("random:generic-rank1", 3): ("d62b3b3c7991df316ebce226df07173183a8523bd68bace7dc50f0798289b537",
+        "c077ca11c9170f25a261083b7fc3c25560cd173c9cca714d61c1775fb07d226d"),
+    ("random:wh", 3): ("39ed7c0a157831d4f326d3c3217678d73a8de2492af55abe1d54689450161833",
+        "e6c445b582ad817e45f4248302aa9ff0c5156675a4ca4661df5e1a345d5fd3fa"),
+    ("random:wh-rank1", 3): ("48b2e1456647da91998672db901985665830f050f7869ee28cb39af612c64260",
+        "65aefc1705d5962a780db4d9d4b05b11c76f88e18deff4e311a8b22715a4c154"),
+    ("sic", 4): ("9244cd2fa8fc3e4c05d6a8896635312a991304e5111eb48de8612b75281affc6",
+        "83e293515cefcc9d4f885a4730ea484a584dd667d4964a881790ac428d98bb55"),
+    ("wh", 4): ("07d46a1b346c4e1bdeb0c6bb127bd362b4d233385c11587a299272dcfe0773d1",
+        "608b1ff012e2463d6c8deba9e4712c8da11599df9c08ded7b8cfb06d0ced7ab5"),
+    ("orthocross", 4): ("a2ae96f9dacc2a267b94df4f59b1e3a9717115a0251bf9e0f49b31eb84e3bff1",
+        "50562708b2830405aaeb57f17fe2dff24a4bf5db11b8c65bb2c64891b989b170"),
+    ("equiangular", 4): ("a318c7806f02a7759adcf8efe5d244dd9e6296d088763270758488ade078c574",
+        "3002e5e58a3e6f8d8d0b5ca9e47a9e160a1bec3d262b8482a1b2a6dfda15fe87"),
+    ("tensorhedron", 4): ("6efdcfde285367831707d4abd5d4bfd96ee2dff5bb9fae4a1852821678690263",
+        "691631b2b8498493c13f03a29a25a7da439cfa4ee9ce27d46a16e664f487f4ef"),
+    ("near-orthogonal", 4): ("7943ce106bf09b5c820880e86749247aa706b6930f0f6c2619d08302f602e6a7",
+        "75aa8379a7cef9d591e98e5ab385dc0cc0d8db0e30d126422afc82300fc45d8c"),
+    ("random:generic", 4): ("a5ac685de1533ad82edba1e18e2b650d13da1fbff4605883878c0c2860a30100",
+        "9e90f4def8793df468070ebb8a8b8cb6cbb2dbd84e500fb4285eaa530ca791dc"),
+    ("random:generic-rank1", 4): ("1e869bf5ec982da4db0f3ca608ef4c5cb1afe84c66503453a44ac9e989787195",
+        "ac93d1eff7ff0465118a066c2b314210199b38ca336fbbf231b49021171f1a3c"),
+    ("random:wh", 4): ("07d46a1b346c4e1bdeb0c6bb127bd362b4d233385c11587a299272dcfe0773d1",
+        "608b1ff012e2463d6c8deba9e4712c8da11599df9c08ded7b8cfb06d0ced7ab5"),
+    ("random:wh-rank1", 4): ("b14b2342ed6090abc2e70a2a3483e60661682c9b53ee88a351828d7083ea422c",
+        "68fed2225d84cd38dce9a65927b4f245a6040901a08ac926e2b04aa8cb52b7ef"),
+    ("sic", 5): ("c502239ffb806f0d482aed596027516d8a782c5b6110328054952ea54149cf3e",
+        "b254fd7fd75e2796ccf670f422be848f8b11894ec40847f0eb6ebdb3f0a51b36"),
+    ("wh", 5): ("bdc80861791b8d117c34067b961a08ed35b6caa560a1e0d9c43316ebea6d536b",
+        "84726d0c3ac3cb51b8f79d5e15678fbe7f118a3033d144028f299f930dfd5b47"),
+    ("orthocross", 5): ("d2768d4bb81c457b594ff6c67319233652ceb2a68791538aedefff7ddc8eaa22",
+        "029fd08a79b5e40748bd314710e0e9f0bd258c3d9c51d79f20531a215c146982"),
+    ("equiangular", 5): ("a39cf2d2d5d8eb62c9031d652033cdc809ccf1018ba77a8d93c1939da6115cba",
+        "7983df5b064378061c4fee5391473b0c561e8a0dae106d8213d31e4ee10c1242"),
+    ("appleby", 5): ("e1173da6455eb4e944b8ec434a143ce7a069aff36536e3615601929ab22e6faa",
+        "9ae9558649dad33ca60d1e299eac909de165747d17d7b4c6178d65cb4ba82f1a"),
+    ("near-orthogonal", 5): ("2e9d292d3d72de7ae5751c8c60e35aaf056e516946f6dcd15bca55db4c3f61e8",
+        "d62b1e4d0bc8084892a113fabccf79a4fa151d66194758c7a8b1c8e8666caec6"),
+    ("random:generic", 5): ("663cf232950cdd5407be1b20a6f1a7737ec58c611b63cac62de5943e3bbe1adf",
+        "8cdc901bbdf785bdb27b7b0edbe52b0541d1e36f736fbbd2018a57881f584558"),
+    ("random:generic-rank1", 5): ("8122d9396ff3053a79dfc6bc42dd65a631237fa844c13c42e685a6047413fcd0",
+        "b16b8f138d974f9a71b47b86435494d1f2ba2d6c65ebab765de55379ab4f7e8f"),
+    ("random:wh", 5): ("bdc80861791b8d117c34067b961a08ed35b6caa560a1e0d9c43316ebea6d536b",
+        "84726d0c3ac3cb51b8f79d5e15678fbe7f118a3033d144028f299f930dfd5b47"),
+    ("random:wh-rank1", 5): ("7546a3d34d1cf6394beb184640f5b92b3c3e15ca789e89e6c312133bd4b6db08",
+        "9b03ecd509e0a73df7d81bbfaaaedcdf1d753c05f1b3a1245c53bea16162d74d"),
+    ("example7", 3): ("1805af95075b5d0fbd26bded740bb8e7c153a069af630a8b49d7374b5f8592c9",
+        "81a9d5117b071406db3b7790f7be8b8711ae68020bdebfee7a985dc990f274cd"),
 }
 GEN_EXTRA_ARGS = {"wh": ["--seed", "7"], "equiangular": ["--beta", "0.5"],
                   "near-orthogonal": ["--t", "0.9"]}
@@ -336,12 +397,13 @@ VERIFY_CONJECTURES_DIGEST = (
 
 
 def test_analyze_reports_are_byte_stable(tmp_path):
-    doc, report = str(tmp_path / "mic.json"), tmp_path / "report.json"
-    for (kind, d), digest in ANALYZE_REPORT_DIGESTS.items():
+    doc, report = tmp_path / "mic.json", tmp_path / "report.json"
+    for (kind, d), digests in DOCUMENT_AND_REPORT_DIGESTS.items():
         extra = ["--seed", "7"] if kind.startswith("random:") else GEN_EXTRA_ARGS.get(kind, [])
-        assert cli.main(["gen", kind, "--d", str(d), *extra, "--out", doc]) == 0
-        assert cli.main(["analyze", doc, "--out", str(report)]) == 0, (kind, d)
-        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest, (kind, d)
+        assert cli.main(["gen", kind, "--d", str(d), *extra, "--out", str(doc)]) == 0
+        assert cli.main(["analyze", str(doc), "--out", str(report)]) == 0, (kind, d)
+        assert tuple(hashlib.sha256(f.read_bytes()).hexdigest()
+                     for f in (doc, report)) == digests, (kind, d)
 
 
 def test_verify_conjectures_stdout_is_byte_stable(capsys):

@@ -191,19 +191,16 @@ def test_example_seven_orthogonal_pairs():
 # ------------------------------------------------- near-orthogonal family
 
 def padded_basis(d, interleave=False):
-    projs = eigenprojector_basis(np.diag(np.arange(d, dtype=float)))[:d]
-    slots = [np.zeros((d, d), dtype=complex) for _ in range(d * d)]
-    for m, p in enumerate(projs):
-        slots[m * d if interleave else m] = p
+    step = d if interleave else 1
+    slots = np.zeros((d * d, d, d), dtype=complex)
+    slots[:d * step:step] = eigenprojector_basis(np.diag(np.arange(d, dtype=float)))
     return slots
 
 
-def test_eigenprojector_basis_pads_with_zeros():
+def test_eigenprojector_basis_is_one_stack_summing_to_identity():
     basis = eigenprojector_basis(np.diag([0.0, 1.0, 2.0]))
-    assert len(basis) == 9
-    assert np.abs(sum(basis) - np.eye(3)).max() < 1e-12
-    for m in basis[3:]:
-        assert np.abs(m).max() == 0.0
+    assert basis.shape == (3, 3, 3)
+    assert np.abs(basis.sum(axis=0) - np.eye(3)).max() < 1e-12
 
 
 def test_near_orthogonal_distance_to_weight_diagonal():

@@ -221,6 +221,21 @@ def test_spectra_tables_are_byte_stable():
         assert hashlib.sha256(table).hexdigest() == digest, (kind, d)
 
 
+def test_wh_rank1_qubit_spectrum_matches_closed_form():
+    # For d = 2 the three non-pinned Gram eigenvalues are r_i^2 / 2, with r
+    # the Bloch vector of the fiducial.  Each r_i is uniform on [-1, 1], so
+    # each eigenvalue has CDF sqrt(2 lambda) on [0, 1/2]; the pinned
+    # eigenvalue 1/2 adds n counts to the last bin.  Measured: chi^2 = 96.1
+    # on 99 dof; seeds 1, 2, 3, 11, 42 at n = 2000 and 4000 give 86..124.
+    n = 2000
+    h = spectra_study(MicKind.WH_RANK1, 2, n, Fraction(1, 200), seed=7)
+    k = np.arange(100)
+    expected = 3 * n * (np.sqrt((k + 1) / 100) - np.sqrt(k / 100))
+    expected[-1] += n
+    chi2 = float(((h.counts - expected) ** 2 / expected).sum())
+    assert chi2 <= 150.0, chi2  # p ~ 6e-4 on 99 dof
+
+
 def test_bin_width_must_divide_range():
     with pytest.raises(ValueError):
         spectra_study(MicKind.GENERIC_PSD, 3, 5, Fraction(1, 200), seed=0)

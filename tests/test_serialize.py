@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from miclab.constructions import mic_from_psd_basis, sic_qubit
 from miclab.ensembles import MicKind, spectra_study
+from miclab.errors import MicLabError
+from miclab.povm import Mic
 from miclab.serialize import (
     dumps,
     format_float,
@@ -89,6 +91,32 @@ def test_mic_from_document_rejects_malformed():
         mic_from_document({"dimension": 2, "effects": [[[0.5, 0.0]]]})
     with pytest.raises(ValueError):
         mic_from_document([1, 2, 3])
+
+
+# what json.loads can return: 1e400 reads as inf and NaN as nan
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.just(10 ** 400)
+                | st.floats() | st.text(max_size=3))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=12)
+
+
+def effect_grids(d):
+    """Lists of d x d grids of [re, im] pairs, the shape a document holds."""
+    pair = st.lists(JSON_SCALARS | st.floats(-1, 1), min_size=2, max_size=2)
+    grid = st.lists(st.lists(pair, min_size=d, max_size=d), min_size=d, max_size=d)
+    return st.lists(grid, min_size=1, max_size=d * d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3) | JSON_VALUES, JSON_VALUES | st.integers(1, 2).flatmap(effect_grids))
+def test_mic_from_document_raises_only_typed_errors(dimension, effects):
+    try:
+        assert isinstance(mic_from_document({"dimension": dimension, "effects": effects}), Mic)
+    except (ValueError, MicLabError):
+        pass
 
 
 def test_histogram_table_shape():
