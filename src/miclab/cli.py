@@ -351,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "1/(d * (200 // d)): 1/200 for d=2, 1/198 for d=3)")
     p_sp.add_argument("--seed", type=int, default=0)
     p_sp.add_argument("--workers", type=int, default=1,
-                      help="parallel sampling chunks, run by at most one process "
-                           "per CPU (output-invariant)")
+                      help="worker processes, at most one per CPU and one per "
+                           "block of 256 samples (output-invariant)")
     p_sp.add_argument("--out", default=None, help="table path (default stdout)")
     p_sp.set_defaults(func=cmd_spectra)
 

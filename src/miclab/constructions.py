@@ -117,7 +117,17 @@ def _displacement_basis(d: int) -> np.ndarray:
     return _frozen(ops)
 
 
-def wh_mic(rho, overlap_tol: float = 1e-8, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
+# wh_mic's default overlap_tol, the one the random covariant kinds use
+_OVERLAP_TOL = 1e-8
+
+
+def _displacement_components(rho: np.ndarray) -> np.ndarray:
+    """tr(D_kl^dagger rho), row-major in (k, l), of a (d, d) state or each of a (..., d, d) stack."""
+    ops = _displacement_basis(rho.shape[-1])
+    return np.einsum("kba,...ba->...k", ops.conj(), rho)
+
+
+def wh_mic(rho, overlap_tol: float = _OVERLAP_TOL, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
     """Weyl-Heisenberg orbit MIC of a density matrix rho.
 
     The effects are E_kl = (1/d) D_kl rho D_kl^dagger, ordered row-major in
@@ -130,12 +140,12 @@ def wh_mic(rho, overlap_tol: float = 1e-8, tol: ToleranceConfig = DEFAULT_TOL) -
     d = rho.shape[0]
     _check_dimension(d)
     rho = _check_state(rho, d, tol)
-    ops = _displacement_basis(d)
-    components = np.einsum("kba,ba->k", ops.conj(), rho)
+    components = _displacement_components(rho)
     small = np.abs(components) <= overlap_tol
     if small.any():
         idx = int(np.argmax(small))
         raise DegenerateFiducial(idx // d, idx % d, float(np.abs(components[idx])))
+    ops = _displacement_basis(d)
     effects = np.einsum("kab,bc,kdc->kad", ops, rho, ops.conj()) / d
     return mic_from_matrices(effects, tol)
 
@@ -196,9 +206,11 @@ def orthocross_projectors(d: int) -> list[np.ndarray]:
 
     First the d computational-basis projectors |j><j|, then projectors onto
     (|j> + |k>)/sqrt(2) for j < k in lexicographic order, then onto
-    (|j> + i |k>)/sqrt(2), same ordering.
+    (|j> + i |k>)/sqrt(2), same ordering.  d must be at least 2.
     """
     _check_dimension(d)
+    if d < 2:
+        raise ValueError(f"d must be at least 2, got {d}")
     out = []
     for j in range(d):
         p = np.zeros((d, d), dtype=complex)

@@ -15,6 +15,20 @@ and satisfy only the lower bound.  spectra_study histograms the full
 eigenvalue population over [0, 1/d] with deterministic per-sample
 substreams, so results are reproducible bit for bit at any worker count.
 
+The study runs in fixed blocks of BLOCK_SIZE = 256 samples, which are
+also the pool's tasks; each block's eigenvalues are binned with one
+bincount and its counts added to the total, so memory does not grow with
+the number of samples.  A covariant sample never becomes a Mic: the WH
+group diagonalizes the Gram matrix of an orbit, whose spectrum is
+{|tr(D_kl^dagger rho)|^2 / d}, the fiducial's d^2 displacement
+components.  A block's fiducials pass one batched check of the rules
+wh_mic applies to rho (finite, Hermitian, unit trace, PSD), which is all
+the orbit's validation needs: a valid rho makes every effect
+D rho D^dagger / d PSD and the orbit sum to the identity.  random_mic's
+redraw rules then read off the components, and a refused sample is
+redrawn on its own generator.  The generic kinds still build each MIC
+with random_mic.
+
 Every draw is one standard_normal block: haar_pure_states reads n vectors
 from an (n, 2, d) block, real then imaginary parts, and gue_psd_samples n
 matrices from an (n, 2 d^2 + d) block, rows x | y | diagonal.  A block holds
@@ -33,16 +47,18 @@ from math import ceil, floor, sqrt
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .constructions import mic_from_psd_basis, wh_mic
+from .constructions import _OVERLAP_TOL, _displacement_components, mic_from_psd_basis, wh_mic
 from .errors import (
     DegenerateFiducial,
     LinearlyDependent,
     SamplingExhausted,
     WrongDimension,
 )
-from .povm import Mic
+from .povm import Mic, _check_state, _valid_states
 
 MAX_DRAW_ATTEMPTS = 100
+# samples per block: spectra_study batches, bins and hands out work in blocks
+BLOCK_SIZE = 256
 
 
 class MicKind(Enum):
@@ -177,22 +193,62 @@ def _as_bin_width(bin_width, d: int) -> Fraction:
     return w
 
 
-def _count_chunk(kind_value: str, d: int, start: int, stop: int, seed: int,
-                 n_bins: int) -> np.ndarray:
-    kind = MicKind(kind_value)
-    scale = n_bins * d  # idx = floor(eig / w) with w = 1/(n_bins d)
-    counts = np.zeros(n_bins, dtype=np.int64)
-    for i in range(start, stop):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+def _orbit_spectrum(rho: np.ndarray):
+    # the Gram spectrum {|tr(D_kl^dagger rho)|^2 / d} of the WH orbit MIC of
+    # rho, or of each of a stack, and whether random_mic keeps the draw: wh_mic
+    # refuses a component at or below its overlap_tol, and validate_mic's rank
+    # gate a spectrum whose least value is at most rank_tol times its largest
+    c = _displacement_components(rho)
+    eigs = np.abs(c) ** 2 / rho.shape[-1]
+    kept = ((np.abs(c) > _OVERLAP_TOL).all(axis=-1)
+            & (eigs.min(axis=-1) > DEFAULT_TOL.rank_tol * eigs.max(axis=-1)))
+    return eigs, kept
+
+
+def _covariant_spectra(kind: MicKind, d: int, rngs: list, start: int) -> np.ndarray:
+    """Gram spectra of one block of covariant samples, one (unsorted) row each.
+
+    The fiducials' state check and spectra are batched; a sample whose first
+    draw is refused goes on through random_mic's rules on its own generator.
+    """
+    rhos = np.array([_draw(kind, d, rng) for rng in rngs])
+    eigs, ok = _orbit_spectrum(rhos)
+    ok &= _valid_states(rhos, DEFAULT_TOL)
+    for j in np.flatnonzero(~ok):
+        rho = rhos[j]
+        for attempt in range(MAX_DRAW_ATTEMPTS):
+            if attempt:
+                rho = _draw(kind, d, rngs[j])
+            _check_state(rho, d, DEFAULT_TOL)  # an invalid fiducial raises, as in wh_mic
+            eigs[j], kept = _orbit_spectrum(rho)
+            if kept:
+                break
+        else:
+            raise SamplingExhausted(kind.value, d, MAX_DRAW_ATTEMPTS, sample_index=start + j)
+    return eigs
+
+
+def _block_spectra(kind: MicKind, d: int, start: int, stop: int, seed: int) -> np.ndarray:
+    """Gram spectra of samples start..stop-1, one row each, on their (seed, i) substreams."""
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(start, stop)]
+    if kind in (MicKind.WH_GENERIC, MicKind.WH_RANK1):
+        return _covariant_spectra(kind, d, rngs, start)
+    eigs = np.empty((len(rngs), d * d))
+    for j, rng in enumerate(rngs):
         try:
-            mic = random_mic(kind, d, rng)
+            eigs[j] = np.linalg.eigvalsh(random_mic(kind, d, rng).gram)
         except SamplingExhausted as exc:
-            raise SamplingExhausted(exc.kind, exc.d, exc.attempts, sample_index=i)
-        eigs = np.linalg.eigvalsh(mic.gram)
-        idx = np.floor(eigs * scale).astype(np.int64)
-        np.clip(idx, 0, n_bins - 1, out=idx)
-        np.add.at(counts, idx, 1)
-    return counts
+            raise SamplingExhausted(exc.kind, exc.d, exc.attempts, sample_index=start + j)
+    return eigs
+
+
+def _count_block(start: int, kind_value: str, d: int, seed: int, n_samples: int,
+                 n_bins: int) -> np.ndarray:
+    # the bin counts of block start // BLOCK_SIZE
+    eigs = _block_spectra(MicKind(kind_value), d, start, min(start + BLOCK_SIZE, n_samples), seed)
+    idx = np.floor(eigs * (n_bins * d)).astype(np.int64)  # floor(eig / w), w = 1/(n_bins d)
+    np.clip(idx, 0, n_bins - 1, out=idx)
+    return np.bincount(idx.ravel(), minlength=n_bins)
 
 
 def spectra_study(kind: MicKind, d: int, n_samples: int, bin_width,
@@ -201,8 +257,10 @@ def spectra_study(kind: MicKind, d: int, n_samples: int, bin_width,
 
     Sample i draws from a substream seeded by (seed, i), so the result
     is a pure function of (kind, d, n_samples, bin_width, seed) and is
-    byte-identical at any worker count.  workers > 1 splits the samples
-    into up to that many chunks, run by at most os.cpu_count() processes.
+    byte-identical at any worker count.  The samples run in blocks of
+    BLOCK_SIZE, whose counts are added as they come, so memory does not
+    grow with n_samples.  workers > 1 runs the blocks in a pool of at most
+    that many processes, and at most os.cpu_count().
     bin_width must be an exact rational (Fraction or a string like
     "1/198") dividing (0, 1/d] into whole bins; floats are snapped to the
     nearest small fraction first.
@@ -214,15 +272,21 @@ def spectra_study(kind: MicKind, d: int, n_samples: int, bin_width,
     n_bins = int(Fraction(1, d) / w)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    starts = range(0, n_samples, BLOCK_SIZE)
+    args = (kind.value, d, seed, n_samples, n_bins)
+    counts = np.zeros(n_bins, dtype=np.int64)
     if workers == 1:
-        counts = _count_chunk(kind.value, d, 0, n_samples, seed, n_bins)
+        for lo in starts:
+            counts += _count_block(lo, *args)
     else:
-        step = ceil(n_samples / workers)
-        chunks = [(kind.value, d, lo, min(lo + step, n_samples), seed, n_bins)
-                  for lo in range(0, n_samples, step)]
-        with multiprocessing.Pool(processes=min(len(chunks), os.cpu_count() or 1)) as pool:
-            parts = pool.starmap(_count_chunk, chunks)
-        counts = np.sum(parts, axis=0, dtype=np.int64)
+        processes = min(workers, len(starts), os.cpu_count() or 1)
+        # four blocks per process and call: starmap then hands them out one
+        # at a time, and at most one round of counts is held at once
+        step = 4 * processes
+        with multiprocessing.Pool(processes=processes) as pool:
+            for r in range(0, len(starts), step):
+                parts = pool.starmap(_count_block, [(lo, *args) for lo in starts[r:r + step]])
+                counts += np.sum(parts, axis=0)
     return SpectraHistogram(kind=kind, d=d, bin_width=w, counts=counts,
                             n_samples=n_samples, seed=seed)
 

@@ -264,6 +264,17 @@ def _check_state(rho, d: int, tol: ToleranceConfig) -> np.ndarray:
     return rho
 
 
+def _valid_states(rhos: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Mask of the states of a (B, d, d) stack that _check_state accepts, by its rules."""
+    ok = np.isfinite(rhos).all(axis=(1, 2))
+    rhos = np.where(ok[:, None, None], rhos, 0)  # before rho - rho^dagger can meet inf - inf
+    adj = rhos.conj().transpose(0, 2, 1)
+    ok &= np.abs(rhos - adj).max(axis=(1, 2)) <= tol.hermitian_tol
+    ok &= np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0) <= 1e-10
+    ok &= np.linalg.eigvalsh((rhos + adj) / 2)[:, 0] >= -tol.zero_tol
+    return ok
+
+
 def _check_finite(p: np.ndarray) -> None:
     finite = np.isfinite(p)
     if not finite.all():

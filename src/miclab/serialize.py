@@ -87,11 +87,18 @@ def mic_from_document(doc: dict, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
     if type(d) is not int or not 1 <= d <= MAX_DIMENSION:  # bool and float fail too
         raise ValueError(f"dimension must be an integer in 1..{MAX_DIMENSION}, got {d!r}")
     try:
-        a = np.asarray(effects, dtype=float)
+        a = np.asarray(effects)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed MIC document: {exc}") from exc
+    if a.dtype.kind not in "iuf":  # strings, bools, nulls and objects are not numbers
+        raise ValueError(f"malformed MIC document: effects hold {a.dtype} entries, not numbers")
     if a.ndim != 4 or a.shape[1:] != (d, d, 2):
         raise ValueError(f"effects have shape {a.shape}, expected (N, {d}, {d}, 2)")
+    # numpy reads a bool among numbers as 0 or 1; JSON arrays are lists
+    if isinstance(effects, list) and any(
+            type(x) is bool for grid in effects for row in grid for pair in row for x in pair):
+        raise ValueError("malformed MIC document: effects hold bool entries, not numbers")
+    a = a.astype(float)
     # each [re, im] pair is read as the bytes of one complex number
     return mic_from_matrices(a.view(complex)[..., 0], tol)
 

@@ -36,6 +36,13 @@ def test_gen_to_stdout_matches_file_output(tmp_path):
     assert res_stdout.stdout.strip() == out.read_text().strip()
 
 
+def test_gen_orthocross_refuses_dimension_one():
+    res = run_cli("gen", "orthocross", "--d", "1")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: d must be at least 2, got 1\n"
+
+
 def test_gen_appleby_even_dimension_usage_error():
     res = run_cli("gen", "appleby", "--d", "4")
     assert res.returncode == 2
@@ -167,6 +174,9 @@ def test_analyze_invalid_mic_content(tmp_path):
     '{"dimension": 2, "effects": [[[[1' + "0" * 400 + ', 0.0]]]]}',
     '{"dimension": 2.7, "effects": []}',
     '{"dimension": true, "effects": [[[[1.0, 0.0]]]]}',
+    '{"dimension": 1, "effects": [[[["1.0", "0"]]]]}',  # numbers as strings
+    '{"dimension": 1, "effects": [[[[true, false]]]]}',
+    '{"dimension": 1, "effects": [[[[true, 0]]]]}',  # numpy would read it as 1
 ])
 def test_analyze_malformed_document_is_one_parse_error(tmp_path, text):
     out = tmp_path / "bad.json"

@@ -7,7 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from miclab import ensembles
 from miclab.ensembles import (
+    BLOCK_SIZE,
     MicKind,
     SpectraHistogram,
     default_bin_width,
@@ -17,7 +19,8 @@ from miclab.ensembles import (
     random_mic,
     spectra_study,
 )
-from miclab.errors import WrongDimension
+from miclab.constructions import wh_mic
+from miclab.errors import InvalidState, LinearlyDependent, SamplingExhausted, WrongDimension
 from miclab.povm import is_unbiased, rank1_mic_check
 from miclab.serialize import histogram_to_table
 
@@ -291,6 +294,137 @@ def test_determinism_across_runs():
     h1 = spectra_study(MicKind.GENERIC_RANK1, 2, 30, Fraction(1, 200), seed=9)
     h2 = spectra_study(MicKind.GENERIC_RANK1, 2, 30, Fraction(1, 200), seed=9)
     assert np.array_equal(h1.counts, h2.counts)
+
+
+# ------------------------------------------------- covariant closed form
+
+COVARIANT = (MicKind.WH_GENERIC, MicKind.WH_RANK1)
+
+
+def _substream(seed, i):
+    return np.random.default_rng(np.random.SeedSequence([seed, i]))
+
+
+def _dense_counts(kind, d, n, seed, n_bins):
+    # the histogram of the Gram spectra of random_mic, one sample at a time
+    eigs = np.array([np.linalg.eigvalsh(random_mic(kind, d, _substream(seed, i)).gram)
+                     for i in range(n)])
+    idx = np.clip(np.floor(eigs * (n_bins * d)).astype(np.int64), 0, n_bins - 1)
+    return np.bincount(idx.ravel(), minlength=n_bins)
+
+
+@pytest.mark.parametrize("kind", COVARIANT)
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_covariant_spectra_match_the_dense_gram(kind, d):
+    n = 200
+    fast = np.sort(ensembles._block_spectra(kind, d, 0, n, 13), axis=1)
+    dense = np.array([np.linalg.eigvalsh(random_mic(kind, d, _substream(13, i)).gram)
+                      for i in range(n)])
+    assert np.abs(fast - dense).max() <= 1e-12
+
+
+def _refusing_draw(monkeypatch, refuse):
+    """Patch _draw so that draw number a of generator k is refused when
+    refuse(k, a) names a gate.  "overlap" gives I/d, whose displacement
+    components all vanish; "rank" moves the draw to 1e-6 of the way from
+    I/d, so its components of 1e-6 |c| pass the overlap gate and fail the
+    rank gate.  "trace" doubles the draw, which no gate redraws: a covariant
+    fiducial of trace 2 is an invalid state.  A generic basis gets the same
+    done to each element.
+    Generators are numbered in order of first use, which is sample order in
+    both paths; the patch returns the list of them."""
+    real = ensembles._draw
+    gens, index, draws = [], {}, []
+
+    def draw(kind, d, rng):
+        out = real(kind, d, rng)
+        k = index.setdefault(id(rng), len(gens))  # gens keeps every id unique
+        if k == len(gens):
+            gens.append(rng)
+            draws.append(0)
+        draws[k] += 1
+        gate = refuse(k, draws[k] - 1)
+        if gate == "overlap":
+            return np.broadcast_to(np.eye(d) / d, out.shape).copy()
+        if gate == "rank":
+            return (1 - 1e-6) * np.eye(d) / d + 1e-6 * out
+        return 2 * out if gate == "trace" else out
+
+    monkeypatch.setattr(ensembles, "_draw", draw)
+    return gens
+
+
+@pytest.mark.parametrize("kind", COVARIANT)
+def test_mixed_fiducial_fails_the_rank_gate_alone(kind):
+    for i in range(20):
+        rho = ensembles._draw(kind, 3, _substream(2, i))
+        with pytest.raises(LinearlyDependent):  # not DegenerateFiducial
+            wh_mic((1 - 1e-6) * np.eye(3) / 3 + 1e-6 * rho)
+
+
+@pytest.mark.parametrize("kind", list(MicKind))
+def test_redraws_match_the_dense_path(kind, monkeypatch):
+    d, n, seed, n_bins = 3, 300, 4, 66
+
+    def refuse(k, attempt):
+        if k == 260 and attempt < 3:
+            return "overlap"
+        if attempt == 0 and k % 7 in (0, 1):
+            return ("overlap", "rank")[k % 7]
+        return None
+
+    with monkeypatch.context() as m:
+        fast_gens = _refusing_draw(m, refuse)
+        fast = spectra_study(kind, d, n, Fraction(1, 198), seed).counts
+    with monkeypatch.context() as m:
+        dense_gens = _refusing_draw(m, refuse)
+        dense = _dense_counts(kind, d, n, seed, n_bins)
+    assert np.array_equal(fast, dense)
+    assert len(fast_gens) == len(dense_gens) == n
+    assert [g.bytes(8) for g in fast_gens] == [g.bytes(8) for g in dense_gens]
+
+
+@pytest.mark.parametrize("kind", COVARIANT)
+def test_invalid_fiducial_raises_in_sample_order(kind, monkeypatch):
+    # the first fault in sample order wins, as it does one sample at a time
+    def dense():
+        for i in range(10):
+            random_mic(kind, 2, _substream(3, i))
+
+    for gates, error in (({3: "trace"}, InvalidState),
+                         ({2: "overlap", 3: "trace"}, SamplingExhausted)):
+        for run in (dense, lambda: spectra_study(kind, 2, 10, Fraction(1, 200), seed=3)):
+            with monkeypatch.context() as m:
+                _refusing_draw(m, lambda k, attempt: gates.get(k))
+                with pytest.raises(error):
+                    run()
+
+
+@pytest.mark.parametrize("kind", list(MicKind))
+def test_exhausted_sample_is_named(kind, monkeypatch):
+    _refusing_draw(monkeypatch, lambda k, attempt: "overlap" if k == 270 else None)
+    with pytest.raises(SamplingExhausted) as exc:
+        spectra_study(kind, 2, 300, Fraction(1, 200), seed=3)
+    assert exc.value.sample_index == 270
+    assert exc.value.attempts == ensembles.MAX_DRAW_ATTEMPTS
+
+
+@pytest.mark.parametrize("kind", [MicKind.WH_GENERIC, MicKind.GENERIC_PSD])
+def test_blocks_sum_to_the_same_table_at_any_worker_count(kind):
+    n = 600  # two whole blocks and a partial one
+    assert n // BLOCK_SIZE == 2 and n % BLOCK_SIZE
+    tables = [spectra_study(kind, 2, n, Fraction(1, 200), seed=8, workers=w).counts
+              for w in (1, 2, 3)]
+    assert all(np.array_equal(t, tables[0]) for t in tables[1:])
+    assert np.array_equal(tables[0], _dense_counts(kind, 2, n, 8, 100))
+
+
+def test_pool_rounds_cover_every_block(monkeypatch):
+    # one process takes four blocks a round: five blocks take two rounds
+    monkeypatch.setattr("miclab.ensembles.os.cpu_count", lambda: 1)
+    kwargs = dict(n_samples=4 * BLOCK_SIZE + 1, bin_width=Fraction(1, 200), seed=2)
+    pooled = spectra_study(MicKind.WH_RANK1, 2, workers=2, **kwargs)
+    assert np.array_equal(pooled.counts, spectra_study(MicKind.WH_RANK1, 2, **kwargs).counts)
 
 
 # ----------------------------------------------------------------- plateau

@@ -21,6 +21,8 @@ from miclab.errors import (
 )
 from miclab.povm import (
     Povm,
+    _check_state,
+    _valid_states,
     born_probabilities,
     dual_basis,
     effect_eigenvalue_ranges,
@@ -341,6 +343,43 @@ def test_purity_form_matches_state_purity():
     p = born_probabilities(rho, mic)
     assert purity_form(p, mic.gram) == pytest.approx(
         np.trace(rho @ rho).real, abs=1e-9)
+
+
+def _states_at_each_rule_edge(d):
+    # valid states, and states just inside and just outside each of
+    # _check_state's rules: finite, Hermitian, unit trace, PSD
+    rng = np.random.default_rng(21)
+    v = haar_pure_states(2, d, rng)
+    out = [np.eye(d) / d, np.outer(v[0], v[0].conj()), random_state(d, rng)]
+    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+        rho = np.eye(d, dtype=complex) / d
+        rho[0, 1] = bad
+        out.append(rho)
+    for defect in (0.5e-12, 2e-12):
+        rho = np.eye(d, dtype=complex) / d
+        rho[0, 1] = defect
+        out.append(rho)
+    for excess in (0.5e-10, 2e-10):
+        out.append((1 + excess) * np.eye(d) / d)
+    for low in (-0.5e-10, -2e-10):
+        w = np.full(d, (1 - low) / (d - 1))
+        w[0] = low
+        out.append(np.diag(w).astype(complex))
+    return np.array(out, dtype=complex)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_batched_state_check_agrees_with_check_state(d):
+    states = _states_at_each_rule_edge(d)
+    verdicts = []
+    for rho in states:
+        try:
+            _check_state(rho, d, DEFAULT_TOL)
+            verdicts.append(True)
+        except InvalidState:
+            verdicts.append(False)
+    assert verdicts.count(True) == 6 and verdicts.count(False) == 6
+    assert _valid_states(states, DEFAULT_TOL).tolist() == verdicts
 
 
 NON_FINITE = [np.nan, np.inf, -np.inf]

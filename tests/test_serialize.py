@@ -91,6 +91,10 @@ def test_mic_from_document_rejects_malformed():
         mic_from_document({"dimension": 2, "effects": [[[0.5, 0.0]]]})
     with pytest.raises(ValueError):
         mic_from_document([1, 2, 3])
+    # a valid d = 1 MIC but for the entry types: only JSON numbers are read
+    for entry in ("1.0", True, None):
+        with pytest.raises(ValueError, match="not numbers"):
+            mic_from_document({"dimension": 1, "effects": [[[[entry, 0]]]]})
 
 
 # what json.loads can return: 1e400 reads as inf and NaN as nan
