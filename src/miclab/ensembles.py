@@ -26,8 +26,12 @@ wh_mic applies to rho (finite, Hermitian, unit trace, PSD), which is all
 the orbit's validation needs: a valid rho makes every effect
 D rho D^dagger / d PSD and the orbit sum to the identity.  random_mic's
 redraw rules then read off the components, and a refused sample is
-redrawn on its own generator.  The generic kinds still build each MIC
-with random_mic.
+redrawn on its own generator.  A generic sample never becomes a Mic
+either: a block runs in batches of at most BATCH_ENTRIES // d^4 samples,
+and each batch runs every stage of mic_from_psd_basis and of its
+validation once, each gate with the build's own comparison, then one
+eigvalsh.  A sample whose first draw a gate refuses goes on through
+random_mic's rules, that draw first, on its own generator.
 
 Every draw is one standard_normal block: haar_pure_states reads n vectors
 from an (n, 2, d) block, real then imaginary parts, and gue_psd_samples n
@@ -47,18 +51,27 @@ from math import ceil, floor, sqrt
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .constructions import _OVERLAP_TOL, _displacement_components, mic_from_psd_basis, wh_mic
+from .constructions import (
+    _OVERLAP_TOL,
+    _check_dimension,
+    _displacement_components,
+    mic_from_psd_basis,
+    wh_mic,
+)
 from .errors import (
     DegenerateFiducial,
     LinearlyDependent,
     SamplingExhausted,
     WrongDimension,
 )
+from .linalg import hermiticity_defect, numerical_rank
 from .povm import Mic, _check_state, _valid_states
 
 MAX_DRAW_ATTEMPTS = 100
 # samples per block: spectra_study batches, bins and hands out work in blocks
 BLOCK_SIZE = 256
+# basis entries per batch of generic samples: max(1, BATCH_ENTRIES // d^4) samples
+BATCH_ENTRIES = 4096
 
 
 class MicKind(Enum):
@@ -127,9 +140,16 @@ def random_mic(kind: MicKind, d: int, rng: np.random.Generator,
     same stream, up to MAX_DRAW_ATTEMPTS times.
     """
     kind = MicKind(kind)
-    for _ in range(MAX_DRAW_ATTEMPTS):
-        try:
+    return _redrawn_mic(kind, d, rng, _draw(kind, d, rng), tol)
+
+
+def _redrawn_mic(kind: MicKind, d: int, rng: np.random.Generator, draw: np.ndarray,
+                 tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
+    # random_mic's MIC when draw is its first draw from rng
+    for attempt in range(MAX_DRAW_ATTEMPTS):
+        if attempt:
             draw = _draw(kind, d, rng)
+        try:
             return mic_from_psd_basis(draw, tol) if draw.ndim == 3 else wh_mic(draw, tol=tol)
         except (LinearlyDependent, DegenerateFiducial):
             continue
@@ -228,18 +248,68 @@ def _covariant_spectra(kind: MicKind, d: int, rngs: list, start: int) -> np.ndar
     return eigs
 
 
+def _squash_spectra(a: np.ndarray):
+    """Gram spectra of mic_from_psd_basis(a[j]) for each basis of an (s, d^2, d, d)
+    stack, one ascending row each, and the mask of the bases that build keeps.
+
+    Every stage of the build and of its validation runs once on the stack,
+    and every gate makes the build's own comparison, written so that NaN
+    fails it.  A refused row's spectrum means nothing.
+    """
+    tol = DEFAULT_TOL
+    s, n, d = a.shape[:3]
+    # mic_from_psd_basis: a spanning basis and a safely positive Omega
+    kept = numerical_rank(np.einsum("siab,sjba->sij", a, a).real, tol) == n
+    omega = a.sum(axis=1)
+    kept &= hermiticity_defect(omega) <= tol.hermitian_tol
+    w, v = np.linalg.eigh(omega)
+    kept &= (w[:, -1] > 0) & (w[:, 0] > tol.rank_tol * w[:, -1])
+    w = np.where(kept[:, None], w, 1.0)  # a refused Omega may have w <= 0
+    r = (v / np.sqrt(w)[:, None, :]) @ v.conj().swapaxes(1, 2)
+    e = np.einsum("sab,skbc,scd->skad", r, a, r)
+    # validate_povm: Hermitian PSD effects that sum to the identity
+    kept &= hermiticity_defect(e).max(axis=1) <= tol.hermitian_tol
+    kept &= np.linalg.eigvalsh(e)[:, :, 0].min(axis=1) >= -tol.zero_tol
+    rest = (e.sum(axis=1) - np.eye(d)).reshape(s, d * d)
+    kept &= np.sqrt(np.vecdot(rest, rest).real) <= tol.zero_tol * d
+    # validate_mic: weights above zero_tol and a real, full-rank Gram matrix
+    kept &= (np.trace(e, axis1=2, axis2=3).real > tol.zero_tol).all(axis=1)
+    g = np.einsum("siab,sjba->sij", e, e)
+    kept &= np.abs(g.imag).max(axis=(1, 2)) <= tol.zero_tol
+    g = (g.real + g.real.swapaxes(1, 2)) / 2
+    kept &= numerical_rank(g, tol) == n
+    return np.linalg.eigvalsh(g), kept
+
+
+def _generic_spectra(kind: MicKind, d: int, rngs: list, start: int) -> np.ndarray:
+    """Gram spectra of one block of generic samples, one ascending row each.
+
+    The block runs in batches of at most BATCH_ENTRIES // d^4 samples, so a
+    batch's bases hold at most BATCH_ENTRIES entries; a sample whose first
+    draw is refused goes on through random_mic's rules on its own generator.
+    """
+    eigs = np.empty((len(rngs), d * d))
+    step = max(1, BATCH_ENTRIES // d ** 4)
+    for lo in range(0, len(rngs), step):
+        batch = rngs[lo:lo + step]
+        draws = np.array([_draw(kind, d, rng) for rng in batch])
+        eigs[lo:lo + len(batch)], kept = _squash_spectra(draws)
+        for j in np.flatnonzero(~kept):
+            try:
+                mic = _redrawn_mic(kind, d, batch[j], draws[j])
+            except SamplingExhausted as exc:
+                raise SamplingExhausted(exc.kind, exc.d, exc.attempts,
+                                        sample_index=start + lo + j)
+            eigs[lo + j] = np.linalg.eigvalsh(mic.gram)
+    return eigs
+
+
 def _block_spectra(kind: MicKind, d: int, start: int, stop: int, seed: int) -> np.ndarray:
     """Gram spectra of samples start..stop-1, one row each, on their (seed, i) substreams."""
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(start, stop)]
     if kind in (MicKind.WH_GENERIC, MicKind.WH_RANK1):
         return _covariant_spectra(kind, d, rngs, start)
-    eigs = np.empty((len(rngs), d * d))
-    for j, rng in enumerate(rngs):
-        try:
-            eigs[j] = np.linalg.eigvalsh(random_mic(kind, d, rng).gram)
-        except SamplingExhausted as exc:
-            raise SamplingExhausted(exc.kind, exc.d, exc.attempts, sample_index=start + j)
-    return eigs
+    return _generic_spectra(kind, d, rngs, start)
 
 
 def _count_block(start: int, kind_value: str, d: int, seed: int, n_samples: int,
@@ -272,6 +342,7 @@ def spectra_study(kind: MicKind, d: int, n_samples: int, bin_width,
     n_bins = int(Fraction(1, d) / w)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    _check_dimension(d)
     starts = range(0, n_samples, BLOCK_SIZE)
     args = (kind.value, d, seed, n_samples, n_bins)
     counts = np.zeros(n_bins, dtype=np.int64)

@@ -30,18 +30,16 @@ def _as_square(a) -> np.ndarray:
 def hermiticity_defect(a):
     """Largest absolute entry of A - A^dagger; an array of one per matrix for a stack.
 
-    A matrix with a NaN or infinite entry has defect inf.  Finiteness is
-    tested first, so A - A^dagger never meets inf - inf.
+    A matrix with a NaN or infinite entry has defect inf, and so has a finite
+    one whose A - A^dagger overflows; neither makes numpy warn.
     """
     a = _as_square(a)
-    finite = None
-    if not np.isfinite(a).all():
-        finite = np.isfinite(a).all(axis=(-2, -1))
-        a = np.where(finite[..., None, None], a, 0)
-    defect = np.abs(a - np.swapaxes(a.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
-    if finite is not None:
-        defect = np.where(finite, defect, np.inf)
-    return float(defect) if a.ndim == 2 else defect
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN, read as inf below
+        defect = np.abs(a - np.swapaxes(a.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
+    if a.ndim == 2:
+        defect = float(defect)
+        return defect if defect == defect else np.inf
+    return np.where(np.isnan(defect), np.inf, defect)
 
 
 def eigh(h, tol: ToleranceConfig = DEFAULT_TOL, vectors: bool = True):
@@ -95,12 +93,13 @@ def inv_sqrt_psd(h, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return (v / np.sqrt(w)) @ v.conj().T
 
 
-def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Number of singular values above rank_tol times the largest."""
+def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL):
+    """Number of singular values above rank_tol times the largest; an array
+    of one per matrix for a (..., m, n) stack."""
     a = np.asarray(a)
-    if a.ndim != 2:
-        raise ShapeMismatch(f"expected a matrix, got shape {a.shape}")
+    if a.ndim < 2:
+        raise ShapeMismatch(f"expected a matrix or a stack of them, got shape {a.shape}")
     s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_tol * s[0]))
+    # s is non-negative and descending, so a zero matrix has rank 0
+    rank = np.count_nonzero(s > tol.rank_tol * s[..., :1], axis=-1)
+    return int(rank) if a.ndim == 2 else rank

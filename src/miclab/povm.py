@@ -37,7 +37,7 @@ from .errors import (
     SumNotIdentity,
     WrongCount,
 )
-from .linalg import eigh, eigvalsh, numerical_rank
+from .linalg import eigh, eigvalsh, hermiticity_defect, numerical_rank
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -175,9 +175,10 @@ def validate_povm(effects, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
     if fault is not None:
         raise fault
     d = mats.shape[1]
-    rest = mats.sum(axis=0) - np.eye(d)
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows fails below
+        rest = mats.sum(axis=0) - np.eye(d)
     deficit = sqrt(np.vdot(rest, rest).real)  # Frobenius norm
-    if deficit > tol.zero_tol * d:
+    if not deficit <= tol.zero_tol * d:  # NaN fails too
         raise SumNotIdentity(deficit)
     traces = mats.trace(axis1=1, axis2=2).real
     return Povm(dim=d, stack=_frozen(mats), traces=_frozen(traces))
@@ -250,15 +251,19 @@ def _check_state(rho, d: int, tol: ToleranceConfig) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d, d):
         raise InvalidState(f"state has shape {rho.shape}, expected {(d, d)}")
-    if not np.isfinite(rho).all():  # before rho - rho^dagger can meet inf - inf
-        raise InvalidState("state has a non-finite entry")
-    defect = float(np.abs(rho - rho.conj().T).max())
-    if defect > tol.hermitian_tol:
+    # a non-finite entry makes the defect NaN or inf, and so does an overflow;
+    # either fails the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = float(np.abs(rho - rho.conj().T).max())
+        tr = complex(np.trace(rho))
+    if not defect <= tol.hermitian_tol:
+        if not np.isfinite(rho).all():
+            raise InvalidState("state has a non-finite entry")
         raise InvalidState(f"state is not Hermitian (defect {defect:.3e})")
-    tr = complex(np.trace(rho))
     if not abs(tr - 1.0) <= 1e-10:
         raise InvalidState(f"state has trace {tr!r}, expected 1")
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
+    half = rho / 2  # a sum of two halves cannot overflow
+    w = np.linalg.eigvalsh(half + half.conj().T)
     if w[0] < -tol.zero_tol:
         raise InvalidState(f"state has negative eigenvalue {w[0]:.3e}")
     return rho
@@ -266,12 +271,12 @@ def _check_state(rho, d: int, tol: ToleranceConfig) -> np.ndarray:
 
 def _valid_states(rhos: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Mask of the states of a (B, d, d) stack that _check_state accepts, by its rules."""
-    ok = np.isfinite(rhos).all(axis=(1, 2))
-    rhos = np.where(ok[:, None, None], rhos, 0)  # before rho - rho^dagger can meet inf - inf
-    adj = rhos.conj().transpose(0, 2, 1)
-    ok &= np.abs(rhos - adj).max(axis=(1, 2)) <= tol.hermitian_tol
-    ok &= np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0) <= 1e-10
-    ok &= np.linalg.eigvalsh((rhos + adj) / 2)[:, 0] >= -tol.zero_tol
+    ok = hermiticity_defect(rhos) <= tol.hermitian_tol
+    rhos = np.where(ok[:, None, None], rhos, 0)  # only finite states reach the sums below
+    with np.errstate(over="ignore"):
+        ok &= np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0) <= 1e-10
+    half = rhos / 2
+    ok &= np.linalg.eigvalsh(half + half.conj().transpose(0, 2, 1))[:, 0] >= -tol.zero_tol
     return ok
 
 

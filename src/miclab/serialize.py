@@ -74,7 +74,7 @@ def mic_to_document(mic: Mic) -> dict:
 def mic_from_document(doc: dict, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
     """Rebuild and fully validate a MIC from its document form.
 
-    dimension must be a JSON integer in 1..MAX_DIMENSION and effects an
+    dimension must be a JSON integer in 2..MAX_DIMENSION and effects an
     (N, d, d, 2) array of numbers; anything else raises ValueError.
     """
     if not isinstance(doc, dict):
@@ -84,8 +84,8 @@ def mic_from_document(doc: dict, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
         effects = doc["effects"]
     except KeyError as exc:
         raise ValueError(f"malformed MIC document: {exc}") from exc
-    if type(d) is not int or not 1 <= d <= MAX_DIMENSION:  # bool and float fail too
-        raise ValueError(f"dimension must be an integer in 1..{MAX_DIMENSION}, got {d!r}")
+    if type(d) is not int or not 2 <= d <= MAX_DIMENSION:  # bool and float fail too
+        raise ValueError(f"dimension must be an integer in 2..{MAX_DIMENSION}, got {d!r}")
     try:
         a = np.asarray(effects)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -177,6 +177,10 @@ def test_analyze_invalid_mic_content(tmp_path):
     '{"dimension": 1, "effects": [[[["1.0", "0"]]]]}',  # numbers as strings
     '{"dimension": 1, "effects": [[[[true, false]]]]}',
     '{"dimension": 1, "effects": [[[[true, 0]]]]}',  # numpy would read it as 1
+    '{"dimension": 2, "effects": [[[["1.0", 0], [0, 0]], [[0, 0], [1, 0]]]]}',
+    '{"dimension": 2, "effects": [[[[true, 0], [0, 0]], [[0, 0], [1, 0]]]]}',
+    '{"dimension": 2, "effects": [[[[null, 0], [0, 0]], [[0, 0], [1, 0]]]]}',
+    '{"dimension": 1, "effects": [[[[1.0, 0.0]]]]}',  # the one-effect d = 1 "MIC"
 ])
 def test_analyze_malformed_document_is_one_parse_error(tmp_path, text):
     out = tmp_path / "bad.json"
@@ -186,6 +190,15 @@ def test_analyze_malformed_document_is_one_parse_error(tmp_path, text):
     assert res.stdout == ""
     assert res.stderr.startswith("error: cannot load MIC document: ")
     assert res.stderr.count("\n") == 1
+
+
+def test_analyze_refuses_a_d1_document_on_its_dimension(tmp_path):
+    out = tmp_path / "d1.json"
+    out.write_text('{"dimension": 1, "effects": [[[[1.0, 0.0]]]]}')
+    res = run_cli("analyze", str(out))
+    assert res.returncode == 2
+    assert res.stderr == ("error: cannot load MIC document: "
+                          "dimension must be an integer in 2..32, got 1\n")
 
 
 # --------------------------------------------------------------- spectra

@@ -20,7 +20,14 @@ from miclab.ensembles import (
     spectra_study,
 )
 from miclab.constructions import wh_mic
-from miclab.errors import InvalidState, LinearlyDependent, SamplingExhausted, WrongDimension
+from miclab.errors import (
+    InvalidState,
+    LinearlyDependent,
+    NotHermitian,
+    NotPsd,
+    SamplingExhausted,
+    WrongDimension,
+)
 from miclab.povm import is_unbiased, rank1_mic_check
 from miclab.serialize import histogram_to_table
 
@@ -323,6 +330,24 @@ def test_covariant_spectra_match_the_dense_gram(kind, d):
     assert np.abs(fast - dense).max() <= 1e-12
 
 
+GENERIC = (MicKind.GENERIC_PSD, MicKind.GENERIC_RANK1)
+
+
+@pytest.mark.parametrize("kind", GENERIC)
+@pytest.mark.parametrize("d, n", [(2, 512), (3, 512), (4, 512), (5, 512), (5, 13)])
+def test_generic_spectra_match_the_dense_path_bitwise(kind, d, n):
+    # At seed 7, n = 512 holds natural first-draw refusals at d = 4 and 5,
+    # which take random_mic's path; every other sample passes every gate of
+    # the batched build.  At d = 5 a batch holds 6 samples, so n = 13 ends
+    # in a partial batch, as each 256-sample block does.
+    fast_gens = [_substream(7, i) for i in range(n)]
+    fast = ensembles._generic_spectra(kind, d, fast_gens, 0)
+    dense_gens = [_substream(7, i) for i in range(n)]
+    dense = np.array([np.linalg.eigvalsh(random_mic(kind, d, g).gram) for g in dense_gens])
+    assert fast.tobytes() == dense.tobytes()
+    assert [g.bytes(8) for g in fast_gens] == [g.bytes(8) for g in dense_gens]
+
+
 def _refusing_draw(monkeypatch, refuse):
     """Patch _draw so that draw number a of generator k is refused when
     refuse(k, a) names a gate.  "overlap" gives I/d, whose displacement
@@ -330,7 +355,12 @@ def _refusing_draw(monkeypatch, refuse):
     I/d, so its components of 1e-6 |c| pass the overlap gate and fail the
     rank gate.  "trace" doubles the draw, which no gate redraws: a covariant
     fiducial of trace 2 is an invalid state.  A generic basis gets the same
-    done to each element.
+    done to each element.  Two faults of a generic basis are not redrawn
+    either.  "negative" gives its first element an eigenvalue of -1e-3 times
+    its largest, keeping its trace positive: Omega stays positive definite,
+    and that element's effect is indefinite.  "skew" adds 1e-6 i K to the
+    first element and takes it from the second, K = |0><1| + |1><0|: Omega
+    stays Hermitian, and those two effects are not.
     Generators are numbered in order of first use, which is sample order in
     both paths; the patch returns the list of them."""
     real = ensembles._draw
@@ -348,6 +378,14 @@ def _refusing_draw(monkeypatch, refuse):
             return np.broadcast_to(np.eye(d) / d, out.shape).copy()
         if gate == "rank":
             return (1 - 1e-6) * np.eye(d) / d + 1e-6 * out
+        if gate == "negative":
+            w, v = np.linalg.eigh(out[0])
+            out = out.copy()
+            out[0] -= (w[0] + 1e-3 * w[-1]) * np.outer(v[:, 0], v[:, 0].conj())
+        if gate == "skew":
+            k = np.zeros((d, d))
+            k[0, 1] = k[1, 0] = 1e-6
+            out = out + np.array([1j * k, -1j * k] + [0 * k] * (len(out) - 2))
         return 2 * out if gate == "trace" else out
 
     monkeypatch.setattr(ensembles, "_draw", draw)
@@ -384,20 +422,24 @@ def test_redraws_match_the_dense_path(kind, monkeypatch):
     assert [g.bytes(8) for g in fast_gens] == [g.bytes(8) for g in dense_gens]
 
 
-@pytest.mark.parametrize("kind", COVARIANT)
+@pytest.mark.parametrize("kind", list(MicKind))
 def test_invalid_fiducial_raises_in_sample_order(kind, monkeypatch):
-    # the first fault in sample order wins, as it does one sample at a time
+    # the first fault in sample order wins, as it does one sample at a time:
+    # an invalid covariant fiducial or generic basis raises, a degenerate
+    # draw exhausts its sample
     def dense():
         for i in range(10):
             random_mic(kind, 2, _substream(3, i))
 
-    for gates, error in (({3: "trace"}, InvalidState),
-                         ({2: "overlap", 3: "trace"}, SamplingExhausted)):
-        for run in (dense, lambda: spectra_study(kind, 2, 10, Fraction(1, 200), seed=3)):
-            with monkeypatch.context() as m:
-                _refusing_draw(m, lambda k, attempt: gates.get(k))
-                with pytest.raises(error):
-                    run()
+    faults = ({"trace": InvalidState} if kind in COVARIANT
+              else {"negative": NotPsd, "skew": NotHermitian})
+    for bad, fault in faults.items():
+        for gates, error in (({3: bad}, fault), ({2: "overlap", 3: bad}, SamplingExhausted)):
+            for run in (dense, lambda: spectra_study(kind, 2, 10, Fraction(1, 200), seed=3)):
+                with monkeypatch.context() as m:
+                    _refusing_draw(m, lambda k, attempt: gates.get(k))
+                    with pytest.raises(error):
+                        run()
 
 
 @pytest.mark.parametrize("kind", list(MicKind))
@@ -409,7 +451,7 @@ def test_exhausted_sample_is_named(kind, monkeypatch):
     assert exc.value.attempts == ensembles.MAX_DRAW_ATTEMPTS
 
 
-@pytest.mark.parametrize("kind", [MicKind.WH_GENERIC, MicKind.GENERIC_PSD])
+@pytest.mark.parametrize("kind", list(MicKind))
 def test_blocks_sum_to_the_same_table_at_any_worker_count(kind):
     n = 600  # two whole blocks and a partial one
     assert n // BLOCK_SIZE == 2 and n % BLOCK_SIZE

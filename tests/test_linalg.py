@@ -127,6 +127,30 @@ def test_inv_sqrt_psd_rejects_singular():
         inv_sqrt_psd(np.diag([1.0, 0.0]))
 
 
+def test_finite_matrix_whose_adjoint_difference_overflows_is_not_hermitian():
+    # A - A^dagger overflows on the diagonal: defect inf, and no RuntimeWarning
+    a = np.array([[8.98846567431158e307j, 0.0], [0.0, 0.0]])
+    assert hermiticity_defect(a) == np.inf
+    assert hermiticity_defect(np.array([a, np.eye(2)])).tolist() == [np.inf, 0.0]
+    with pytest.raises(NotHermitian):
+        eigvalsh(a)
+    for bad in (np.nan, np.inf):
+        assert hermiticity_defect(np.array([[bad, 0.0], [0.0, 1.0]])) == np.inf
+
+
+def test_numerical_rank_on_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(6)
+    stack = rng.standard_normal((5, 4, 4))
+    stack[1, 3] = stack[1, 2]  # rank 3
+    stack[2] = 0.0  # rank 0
+    stack[3] = np.diag([1.0, 1e-3, 1e-12, 0.0])  # rank 2
+    ranks = numerical_rank(stack)
+    assert ranks.tolist() == [numerical_rank(m) for m in stack] == [4, 3, 0, 2, 4]
+    assert numerical_rank(stack.reshape(5, 2, 8)).shape == (5,)
+    with pytest.raises(ShapeMismatch):
+        numerical_rank(np.ones(3))
+
+
 def test_numerical_rank_with_relative_threshold():
     m = np.diag([1.0, 1e-3, 1e-12])
     assert numerical_rank(m) == 2

@@ -382,6 +382,24 @@ def test_batched_state_check_agrees_with_check_state(d):
     assert _valid_states(states, DEFAULT_TOL).tolist() == verdicts
 
 
+def test_finite_states_whose_sums_overflow_are_refused():
+    # rho - rho^dagger, rho + rho^dagger or the trace overflows: an
+    # InvalidState (or a False mask entry) and no RuntimeWarning
+    states = [np.array([[0.5, 1e308j], [-1e308j, 0.5]]),  # Hermitian, not PSD
+              np.array([[0.5, 1e308], [-1e308, 0.5]]),  # not Hermitian
+              np.diag([1e308, 1e308]).astype(complex)]  # trace inf
+    for rho in states:
+        with pytest.raises(InvalidState):
+            born_probabilities(rho, sic_mic(2))
+    assert not _valid_states(np.array(states), DEFAULT_TOL).any()
+
+
+def test_effects_whose_sum_overflows_do_not_sum_to_identity():
+    big = np.diag([1e308, 0.0])
+    with pytest.raises(SumNotIdentity):
+        validate_povm([big, big])
+
+
 NON_FINITE = [np.nan, np.inf, -np.inf]
 
 

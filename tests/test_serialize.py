@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from miclab.constructions import mic_from_psd_basis, sic_qubit
@@ -91,10 +91,18 @@ def test_mic_from_document_rejects_malformed():
         mic_from_document({"dimension": 2, "effects": [[[0.5, 0.0]]]})
     with pytest.raises(ValueError):
         mic_from_document([1, 2, 3])
-    # a valid d = 1 MIC but for the entry types: only JSON numbers are read
+    # only JSON numbers are read
     for entry in ("1.0", True, None):
+        grid = [[[entry, 0], [0, 0]], [[0, 0], [0.5, 0]]]
         with pytest.raises(ValueError, match="not numbers"):
-            mic_from_document({"dimension": 1, "effects": [[[[entry, 0]]]]})
+            mic_from_document({"dimension": 2, "effects": [grid]})
+
+
+def test_mic_from_document_requires_dimension_two_or_more():
+    # the one-effect d = 1 "MIC" is refused before any check runs
+    for d in (0, 1, 33):
+        with pytest.raises(ValueError, match="dimension must be an integer in 2..32"):
+            mic_from_document({"dimension": d, "effects": [[[[1.0, 0.0]]]]})
 
 
 # what json.loads can return: 1e400 reads as inf and NaN as nan
@@ -115,7 +123,12 @@ def effect_grids(d):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 3) | JSON_VALUES, JSON_VALUES | st.integers(1, 2).flatmap(effect_grids))
+@given(st.integers(0, 3) | JSON_VALUES, JSON_VALUES | st.integers(2, 3).flatmap(effect_grids))
+# finite entries whose A - A^dagger or whose effect sum overflows: a typed
+# error and no RuntimeWarning
+@example(1, [[[[0, 8.98846567431158e+307]]]])
+@example(2, [[[[0, 8.98846567431158e+307], [0, 0]], [[0, 0], [0, 0]]]])
+@example(2, [[[[1e308, 0], [0, 0]], [[0, 0], [0, 0]]]] * 2)
 def test_mic_from_document_raises_only_typed_errors(dimension, effects):
     try:
         assert isinstance(mic_from_document({"dimension": dimension, "effects": effects}), Mic)
