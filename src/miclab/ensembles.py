@@ -18,25 +18,42 @@ substreams, so results are reproducible bit for bit at any worker count.
 The study runs in fixed blocks of BLOCK_SIZE = 256 samples, which are
 also the pool's tasks; each block's eigenvalues are binned with one
 bincount and its counts added to the total, so memory does not grow with
-the number of samples.  A covariant sample never becomes a Mic: the WH
-group diagonalizes the Gram matrix of an orbit, whose spectrum is
+the number of samples.
+
+A block's substreams are seeded at once.  Sample i's stream is
+default_rng(SeedSequence([seed, i])), and for seed and i below 2^32 both
+are one entropy word, so numpy's SeedSequence hash (mix_entropy, then
+generate_state(4, uint64)) is fixed uint32 arithmetic on them; it runs as
+array operations over the whole block, followed by PCG64's seeding, two
+steps of its 128-bit LCG, per sample.  Both are restated from numpy and
+frozen by NEP 19's stream policy, and a test compares the states with
+numpy's.  A larger seed or index is several entropy words, and a negative
+seed numpy refuses, so those substreams are seeded by numpy itself.  Each
+state is set on one reused Generator, which reads only that sample's
+standard_normal block; the rest of the draw math runs once per block, or
+per batch of a generic block.  A sample whose first draw is refused is
+re-seeded with numpy, re-reads its first draw, and goes on through
+random_mic's redraw loop, which hands back the accepted draw and its MIC.
+
+A sample becomes a Mic only if its first draw is refused.  The WH group
+diagonalizes the Gram matrix of an orbit, whose spectrum is
 {|tr(D_kl^dagger rho)|^2 / d}, the fiducial's d^2 displacement
-components.  A block's fiducials pass one batched check of the rules
-wh_mic applies to rho (finite, Hermitian, unit trace, PSD), which is all
-the orbit's validation needs: a valid rho makes every effect
+components.  A covariant block's fiducials pass one batched check of the
+rules wh_mic applies to rho (finite, Hermitian, unit trace, PSD), which is
+all the orbit's validation needs: a valid rho makes every effect
 D rho D^dagger / d PSD and the orbit sum to the identity.  random_mic's
-redraw rules then read off the components, and a refused sample is
-redrawn on its own generator.  A generic sample never becomes a Mic
-either: a block runs in batches of at most BATCH_ENTRIES // d^4 samples,
-and each batch runs every stage of mic_from_psd_basis and of its
-validation once, each gate with the build's own comparison, then one
-eigvalsh.  A sample whose first draw a gate refuses goes on through
-random_mic's rules, that draw first, on its own generator.
+redraw rules are then read off the components.  A generic block runs in
+batches of at most BATCH_ENTRIES // d^4 samples, and each batch runs every
+stage of mic_from_psd_basis and of its validation once, each gate with the
+build's own comparison, then one eigvalsh, whose |eigenvalues| are the
+Gram's singular values: the rank SVD runs only where they lie near
+rank_tol.
 
 Every draw is one standard_normal block: haar_pure_states reads n vectors
 from an (n, 2, d) block, real then imaginary parts, and gue_psd_samples n
 matrices from an (n, 2 d^2 + d) block, rows x | y | diagonal.  A block holds
-n single draws in stream order, so it matches them bit for bit.
+n single draws in stream order, so it matches them bit for bit, and so
+does a stack of blocks read from n streams.
 """
 
 from __future__ import annotations
@@ -65,7 +82,7 @@ from .errors import (
     WrongDimension,
 )
 from .linalg import hermiticity_defect, numerical_rank
-from .povm import Mic, _check_state, _valid_states
+from .povm import Mic, _valid_states
 
 MAX_DRAW_ATTEMPTS = 100
 # samples per block: spectra_study batches, bins and hands out work in blocks
@@ -83,6 +100,10 @@ class MicKind(Enum):
     WH_RANK1 = "wh-rank1"
 
 
+_GENERIC = (MicKind.GENERIC_PSD, MicKind.GENERIC_RANK1)
+_GAUSSIAN = (MicKind.GENERIC_PSD, MicKind.WH_GENERIC)  # drawn by gue_psd_samples
+
+
 def haar_pure_states(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """n Haar-random unit vectors in C^d, as an (n, d) array.
 
@@ -91,7 +112,11 @@ def haar_pure_states(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
-    x = rng.standard_normal((n, 2, d))
+    return _haar_from_normals(rng.standard_normal((n, 2, d)))
+
+
+def _haar_from_normals(x: np.ndarray) -> np.ndarray:
+    # haar_pure_states from its (n, 2, d) standard_normal block
     v = x[:, 0] + 1j * x[:, 1]
     # np.linalg.norm of one vector is two dot products over its strided real
     # and imaginary views; contiguous sums round differently from d = 4 on
@@ -110,8 +135,12 @@ def gue_psd_samples(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
-    k = d * d
-    z = rng.standard_normal((n, 2 * k + d))
+    return _gue_from_normals(rng.standard_normal((n, 2 * d * d + d)), d)
+
+
+def _gue_from_normals(z: np.ndarray, d: int) -> np.ndarray:
+    # gue_psd_samples from its (n, 2 d^2 + d) standard_normal block
+    n, k = len(z), d * d
     a = (z[:, :k] + 1j * z[:, k:2 * k]).reshape(n, d, d) / sqrt(2.0)
     m = (a + a.conj().transpose(0, 2, 1)) / 2.0
     m.reshape(n, k)[:, ::d + 1] = z[:, 2 * k:]
@@ -119,16 +148,33 @@ def gue_psd_samples(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return (p + p.conj().transpose(0, 2, 1)) / 2.0
 
 
-def _draw(kind: MicKind, d: int, rng: np.random.Generator) -> np.ndarray:
-    # one block: the (d^2, d, d) basis of a generic kind, the (d, d) fiducial of a covariant one
-    if kind is MicKind.GENERIC_PSD:
-        return gue_psd_samples(d * d, d, rng)
+def _normals_shape(kind: MicKind, d: int) -> tuple:
+    # the standard_normal block of one draw: d^2 samplers' rows for a generic
+    # kind, one for a covariant one
+    rows = d * d if kind in _GENERIC else 1
+    if kind in _GAUSSIAN:
+        return rows, 2 * d * d + d
+    return rows, 2, d
+
+
+def _draws(kind: MicKind, d: int, z: np.ndarray) -> np.ndarray:
+    # the draws of a stack of standard_normal blocks of _normals_shape(kind, d):
+    # (s, d^2, d, d) bases of a generic kind, (s, d, d) fiducials of a covariant one
+    s = len(z)
+    z = z.reshape(-1, *z.shape[2:])
+    if kind in _GAUSSIAN:
+        p = _gue_from_normals(z, d)
+    else:
+        v = _haar_from_normals(z)
+        p = v[:, :, None] * v.conj()[:, None, :]
     if kind is MicKind.WH_GENERIC:
-        p = gue_psd_samples(1, d, rng)[0]
-        return p / np.trace(p).real
-    v = haar_pure_states(d * d if kind is MicKind.GENERIC_RANK1 else 1, d, rng)
-    p = v[:, :, None] * v.conj()[:, None, :]
-    return p if kind is MicKind.GENERIC_RANK1 else p[0]
+        return p / np.trace(p, axis1=1, axis2=2).real[:, None, None]
+    return p.reshape(s, d * d, d, d) if kind in _GENERIC else p
+
+
+def _draw(kind: MicKind, d: int, rng: np.random.Generator) -> np.ndarray:
+    # one draw from rng: the (d^2, d, d) basis of a generic kind, the (d, d) fiducial of a covariant one
+    return _draws(kind, d, rng.standard_normal((1, *_normals_shape(kind, d))))[0]
 
 
 def random_mic(kind: MicKind, d: int, rng: np.random.Generator,
@@ -140,20 +186,102 @@ def random_mic(kind: MicKind, d: int, rng: np.random.Generator,
     same stream, up to MAX_DRAW_ATTEMPTS times.
     """
     kind = MicKind(kind)
-    return _redrawn_mic(kind, d, rng, _draw(kind, d, rng), tol)
+    return _redrawn(kind, d, rng, _draw(kind, d, rng), tol)[1]
 
 
-def _redrawn_mic(kind: MicKind, d: int, rng: np.random.Generator, draw: np.ndarray,
-                 tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
-    # random_mic's MIC when draw is its first draw from rng
+def _redrawn(kind: MicKind, d: int, rng: np.random.Generator, draw: np.ndarray,
+             tol: ToleranceConfig = DEFAULT_TOL) -> tuple:
+    # random_mic's accepted draw and its MIC when draw is its first draw from rng
     for attempt in range(MAX_DRAW_ATTEMPTS):
         if attempt:
             draw = _draw(kind, d, rng)
         try:
-            return mic_from_psd_basis(draw, tol) if draw.ndim == 3 else wh_mic(draw, tol=tol)
+            return draw, (mic_from_psd_basis(draw, tol) if draw.ndim == 3
+                          else wh_mic(draw, tol=tol))
         except (LinearlyDependent, DegenerateFiducial):
             continue
     raise SamplingExhausted(kind.value, d, MAX_DRAW_ATTEMPTS)
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    # the first n values of SeedSequence's running hash constant
+    out = [init]
+    for _ in range(n - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)
+
+
+# numpy's SeedSequence and PCG64 seeding, restated for (seed, i) entropy of two
+# words (numpy/random/bit_generator.pyx and pcg64.c, frozen by NEP 19): the
+# constants of mix_entropy's 16 hashmix calls and of generate_state's 8 words,
+# mix's two multipliers, and the 128-bit LCG multiplier of PCG64
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK_128 = (1 << 128) - 1
+
+
+def _hashmix(v: np.ndarray, j: int) -> np.ndarray:
+    # SeedSequence's hashmix of uint32 words v, as its j-th call
+    v = (v ^ _HASH_A[j]) * _HASH_A[j + 1]
+    return v ^ v >> 16
+
+
+def _substream_states(seed: int, start: int, stop: int) -> list:
+    """PCG64 (state, inc) of default_rng(SeedSequence([seed, i])) for i in start..stop-1.
+
+    With seed and every i below 2^32, each is one entropy word, and the
+    whole range is hashed at once as uint32 arrays, by numpy's rules.  Any
+    other seed (a larger one, or one numpy refuses) or index is left to
+    numpy itself.
+    """
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 32 and stop <= 2 ** 32):
+        out = []
+        for i in range(start, stop):
+            st = np.random.PCG64(np.random.SeedSequence([seed, i])).state["state"]
+            out.append((st["state"], st["inc"]))
+        return out
+    n = stop - start
+    entropy = (np.full(n, seed, dtype=np.uint32), np.arange(start, stop, dtype=np.uint32),
+               np.zeros(n, dtype=np.uint32), np.zeros(n, dtype=np.uint32))
+    # mix_entropy: hash the pool, then mix each word into every other one
+    pool = [_hashmix(v, j) for j, v in enumerate(entropy)]
+    j = len(pool)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                r = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], j)
+                pool[dst] = r ^ r >> 16
+                j += 1
+    # generate_state(4, np.uint64): 8 words cycled from the pool, paired low | high
+    words = []
+    for j in range(8):
+        v = (pool[j % 4] ^ _HASH_B[j]) * _HASH_B[j + 1]
+        words.append((v ^ v >> 16).astype(np.uint64))
+    seeds = [(words[2 * j] | words[2 * j + 1] << 32).tolist() for j in range(4)]
+    out = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*seeds):
+        # pcg_setseq_128_srandom_r: inc = initseq << 1 | 1, step, += initstate, step
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK_128
+        out.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK_128, inc))
+    return out
+
+
+def _first_draws(kind: MicKind, d: int, states: list) -> np.ndarray:
+    """The first draws of the substreams at the given PCG64 (state, inc), as one stack.
+
+    Each state is set on one Generator, which reads that sample's
+    standard_normal block; the draw math then runs once on the stack.
+    """
+    z = np.empty((len(states), *_normals_shape(kind, d)))
+    reader = np.random.Generator(np.random.PCG64(0))
+    bits = reader.bit_generator
+    for j, (state, inc) in enumerate(states):
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        reader.standard_normal(out=z[j])
+    return _draws(kind, d, z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,29 +353,6 @@ def _orbit_spectrum(rho: np.ndarray):
     return eigs, kept
 
 
-def _covariant_spectra(kind: MicKind, d: int, rngs: list, start: int) -> np.ndarray:
-    """Gram spectra of one block of covariant samples, one (unsorted) row each.
-
-    The fiducials' state check and spectra are batched; a sample whose first
-    draw is refused goes on through random_mic's rules on its own generator.
-    """
-    rhos = np.array([_draw(kind, d, rng) for rng in rngs])
-    eigs, ok = _orbit_spectrum(rhos)
-    ok &= _valid_states(rhos, DEFAULT_TOL)
-    for j in np.flatnonzero(~ok):
-        rho = rhos[j]
-        for attempt in range(MAX_DRAW_ATTEMPTS):
-            if attempt:
-                rho = _draw(kind, d, rngs[j])
-            _check_state(rho, d, DEFAULT_TOL)  # an invalid fiducial raises, as in wh_mic
-            eigs[j], kept = _orbit_spectrum(rho)
-            if kept:
-                break
-        else:
-            raise SamplingExhausted(kind.value, d, MAX_DRAW_ATTEMPTS, sample_index=start + j)
-    return eigs
-
-
 def _squash_spectra(a: np.ndarray):
     """Gram spectra of mic_from_psd_basis(a[j]) for each basis of an (s, d^2, d, d)
     stack, one ascending row each, and the mask of the bases that build keeps.
@@ -277,39 +382,56 @@ def _squash_spectra(a: np.ndarray):
     g = np.einsum("siab,sjba->sij", e, e)
     kept &= np.abs(g.imag).max(axis=(1, 2)) <= tol.zero_tol
     g = (g.real + g.real.swapaxes(1, 2)) / 2
-    kept &= numerical_rank(g, tol) == n
-    return np.linalg.eigvalsh(g), kept
+    eigs = np.linalg.eigvalsh(g)
+    # the singular values of the symmetric g are |eigs|, so its rank is full
+    # wherever min |eigs| clears rank_tol by a factor of 1e3, far beyond any
+    # rounding between the two; numerical_rank decides the rest
+    s_abs = np.abs(eigs)
+    near = kept & ~(s_abs.min(axis=1) > 1e3 * tol.rank_tol * s_abs.max(axis=1))
+    if near.any():
+        kept[near] = numerical_rank(g[near], tol) == n
+    return eigs, kept
 
 
-def _generic_spectra(kind: MicKind, d: int, rngs: list, start: int) -> np.ndarray:
-    """Gram spectra of one block of generic samples, one ascending row each.
+def _block_spectra(kind: MicKind, d: int, start: int, stop: int, seed: int) -> np.ndarray:
+    """Gram spectra of samples start..stop-1, one row each, on their (seed, i) substreams.
 
-    The block runs in batches of at most BATCH_ENTRIES // d^4 samples, so a
-    batch's bases hold at most BATCH_ENTRIES entries; a sample whose first
-    draw is refused goes on through random_mic's rules on its own generator.
+    The block's substreams are seeded at once.  A covariant block's first
+    draws are read and checked together, and each spectrum comes from the
+    fiducial's displacement components, unsorted.  A generic block is read
+    and squashed in batches of at most BATCH_ENTRIES // d^4 samples, so a
+    batch's bases hold at most BATCH_ENTRIES entries; its rows are
+    ascending.  A sample whose first draw is refused goes on through
+    random_mic's rules.
     """
-    eigs = np.empty((len(rngs), d * d))
-    step = max(1, BATCH_ENTRIES // d ** 4)
-    for lo in range(0, len(rngs), step):
-        batch = rngs[lo:lo + step]
-        draws = np.array([_draw(kind, d, rng) for rng in batch])
-        eigs[lo:lo + len(batch)], kept = _squash_spectra(draws)
+    states = _substream_states(seed, start, stop)
+    if kind not in _GENERIC:
+        rhos = _first_draws(kind, d, states)
+        eigs, kept = _orbit_spectrum(rhos)
+        kept &= _valid_states(rhos, DEFAULT_TOL)
         for j in np.flatnonzero(~kept):
-            try:
-                mic = _redrawn_mic(kind, d, batch[j], draws[j])
-            except SamplingExhausted as exc:
-                raise SamplingExhausted(exc.kind, exc.d, exc.attempts,
-                                        sample_index=start + lo + j)
+            rho = _redraw(kind, d, seed, start + j, rhos[j])[0]
+            eigs[j] = _orbit_spectrum(rho)[0]
+        return eigs
+    eigs = np.empty((stop - start, d * d))
+    step = max(1, BATCH_ENTRIES // d ** 4)
+    for lo in range(0, stop - start, step):
+        draws = _first_draws(kind, d, states[lo:lo + step])
+        eigs[lo:lo + len(draws)], kept = _squash_spectra(draws)
+        for j in np.flatnonzero(~kept):
+            mic = _redraw(kind, d, seed, start + lo + j, draws[j])[1]
             eigs[lo + j] = np.linalg.eigvalsh(mic.gram)
     return eigs
 
 
-def _block_spectra(kind: MicKind, d: int, start: int, stop: int, seed: int) -> np.ndarray:
-    """Gram spectra of samples start..stop-1, one row each, on their (seed, i) substreams."""
-    rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(start, stop)]
-    if kind in (MicKind.WH_GENERIC, MicKind.WH_RANK1):
-        return _covariant_spectra(kind, d, rngs, start)
-    return _generic_spectra(kind, d, rngs, start)
+def _redraw(kind: MicKind, d: int, seed: int, i: int, draw: np.ndarray) -> tuple:
+    # random_mic's accepted draw and MIC for sample i, when draw is its refused first draw
+    rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+    rng.standard_normal(_normals_shape(kind, d))  # the first draw, read in the block
+    try:
+        return _redrawn(kind, d, rng, draw)
+    except SamplingExhausted as exc:
+        raise SamplingExhausted(exc.kind, exc.d, exc.attempts, sample_index=i)
 
 
 def _count_block(start: int, kind_value: str, d: int, seed: int, n_samples: int,

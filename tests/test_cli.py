@@ -4,10 +4,15 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from numpy.random import SeedSequence, default_rng
 
 from miclab import cli
+from miclab.ensembles import MicKind, SpectraHistogram, random_mic
+from miclab.serialize import histogram_to_table
 
 CLI = [sys.executable, "-m", "miclab"]
 
@@ -220,6 +225,30 @@ def test_spectra_prints_plateau_for_d3(tmp_path):
     assert "plateau_metric" in res.stdout
     header = out.read_text().split("\n")[0]
     assert header == "kind,d,bin_left,bin_right,count"
+
+
+def test_spectra_negative_seed_exits_2():
+    res = run_cli("spectra", "wh", "--d", "2", "--n", "3", "--seed=-1")
+    assert res.returncode == 2
+    assert res.stderr == "error: expected non-negative integer\n"
+
+
+@pytest.mark.parametrize("kind", ["wh", "generic"])
+def test_spectra_seed_beyond_one_word_matches_per_sample_draws(kind, tmp_path):
+    # a seed of 2^40 is two entropy words: numpy seeds its substreams, and
+    # the table is the histogram of random_mic on each of them
+    seed, n = 1099511627776, 20
+    out = tmp_path / "t.csv"
+    res = run_cli("spectra", kind, "--d", "2", "--n", str(n), f"--seed={seed}", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    eigs = np.array([
+        np.linalg.eigvalsh(random_mic(MicKind(kind), 2, default_rng(SeedSequence([seed, i]))).gram)
+        for i in range(n)])
+    counts = np.bincount(np.clip(np.floor(eigs * 200).astype(np.int64), 0, 99).ravel(),
+                         minlength=100)
+    hist = SpectraHistogram(kind=MicKind(kind), d=2, bin_width=Fraction(1, 200),
+                            counts=counts, n_samples=n, seed=seed)
+    assert out.read_text(encoding="utf-8") == histogram_to_table(hist)
 
 
 @pytest.mark.parametrize("d", [6, 7])

@@ -19,7 +19,7 @@ from miclab.ensembles import (
     random_mic,
     spectra_study,
 )
-from miclab.constructions import wh_mic
+from miclab.constructions import mic_from_psd_basis, wh_mic
 from miclab.errors import (
     InvalidState,
     LinearlyDependent,
@@ -332,48 +332,70 @@ def test_covariant_spectra_match_the_dense_gram(kind, d):
 
 GENERIC = (MicKind.GENERIC_PSD, MicKind.GENERIC_RANK1)
 
+# the samples of seed 7, n = 512 whose first draw a gate of the build refuses
+NATURAL_REFUSALS = {
+    (MicKind.GENERIC_PSD, 5): [13, 14, 183, 482],
+    (MicKind.GENERIC_RANK1, 4): [170],
+    (MicKind.GENERIC_RANK1, 5): [258],
+}
+
 
 @pytest.mark.parametrize("kind", GENERIC)
 @pytest.mark.parametrize("d, n", [(2, 512), (3, 512), (4, 512), (5, 512), (5, 13)])
-def test_generic_spectra_match_the_dense_path_bitwise(kind, d, n):
+def test_generic_spectra_match_the_dense_path_bitwise(kind, d, n, monkeypatch):
     # At seed 7, n = 512 holds natural first-draw refusals at d = 4 and 5,
     # which take random_mic's path; every other sample passes every gate of
     # the batched build.  At d = 5 a batch holds 6 samples, so n = 13 ends
-    # in a partial batch, as each 256-sample block does.
-    fast_gens = [_substream(7, i) for i in range(n)]
-    fast = ensembles._generic_spectra(kind, d, fast_gens, 0)
+    # in a partial batch, as each 256-sample block does.  The block path
+    # makes a generator only for a refused sample, and leaves it where
+    # random_mic leaves that sample's.
+    with monkeypatch.context() as m:
+        fast_gens = _refusing_draw(m, lambda k, attempt: None, 7, n)
+        fast = ensembles._block_spectra(kind, d, 0, n, 7)
     dense_gens = [_substream(7, i) for i in range(n)]
     dense = np.array([np.linalg.eigvalsh(random_mic(kind, d, g).gram) for g in dense_gens])
     assert fast.tobytes() == dense.tobytes()
-    assert [g.bytes(8) for g in fast_gens] == [g.bytes(8) for g in dense_gens]
+    assert sorted(fast_gens) == [i for i in NATURAL_REFUSALS.get((kind, d), []) if i < n]
+    assert [g.bytes(8) for g in fast_gens.values()] == [dense_gens[k].bytes(8) for k in fast_gens]
 
 
-def _refusing_draw(monkeypatch, refuse):
-    """Patch _draw so that draw number a of generator k is refused when
-    refuse(k, a) names a gate.  "overlap" gives I/d, whose displacement
-    components all vanish; "rank" moves the draw to 1e-6 of the way from
-    I/d, so its components of 1e-6 |c| pass the overlap gate and fail the
-    rank gate.  "trace" doubles the draw, which no gate redraws: a covariant
-    fiducial of trace 2 is an invalid state.  A generic basis gets the same
-    done to each element.  Two faults of a generic basis are not redrawn
-    either.  "negative" gives its first element an eigenvalue of -1e-3 times
-    its largest, keeping its trace positive: Omega stays positive definite,
-    and that element's effect is indefinite.  "skew" adds 1e-6 i K to the
-    first element and takes it from the second, K = |0><1| + |1><0|: Omega
-    stays Hermitian, and those two effects are not.
-    Generators are numbered in order of first use, which is sample order in
-    both paths; the patch returns the list of them."""
-    real = ensembles._draw
-    gens, index, draws = [], {}, []
+def _refusing_draw(monkeypatch, refuse, seed, n):
+    """Patch the draws of samples 0..n-1 of seed's substreams so that draw
+    number a of sample k is refused when refuse(k, a) names a gate.
+    "overlap" gives I/d, whose displacement components all vanish; "rank"
+    moves the draw to 1e-6 of the way from I/d, so its components of
+    1e-6 |c| pass the overlap gate and fail the rank gate.  "trace" doubles
+    the draw, which no gate redraws: a covariant fiducial of trace 2 is an
+    invalid state.  A generic basis gets the same done to each element.  Two
+    faults of a generic basis are not redrawn either.  "negative" gives its
+    first element an eigenvalue of -1e-3 times its largest, keeping its trace
+    positive: Omega stays positive definite, and that element's effect is
+    indefinite.  "skew" adds 1e-6 i K to the first element and takes it from
+    the second, K = |0><1| + |1><0|: Omega stays Hermitian, and those two
+    effects are not.
+    Both seams are patched: _first_draws, which reads a block's first draws
+    at their substreams' PCG64 states, and _draw, which reads one draw from
+    a generator.  A sample is told by the state it is read at: its
+    substream's initial state, or the state after its first draw, where the
+    block path's redraw generator starts.  The patch returns the generators
+    _draw meets, by sample."""
+    real_draw, real_first = ensembles._draw, ensembles._first_draws
+    gens, index, draws, samples = {}, {}, {}, {}
 
-    def draw(kind, d, rng):
-        out = real(kind, d, rng)
-        k = index.setdefault(id(rng), len(gens))  # gens keeps every id unique
-        if k == len(gens):
-            gens.append(rng)
-            draws.append(0)
-        draws[k] += 1
-        gate = refuse(k, draws[k] - 1)
+    def sample_at(kind, d):
+        # (state, inc) -> (sample, draws read before it)
+        if (kind, d) not in samples:
+            at = samples[kind, d] = {}
+            for k in range(n):
+                g = _substream(seed, k)
+                for done in (0, 1):
+                    st = g.bit_generator.state["state"]
+                    at[st["state"], st["inc"]] = (k, done)
+                    g.standard_normal(ensembles._normals_shape(kind, d))
+        return samples[kind, d]
+
+    def fault(k, attempt, out, d):
+        gate = refuse(k, attempt)
         if gate == "overlap":
             return np.broadcast_to(np.eye(d) / d, out.shape).copy()
         if gate == "rank":
@@ -383,11 +405,26 @@ def _refusing_draw(monkeypatch, refuse):
             out = out.copy()
             out[0] -= (w[0] + 1e-3 * w[-1]) * np.outer(v[:, 0], v[:, 0].conj())
         if gate == "skew":
-            k = np.zeros((d, d))
-            k[0, 1] = k[1, 0] = 1e-6
-            out = out + np.array([1j * k, -1j * k] + [0 * k] * (len(out) - 2))
+            kk = np.zeros((d, d))
+            kk[0, 1] = kk[1, 0] = 1e-6
+            out = out + np.array([1j * kk, -1j * kk] + [0 * kk] * (len(out) - 2))
         return 2 * out if gate == "trace" else out
 
+    def first_draws(kind, d, states):
+        at = sample_at(kind, d)
+        return np.array([fault(at[st][0], 0, out, d)
+                         for st, out in zip(states, real_first(kind, d, states))])
+
+    def draw(kind, d, rng):
+        if id(rng) not in index:  # gens keeps every id unique
+            st = rng.bit_generator.state["state"]
+            k, draws[k] = sample_at(kind, d)[st["state"], st["inc"]]
+            index[id(rng)], gens[k] = k, rng
+        k = index[id(rng)]
+        draws[k] += 1
+        return fault(k, draws[k] - 1, real_draw(kind, d, rng), d)
+
+    monkeypatch.setattr(ensembles, "_first_draws", first_draws)
     monkeypatch.setattr(ensembles, "_draw", draw)
     return gens
 
@@ -412,14 +449,16 @@ def test_redraws_match_the_dense_path(kind, monkeypatch):
         return None
 
     with monkeypatch.context() as m:
-        fast_gens = _refusing_draw(m, refuse)
+        fast_gens = _refusing_draw(m, refuse, seed, n)
         fast = spectra_study(kind, d, n, Fraction(1, 198), seed).counts
     with monkeypatch.context() as m:
-        dense_gens = _refusing_draw(m, refuse)
+        dense_gens = _refusing_draw(m, refuse, seed, n)
         dense = _dense_counts(kind, d, n, seed, n_bins)
     assert np.array_equal(fast, dense)
-    assert len(fast_gens) == len(dense_gens) == n
-    assert [g.bytes(8) for g in fast_gens] == [g.bytes(8) for g in dense_gens]
+    # the block path makes a generator for each refused sample only
+    assert sorted(fast_gens) == [k for k in range(n) if k % 7 in (0, 1)]
+    assert sorted(dense_gens) == list(range(n))
+    assert [g.bytes(8) for g in fast_gens.values()] == [dense_gens[k].bytes(8) for k in fast_gens]
 
 
 @pytest.mark.parametrize("kind", list(MicKind))
@@ -437,18 +476,121 @@ def test_invalid_fiducial_raises_in_sample_order(kind, monkeypatch):
         for gates, error in (({3: bad}, fault), ({2: "overlap", 3: bad}, SamplingExhausted)):
             for run in (dense, lambda: spectra_study(kind, 2, 10, Fraction(1, 200), seed=3)):
                 with monkeypatch.context() as m:
-                    _refusing_draw(m, lambda k, attempt: gates.get(k))
+                    _refusing_draw(m, lambda k, attempt: gates.get(k), 3, 10)
                     with pytest.raises(error):
                         run()
 
 
 @pytest.mark.parametrize("kind", list(MicKind))
 def test_exhausted_sample_is_named(kind, monkeypatch):
-    _refusing_draw(monkeypatch, lambda k, attempt: "overlap" if k == 270 else None)
-    with pytest.raises(SamplingExhausted) as exc:
-        spectra_study(kind, 2, 300, Fraction(1, 200), seed=3)
+    refuse = lambda k, attempt: "overlap" if k == 270 else None  # noqa: E731
+    with monkeypatch.context() as m:
+        fast_gens = _refusing_draw(m, refuse, 3, 300)
+        with pytest.raises(SamplingExhausted) as exc:
+            spectra_study(kind, 2, 300, Fraction(1, 200), seed=3)
     assert exc.value.sample_index == 270
     assert exc.value.attempts == ensembles.MAX_DRAW_ATTEMPTS
+    # the redraw generator starts one draw in, so it ends where random_mic's
+    # does, MAX_DRAW_ATTEMPTS draws in
+    with monkeypatch.context() as m:
+        dense_gens = _refusing_draw(m, refuse, 3, 300)
+        with pytest.raises(SamplingExhausted):
+            random_mic(kind, 2, _substream(3, 270))
+    assert fast_gens[270].bytes(8) == dense_gens[270].bytes(8)
+
+
+def _numpy_states(seed, start, stop):
+    out = []
+    for i in range(start, stop):
+        st = _substream(seed, i).bit_generator.state["state"]
+        out.append((st["state"], st["inc"]))
+    return out
+
+
+def test_block_seeding_matches_numpy(monkeypatch):
+    # the restated SeedSequence hash and PCG64 seeding must give numpy's own
+    # states; if numpy ever changes its seeding, this fails
+    rs = np.random.default_rng(2024)
+    seeds = [0, 1, 7, 2 ** 32 - 1, *rs.integers(0, 2 ** 32, 4).tolist()]
+    ranges = [(0, 64), (2 ** 32 - 64, 2 ** 32)]
+    ranges += [(i, i + 1) for i in rs.integers(0, 2 ** 32, 40).tolist()]
+    for seed in seeds:
+        for start, stop in ranges:
+            want = _numpy_states(seed, start, stop)
+            with monkeypatch.context() as m:
+                m.setattr(np.random, "SeedSequence", None)  # no numpy seeding on this path
+                assert ensembles._substream_states(seed, start, stop) == want, (seed, start)
+
+
+def test_seeds_beyond_one_word_are_left_to_numpy():
+    # a seed or index of 2^32 or more is more than one entropy word
+    for seed, start, stop in ((2 ** 32, 0, 3), (2 ** 40, 5, 8), (7, 2 ** 32 - 2, 2 ** 32 + 2)):
+        assert ensembles._substream_states(seed, start, stop) == _numpy_states(seed, start, stop)
+
+
+def test_negative_seed_is_refused_as_numpy_refuses_it():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        spectra_study(MicKind.WH_RANK1, 2, 3, Fraction(1, 200), seed=-1)
+
+
+@pytest.mark.parametrize("kind", GENERIC)
+@pytest.mark.parametrize("d", [2, 3])
+def test_gram_rank_near_the_threshold_is_decided_by_svd(kind, d, monkeypatch):
+    # A basis whose last element is a0 + a1 + eps x is nearly dependent: its
+    # MIC Gram's least eigenvalue falls as eps^2, so a sweep of eps crosses
+    # rank_tol.  Where min |eig| comes within 1e3 of the threshold, the
+    # Gram's SVD decides, and the decision is the single build's.
+    calls = []
+    real = ensembles.numerical_rank
+
+    def rank(a, tol):
+        calls.append(len(a))
+        return real(a, tol)
+
+    monkeypatch.setattr(ensembles, "numerical_rank", rank)
+    a = ensembles._draw(kind, d, np.random.default_rng(1))
+    x = ensembles._draw(kind, d, np.random.default_rng(2))[0]
+    outcomes = set()
+    for eps in np.logspace(-2, -4, 9):
+        b = a.copy()
+        b[-1] = a[0] + a[1] + eps * x
+        calls.clear()
+        kept = ensembles._squash_spectra(b[None])[1][0]
+        try:
+            mic_from_psd_basis(b)
+            built = True
+        except LinearlyDependent:
+            built = False
+        assert kept == built, eps
+        if kept:  # past the basis gate; the MIC Gram's rank went to the SVD
+            assert calls == [1, 1], eps
+        outcomes.add(bool(kept))
+    assert outcomes == {True, False}
+    # far from the threshold the eigenvalues decide, with no second SVD
+    calls.clear()
+    draws = np.array([ensembles._draw(kind, d, _substream(7, i)) for i in range(6)])
+    assert ensembles._squash_spectra(draws)[1].all()
+    assert calls == [6]
+
+
+@pytest.mark.parametrize("kind", COVARIANT)
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_covariant_rows_sum_to_the_fiducial_purity(kind, d, monkeypatch):
+    # tr G = sum_kl |tr(D_kl^dagger rho)|^2 / d = tr rho^2: 1 for a pure
+    # fiducial.  Sample 3's first draw is refused, so its row comes from the
+    # redraw path; rho is d E_00 of random_mic's MIC, as D_00 = I.
+    n, seed = 12, 5
+    refuse = lambda k, attempt: "overlap" if (k, attempt) == (3, 0) else None  # noqa: E731
+    with monkeypatch.context() as m:
+        redrawn = _refusing_draw(m, refuse, seed, n)
+        sums = ensembles._block_spectra(kind, d, 0, n, seed).sum(axis=1)
+    assert sorted(redrawn) == [3]
+    with monkeypatch.context() as m:
+        _refusing_draw(m, refuse, seed, n)
+        rhos = [d * random_mic(kind, d, _substream(seed, i)).matrices()[0] for i in range(n)]
+    purity = np.array([np.vdot(rho, rho).real for rho in rhos])
+    want = np.ones(n) if kind is MicKind.WH_RANK1 else purity
+    assert np.abs(sums - want).max() <= 1e-13
 
 
 @pytest.mark.parametrize("kind", list(MicKind))
