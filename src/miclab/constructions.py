@@ -117,17 +117,13 @@ def _displacement_basis(d: int) -> np.ndarray:
     return _frozen(ops)
 
 
-# wh_mic's default overlap_tol, the one the random covariant kinds use
-_OVERLAP_TOL = 1e-8
-
-
 def _displacement_components(rho: np.ndarray) -> np.ndarray:
     """tr(D_kl^dagger rho), row-major in (k, l), of a (d, d) state or each of a (..., d, d) stack."""
     ops = _displacement_basis(rho.shape[-1])
     return np.einsum("kba,...ba->...k", ops.conj(), rho)
 
 
-def wh_mic(rho, overlap_tol: float = _OVERLAP_TOL, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
+def wh_mic(rho, overlap_tol: float = 1e-8, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
     """Weyl-Heisenberg orbit MIC of a density matrix rho.
 
     The effects are E_kl = (1/d) D_kl rho D_kl^dagger, ordered row-major in

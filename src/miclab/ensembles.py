@@ -30,24 +30,26 @@ frozen by NEP 19's stream policy, and a test compares the states with
 numpy's.  A larger seed or index is several entropy words, and a negative
 seed numpy refuses, so those substreams are seeded by numpy itself.  Each
 state is set on one reused Generator, which reads only that sample's
-standard_normal block; the rest of the draw math runs once per block, or
-per batch of a generic block.  A sample whose first draw is refused is
-re-seeded with numpy, re-reads its first draw, and goes on through
-random_mic's redraw loop, which hands back the accepted draw and its MIC.
+standard_normal block; the rest of the draw math runs once per batch.  A
+batch holds at most BATCH_ENTRIES draw entries: BATCH_ENTRIES // d^4
+generic samples, or BATCH_ENTRIES // d^2 covariant ones.
+
+The batch keeps only first draws that random_mic builds as they stand.
+Every other sample is random_mic's own answer on its substream: redrawn,
+or the build's own error, or SamplingExhausted naming the sample.
 
 A sample becomes a Mic only if its first draw is refused.  The WH group
 diagonalizes the Gram matrix of an orbit, whose spectrum is
 {|tr(D_kl^dagger rho)|^2 / d}, the fiducial's d^2 displacement
-components.  A covariant block's fiducials pass one batched check of the
+components.  A covariant batch's fiducials pass one batched check of the
 rules wh_mic applies to rho (finite, Hermitian, unit trace, PSD), which is
 all the orbit's validation needs: a valid rho makes every effect
-D rho D^dagger / d PSD and the orbit sum to the identity.  random_mic's
-redraw rules are then read off the components.  A generic block runs in
-batches of at most BATCH_ENTRIES // d^4 samples, and each batch runs every
-stage of mic_from_psd_basis and of its validation once, each gate with the
-build's own comparison, then one eigvalsh, whose |eigenvalues| are the
-Gram's singular values: the rank SVD runs only where they lie near
-rank_tol.
+D rho D^dagger / d PSD and the orbit sum to the identity.  validate_mic's
+rank gate is then read off the components, and it implies wh_mic's
+overlap gate.  A generic batch runs every stage of mic_from_psd_basis and
+of its validation once, each gate with the build's own comparison, then
+one eigvalsh, whose |eigenvalues| are the Gram's singular values: the rank
+SVD runs only where they lie near rank_tol.
 
 Every draw is one standard_normal block: haar_pure_states reads n vectors
 from an (n, 2, d) block, real then imaginary parts, and gue_psd_samples n
@@ -69,7 +71,6 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .constructions import (
-    _OVERLAP_TOL,
     _check_dimension,
     _displacement_components,
     mic_from_psd_basis,
@@ -87,7 +88,8 @@ from .povm import Mic, _valid_states
 MAX_DRAW_ATTEMPTS = 100
 # samples per block: spectra_study batches, bins and hands out work in blocks
 BLOCK_SIZE = 256
-# basis entries per batch of generic samples: max(1, BATCH_ENTRIES // d^4) samples
+# draw entries per batch of a block: max(1, BATCH_ENTRIES // d^4) generic samples,
+# max(1, BATCH_ENTRIES // d^2) covariant ones
 BATCH_ENTRIES = 4096
 
 
@@ -186,18 +188,10 @@ def random_mic(kind: MicKind, d: int, rng: np.random.Generator,
     same stream, up to MAX_DRAW_ATTEMPTS times.
     """
     kind = MicKind(kind)
-    return _redrawn(kind, d, rng, _draw(kind, d, rng), tol)[1]
-
-
-def _redrawn(kind: MicKind, d: int, rng: np.random.Generator, draw: np.ndarray,
-             tol: ToleranceConfig = DEFAULT_TOL) -> tuple:
-    # random_mic's accepted draw and its MIC when draw is its first draw from rng
-    for attempt in range(MAX_DRAW_ATTEMPTS):
-        if attempt:
-            draw = _draw(kind, d, rng)
+    for _ in range(MAX_DRAW_ATTEMPTS):
+        draw = _draw(kind, d, rng)
         try:
-            return draw, (mic_from_psd_basis(draw, tol) if draw.ndim == 3
-                          else wh_mic(draw, tol=tol))
+            return mic_from_psd_basis(draw, tol) if kind in _GENERIC else wh_mic(draw, tol=tol)
         except (LinearlyDependent, DegenerateFiducial):
             continue
     raise SamplingExhausted(kind.value, d, MAX_DRAW_ATTEMPTS)
@@ -342,14 +336,20 @@ def _as_bin_width(bin_width, d: int) -> Fraction:
 
 
 def _orbit_spectrum(rho: np.ndarray):
-    # the Gram spectrum {|tr(D_kl^dagger rho)|^2 / d} of the WH orbit MIC of
-    # rho, or of each of a stack, and whether random_mic keeps the draw: wh_mic
-    # refuses a component at or below its overlap_tol, and validate_mic's rank
-    # gate a spectrum whose least value is at most rank_tol times its largest
+    """Gram spectra {|tr(D_kl^dagger rho)|^2 / d} of wh_mic(rho[j]) for each
+    fiducial of an (s, d, d) stack, one unsorted row each, and the mask of the
+    fiducials that wh_mic builds.
+
+    wh_mic keeps a valid state whose spectrum's least value clears rank_tol
+    times its largest: that is validate_mic's rank gate, and it implies the
+    overlap gate.  A valid state has c_00 = tr rho = 1, so its largest value
+    is at least 1/d, and a component at or below wh_mic's overlap_tol of
+    1e-8 gives a value of at most 1e-16 / d.  A refused row means nothing.
+    """
     c = _displacement_components(rho)
     eigs = np.abs(c) ** 2 / rho.shape[-1]
-    kept = ((np.abs(c) > _OVERLAP_TOL).all(axis=-1)
-            & (eigs.min(axis=-1) > DEFAULT_TOL.rank_tol * eigs.max(axis=-1)))
+    kept = _valid_states(rho, DEFAULT_TOL)
+    kept &= eigs.min(axis=-1) > DEFAULT_TOL.rank_tol * eigs.max(axis=-1)
     return eigs, kept
 
 
@@ -368,6 +368,8 @@ def _squash_spectra(a: np.ndarray):
     omega = a.sum(axis=1)
     kept &= hermiticity_defect(omega) <= tol.hermitian_tol
     w, v = np.linalg.eigh(omega)
+    # never alone: w <= 0 makes NaN effects, which fail their Hermiticity gate,
+    # and PSD elements' basis Gram has singular value ratio <= d^2 (w[0] / w[-1])^2
     kept &= (w[:, -1] > 0) & (w[:, 0] > tol.rank_tol * w[:, -1])
     w = np.where(kept[:, None], w, 1.0)  # a refused Omega may have w <= 0
     r = (v / np.sqrt(w)[:, None, :]) @ v.conj().swapaxes(1, 2)
@@ -376,10 +378,16 @@ def _squash_spectra(a: np.ndarray):
     kept &= hermiticity_defect(e).max(axis=1) <= tol.hermitian_tol
     kept &= np.linalg.eigvalsh(e)[:, :, 0].min(axis=1) >= -tol.zero_tol
     rest = (e.sum(axis=1) - np.eye(d)).reshape(s, d * d)
+    # none found alone: the basis gate keeps cond(Omega) below 3.2e4 d, and a
+    # search of ill-conditioned Omegas never saw this reach 1e-2 of its bound
     kept &= np.sqrt(np.vecdot(rest, rest).real) <= tol.zero_tol * d
     # validate_mic: weights above zero_tol and a real, full-rank Gram matrix
+    # never alone: an effect of weight <= zero_tol has G_ii <= zero_tol^2, and
+    # the Gram's largest eigenvalue is >= 1/d^3, so the rank gate refuses too
     kept &= (np.trace(e, axis1=2, axis2=3).real > tol.zero_tol).all(axis=1)
     g = np.einsum("siab,sjba->sij", e, e)
+    # never alone for d <= 21: effects within hermitian_tol of Hermitian, each
+    # at most I, give |Im G_ij| <= d^1.5 hermitian_tol
     kept &= np.abs(g.imag).max(axis=(1, 2)) <= tol.zero_tol
     g = (g.real + g.real.swapaxes(1, 2)) / 2
     eigs = np.linalg.eigvalsh(g)
@@ -396,42 +404,24 @@ def _squash_spectra(a: np.ndarray):
 def _block_spectra(kind: MicKind, d: int, start: int, stop: int, seed: int) -> np.ndarray:
     """Gram spectra of samples start..stop-1, one row each, on their (seed, i) substreams.
 
-    The block's substreams are seeded at once.  A covariant block's first
-    draws are read and checked together, and each spectrum comes from the
-    fiducial's displacement components, unsorted.  A generic block is read
-    and squashed in batches of at most BATCH_ENTRIES // d^4 samples, so a
-    batch's bases hold at most BATCH_ENTRIES entries; its rows are
-    ascending.  A sample whose first draw is refused goes on through
-    random_mic's rules.
+    The block's substreams are seeded at once, and its first draws are read
+    and checked in batches of at most BATCH_ENTRIES draw entries.  A sample
+    whose first draw the batch refuses is random_mic's on its substream.
     """
     states = _substream_states(seed, start, stop)
-    if kind not in _GENERIC:
-        rhos = _first_draws(kind, d, states)
-        eigs, kept = _orbit_spectrum(rhos)
-        kept &= _valid_states(rhos, DEFAULT_TOL)
-        for j in np.flatnonzero(~kept):
-            rho = _redraw(kind, d, seed, start + j, rhos[j])[0]
-            eigs[j] = _orbit_spectrum(rho)[0]
-        return eigs
+    spectra = _squash_spectra if kind in _GENERIC else _orbit_spectrum
+    step = max(1, BATCH_ENTRIES // (_normals_shape(kind, d)[0] * d * d))
     eigs = np.empty((stop - start, d * d))
-    step = max(1, BATCH_ENTRIES // d ** 4)
     for lo in range(0, stop - start, step):
-        draws = _first_draws(kind, d, states[lo:lo + step])
-        eigs[lo:lo + len(draws)], kept = _squash_spectra(draws)
+        eigs[lo:lo + step], kept = spectra(_first_draws(kind, d, states[lo:lo + step]))
         for j in np.flatnonzero(~kept):
-            mic = _redraw(kind, d, seed, start + lo + j, draws[j])[1]
+            i = start + lo + j
+            try:
+                mic = random_mic(kind, d, np.random.default_rng(np.random.SeedSequence([seed, i])))
+            except SamplingExhausted as exc:
+                raise SamplingExhausted(exc.kind, exc.d, exc.attempts, sample_index=i)
             eigs[lo + j] = np.linalg.eigvalsh(mic.gram)
     return eigs
-
-
-def _redraw(kind: MicKind, d: int, seed: int, i: int, draw: np.ndarray) -> tuple:
-    # random_mic's accepted draw and MIC for sample i, when draw is its refused first draw
-    rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-    rng.standard_normal(_normals_shape(kind, d))  # the first draw, read in the block
-    try:
-        return _redrawn(kind, d, rng, draw)
-    except SamplingExhausted as exc:
-        raise SamplingExhausted(exc.kind, exc.d, exc.attempts, sample_index=i)
 
 
 def _count_block(start: int, kind_value: str, d: int, seed: int, n_samples: int,

@@ -35,7 +35,7 @@ def hermiticity_defect(a):
     """
     a = _as_square(a)
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN, read as inf below
-        defect = np.abs(a - np.swapaxes(a.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
+        defect = np.abs(a - a.mT.conj()).max(axis=(-2, -1), initial=0.0)
     if a.ndim == 2:
         defect = float(defect)
         return defect if defect == defect else np.inf

@@ -251,11 +251,10 @@ def _check_state(rho, d: int, tol: ToleranceConfig) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d, d):
         raise InvalidState(f"state has shape {rho.shape}, expected {(d, d)}")
-    # a non-finite entry makes the defect NaN or inf, and so does an overflow;
-    # either fails the check below
+    # a non-finite entry makes the defect inf, and so does an overflow
+    defect = hermiticity_defect(rho)
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = float(np.abs(rho - rho.conj().T).max())
-        tr = complex(np.trace(rho))
+        tr = complex(rho.trace())
     if not defect <= tol.hermitian_tol:
         if not np.isfinite(rho).all():
             raise InvalidState("state has a non-finite entry")
@@ -374,7 +373,7 @@ def rank1_mic_check(vectors, weights, tol: ToleranceConfig = DEFAULT_TOL) -> tup
 
 def effect_ranks(povm: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
     """Numerical rank of each effect."""
-    return [numerical_rank(m, tol) for m in povm.matrices()]
+    return numerical_rank(povm.matrices(), tol).tolist()
 
 
 def effect_eigenvalue_ranges(povm: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[float, float]]:

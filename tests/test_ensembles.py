@@ -21,6 +21,7 @@ from miclab.ensembles import (
 )
 from miclab.constructions import mic_from_psd_basis, wh_mic
 from miclab.errors import (
+    DegenerateFiducial,
     InvalidState,
     LinearlyDependent,
     NotHermitian,
@@ -375,24 +376,14 @@ def _refusing_draw(monkeypatch, refuse, seed, n):
     effects are not.
     Both seams are patched: _first_draws, which reads a block's first draws
     at their substreams' PCG64 states, and _draw, which reads one draw from
-    a generator.  A sample is told by the state it is read at: its
-    substream's initial state, or the state after its first draw, where the
-    block path's redraw generator starts.  The patch returns the generators
-    _draw meets, by sample."""
+    a generator.  A sample is told by its substream's initial state, where
+    both a block's first draw and random_mic's generator start.  The patch
+    returns the generators _draw meets, by sample."""
     real_draw, real_first = ensembles._draw, ensembles._first_draws
-    gens, index, draws, samples = {}, {}, {}, {}
-
-    def sample_at(kind, d):
-        # (state, inc) -> (sample, draws read before it)
-        if (kind, d) not in samples:
-            at = samples[kind, d] = {}
-            for k in range(n):
-                g = _substream(seed, k)
-                for done in (0, 1):
-                    st = g.bit_generator.state["state"]
-                    at[st["state"], st["inc"]] = (k, done)
-                    g.standard_normal(ensembles._normals_shape(kind, d))
-        return samples[kind, d]
+    gens, index, draws, at = {}, {}, {}, {}
+    for k in range(n):  # (state, inc) -> sample
+        st = _substream(seed, k).bit_generator.state["state"]
+        at[st["state"], st["inc"]] = k
 
     def fault(k, attempt, out, d):
         gate = refuse(k, attempt)
@@ -411,15 +402,14 @@ def _refusing_draw(monkeypatch, refuse, seed, n):
         return 2 * out if gate == "trace" else out
 
     def first_draws(kind, d, states):
-        at = sample_at(kind, d)
-        return np.array([fault(at[st][0], 0, out, d)
+        return np.array([fault(at[st], 0, out, d)
                          for st, out in zip(states, real_first(kind, d, states))])
 
     def draw(kind, d, rng):
         if id(rng) not in index:  # gens keeps every id unique
             st = rng.bit_generator.state["state"]
-            k, draws[k] = sample_at(kind, d)[st["state"], st["inc"]]
-            index[id(rng)], gens[k] = k, rng
+            k = at[st["state"], st["inc"]]
+            index[id(rng)], gens[k], draws[k] = k, rng, 0
         k = index[id(rng)]
         draws[k] += 1
         return fault(k, draws[k] - 1, real_draw(kind, d, rng), d)
@@ -435,6 +425,28 @@ def test_mixed_fiducial_fails_the_rank_gate_alone(kind):
         rho = ensembles._draw(kind, 3, _substream(2, i))
         with pytest.raises(LinearlyDependent):  # not DegenerateFiducial
             wh_mic((1 - 1e-6) * np.eye(3) / 3 + 1e-6 * rho)
+
+
+@pytest.mark.parametrize("kind", COVARIANT)
+@pytest.mark.parametrize("d", [2, 3])
+def test_orbit_mask_is_wh_mic_across_both_gates(kind, d):
+    # rho_t = (1 - t) I/d + t rho scales every component but c_00 = 1 by t:
+    # wh_mic's overlap gate refuses while t min|c| <= 1e-8, and the Gram rank
+    # gate while t^2 min|c|^2 <= 1e-9.  The mask has no overlap term, and
+    # still agrees with wh_mic at every t.
+    rho = ensembles._draw(kind, d, _substream(6, d))
+    ts = np.logspace(-9, -3, 61)
+    rhos = (1 - ts)[:, None, None] * np.eye(d) / d + ts[:, None, None] * rho
+    outcomes = []
+    for t, rho_t, kept in zip(ts, rhos, ensembles._orbit_spectrum(rhos)[1]):
+        try:
+            wh_mic(rho_t)
+            outcome = None
+        except (DegenerateFiducial, LinearlyDependent) as exc:
+            outcome = type(exc)
+        assert kept == (outcome is None), t
+        outcomes.append(outcome)
+    assert set(outcomes) == {DegenerateFiducial, LinearlyDependent, None}
 
 
 @pytest.mark.parametrize("kind", list(MicKind))
@@ -490,8 +502,8 @@ def test_exhausted_sample_is_named(kind, monkeypatch):
             spectra_study(kind, 2, 300, Fraction(1, 200), seed=3)
     assert exc.value.sample_index == 270
     assert exc.value.attempts == ensembles.MAX_DRAW_ATTEMPTS
-    # the redraw generator starts one draw in, so it ends where random_mic's
-    # does, MAX_DRAW_ATTEMPTS draws in
+    # the block path hands the sample to random_mic on a fresh substream, so
+    # its generator ends where random_mic's does, MAX_DRAW_ATTEMPTS draws in
     with monkeypatch.context() as m:
         dense_gens = _refusing_draw(m, refuse, 3, 300)
         with pytest.raises(SamplingExhausted):
@@ -571,6 +583,23 @@ def test_gram_rank_near_the_threshold_is_decided_by_svd(kind, d, monkeypatch):
     draws = np.array([ensembles._draw(kind, d, _substream(7, i)) for i in range(6)])
     assert ensembles._squash_spectra(draws)[1].all()
     assert calls == [6]
+
+
+@pytest.mark.parametrize("kind", GENERIC)
+@pytest.mark.parametrize("scale, skews", [(1e3, (1e-11, 0)), (1, (1e-10, -1e-10))])
+def test_hermiticity_gates_refuse_alone(kind, scale, skews):
+    # Skew parts that only one gate of the batch sees; the build raises
+    # NotHermitian for both.  At scale 1e3, a skew of 1e-11 in one element
+    # leaves Omega beyond hermitian_tol, and the squash divides it by Omega's
+    # scale: only Omega's gate refuses.  Opposite skews of 1e-10 in two
+    # elements cancel in Omega and leave two effects beyond hermitian_tol,
+    # while the Gram's imaginary residue stays below zero_tol: only the
+    # effects' gate refuses.
+    b = scale * ensembles._draw(kind, 2, np.random.default_rng(1))
+    b[:2, 0, 1] += 1j * np.array(skews)
+    with pytest.raises(NotHermitian):
+        mic_from_psd_basis(b)
+    assert not ensembles._squash_spectra(b[None])[1][0]
 
 
 @pytest.mark.parametrize("kind", COVARIANT)

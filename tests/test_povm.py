@@ -310,6 +310,15 @@ def test_refused_dual_basis_is_refused_on_every_call():
         reconstruct_state(np.full(4, 0.25), mic)
 
 
+@pytest.mark.xfail(strict=True, raises=IllConditionedGram,
+                   reason="a false refusal: cond(G) = 3.54e8 is far below CONDITION_LIMIT, "
+                          "but the duals taken from G miss biorthogonality by 1.391e-8")
+def test_gram_well_within_the_condition_limit_has_a_dual_basis():
+    mic = random_mic(MicKind.GENERIC_PSD, 2, np.random.default_rng([33, 2, 0]))
+    check = np.einsum("iab,jba->ij", mic.matrices(), dual_basis(mic).stack)
+    assert np.abs(check - np.eye(4)).max() < 1e-8
+
+
 def test_effect_ranks_and_ranges():
     mic = sic_qubit()
     assert effect_ranks(mic) == [1, 1, 1, 1]
