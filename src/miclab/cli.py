@@ -65,7 +65,6 @@ from .serialize import (
     histogram_to_table,
     mic_from_document,
     mic_to_document,
-    parse_fraction,
     read_document,
     write_document,
 )
@@ -262,10 +261,7 @@ def cmd_spectra(args, tol: ToleranceConfig) -> int:
     if not 2 <= args.d <= 8:
         _fail(f"--d must lie in [2, 8], got {args.d}")
         return 2
-    if args.bin is not None:
-        bin_width = parse_fraction(args.bin)
-    else:
-        bin_width = default_bin_width(args.d)
+    bin_width = default_bin_width(args.d) if args.bin is None else args.bin
     hist = spectra_study(kind, args.d, args.n, bin_width, args.seed,
                          workers=args.workers)
     table = histogram_to_table(hist)

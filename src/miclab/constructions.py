@@ -29,10 +29,11 @@ from .errors import (
     LinearlyDependent,
     NotNormalized,
     NotSic,
+    SingularOperator,
     WrongCount,
     WrongDimension,
 )
-from .linalg import eigh, inv_sqrt_psd, numerical_rank
+from .linalg import _lapack, eigh, hermiticity_defect, numerical_rank
 from .povm import Mic, _check_state, _frozen, mic_from_matrices, validate_povm
 
 
@@ -257,6 +258,23 @@ def orthocross_probability_bound(d: int) -> float:
 
 # ----------------------------------------------- generic squashed-basis MICs
 
+def _squash(a: np.ndarray, tol: ToleranceConfig):
+    """mic_from_psd_basis's squash of each basis of a (..., n, d, d) stack: the
+    numerical rank of its Gram matrix tr(A_i A_j), whether Omega = sum_i A_i
+    is within hermitian_tol of its adjoint and safely positive (least
+    eigenvalue above rank_tol times the largest), and the effects
+    Omega^{-1/2} A_i Omega^{-1/2}, which mean nothing where it is not."""
+    rank = numerical_rank(np.einsum("...iab,...jba->...ij", a, a).real, tol)
+    omega = a.sum(axis=-3)
+    safe = np.asarray(hermiticity_defect(omega) <= tol.hermitian_tol)
+    # only finite Hermitian Omegas reach LAPACK
+    w, v = _lapack(np.linalg.eigh, np.where(safe[..., None, None], omega, np.eye(a.shape[-1])))
+    safe &= (w[..., -1] > 0) & (w[..., 0] > tol.rank_tol * w[..., -1])
+    w = np.where(safe[..., None], w, 1.0)
+    r = (v / np.sqrt(w)[..., None, :]) @ v.conj().mT
+    return rank, safe, np.einsum("...ab,...kbc,...cd->...kad", r, a, r)
+
+
 def mic_from_psd_basis(basis, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
     """MIC from a linearly independent (d^2, d, d) stack or list of PSD operators.
 
@@ -273,13 +291,12 @@ def mic_from_psd_basis(basis, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
     _check_dimension(d)
     if len(stack) != d * d:
         raise WrongCount(len(stack), d * d)
-    basis_gram = np.einsum("iab,jba->ij", stack, stack).real
-    rank = numerical_rank(basis_gram, tol)
+    rank, safe, effects = _squash(stack, tol)
     if rank != d * d:
         raise LinearlyDependent(rank, d * d, "input basis")
-    omega = stack.sum(axis=0)
-    r = inv_sqrt_psd(omega, tol)
-    effects = np.einsum("ab,kbc,cd->kad", r, stack, r)
+    if not safe:
+        w = eigh(stack.sum(axis=0), tol)[0]  # NonFinite or NotHermitian for a non-Hermitian Omega
+        raise SingularOperator(f"eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}] is not safely positive")
     return mic_from_matrices(effects, tol)
 
 

@@ -46,10 +46,9 @@ rules wh_mic applies to rho (finite, Hermitian, unit trace, PSD), which is
 all the orbit's validation needs: a valid rho makes every effect
 D rho D^dagger / d PSD and the orbit sum to the identity.  validate_mic's
 rank gate is then read off the components, and it implies wh_mic's
-overlap gate.  A generic batch runs every stage of mic_from_psd_basis and
-of its validation once, each gate with the build's own comparison, then
-one eigvalsh, whose |eigenvalues| are the Gram's singular values: the rank
-SVD runs only where they lie near rank_tol.
+overlap gate.  A generic batch goes once through the single build's own
+gate functions, each written once for a stack of any leading shape; the
+last gives the Gram eigenvalues and runs the rank SVD only near rank_tol.
 
 Every draw is one standard_normal block: haar_pure_states reads n vectors
 from an (n, 2, d) block, real then imaginary parts, and gue_psd_samples n
@@ -73,6 +72,7 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .constructions import (
     _check_dimension,
     _displacement_components,
+    _squash,
     mic_from_psd_basis,
     wh_mic,
 )
@@ -82,8 +82,7 @@ from .errors import (
     SamplingExhausted,
     WrongDimension,
 )
-from .linalg import hermiticity_defect, numerical_rank
-from .povm import Mic, _valid_states
+from .povm import Mic, _effect_rules, _gram_rank, _gram_rules, _negligible, _valid_states
 
 MAX_DRAW_ATTEMPTS = 100
 # samples per block: spectra_study batches, bins and hands out work in blocks
@@ -188,6 +187,7 @@ def random_mic(kind: MicKind, d: int, rng: np.random.Generator,
     same stream, up to MAX_DRAW_ATTEMPTS times.
     """
     kind = MicKind(kind)
+    _check_dimension(d)
     for _ in range(MAX_DRAW_ATTEMPTS):
         draw = _draw(kind, d, rng)
         try:
@@ -321,17 +321,18 @@ def default_bin_width(d: int) -> Fraction:
 
 
 def _as_bin_width(bin_width, d: int) -> Fraction:
-    # exact rationals only: floats are snapped to a nearby small fraction
-    # and then required to tile (0, 1/d] in whole bins
-    if isinstance(bin_width, float):
-        w = Fraction(bin_width).limit_denominator(10 ** 6)
-    else:
+    # an exact rational, or a string of one such as "1/198"; a float is
+    # snapped to a nearby small fraction; it must tile (0, 1/d] in whole bins
+    try:
         w = Fraction(bin_width)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"not a fraction: {bin_width!r}") from exc
     if w <= 0:
         raise ValueError(f"bin width must be positive, got {bin_width}")
-    n_bins = Fraction(1, d) / w
-    if n_bins.denominator != 1:
-        raise ValueError(f"bin width {w} does not divide (0, 1/{d}] into whole bins")
+    if isinstance(bin_width, float):
+        w = w.limit_denominator(10 ** 6)
+    if w == 0 or (Fraction(1, d) / w).denominator != 1:
+        raise ValueError(f"bin width {bin_width} does not divide (0, 1/{d}] into whole bins")
     return w
 
 
@@ -357,47 +358,17 @@ def _squash_spectra(a: np.ndarray):
     """Gram spectra of mic_from_psd_basis(a[j]) for each basis of an (s, d^2, d, d)
     stack, one ascending row each, and the mask of the bases that build keeps.
 
-    Every stage of the build and of its validation runs once on the stack,
-    and every gate makes the build's own comparison, written so that NaN
-    fails it.  A refused row's spectrum means nothing.
+    The stack goes once through the gate functions of mic_from_psd_basis
+    (_squash), validate_povm (_effect_rules), validate_mic (_negligible,
+    _gram_rank) and gram (_gram_rules).  A refused row means nothing.
     """
-    tol = DEFAULT_TOL
-    s, n, d = a.shape[:3]
-    # mic_from_psd_basis: a spanning basis and a safely positive Omega
-    kept = numerical_rank(np.einsum("siab,sjba->sij", a, a).real, tol) == n
-    omega = a.sum(axis=1)
-    kept &= hermiticity_defect(omega) <= tol.hermitian_tol
-    w, v = np.linalg.eigh(omega)
-    # never alone: w <= 0 makes NaN effects, which fail their Hermiticity gate,
-    # and PSD elements' basis Gram has singular value ratio <= d^2 (w[0] / w[-1])^2
-    kept &= (w[:, -1] > 0) & (w[:, 0] > tol.rank_tol * w[:, -1])
-    w = np.where(kept[:, None], w, 1.0)  # a refused Omega may have w <= 0
-    r = (v / np.sqrt(w)[:, None, :]) @ v.conj().swapaxes(1, 2)
-    e = np.einsum("sab,skbc,scd->skad", r, a, r)
-    # validate_povm: Hermitian PSD effects that sum to the identity
-    kept &= hermiticity_defect(e).max(axis=1) <= tol.hermitian_tol
-    kept &= np.linalg.eigvalsh(e)[:, :, 0].min(axis=1) >= -tol.zero_tol
-    rest = (e.sum(axis=1) - np.eye(d)).reshape(s, d * d)
-    # none found alone: the basis gate keeps cond(Omega) below 3.2e4 d, and a
-    # search of ill-conditioned Omegas never saw this reach 1e-2 of its bound
-    kept &= np.sqrt(np.vecdot(rest, rest).real) <= tol.zero_tol * d
-    # validate_mic: weights above zero_tol and a real, full-rank Gram matrix
-    # never alone: an effect of weight <= zero_tol has G_ii <= zero_tol^2, and
-    # the Gram's largest eigenvalue is >= 1/d^3, so the rank gate refuses too
-    kept &= (np.trace(e, axis1=2, axis2=3).real > tol.zero_tol).all(axis=1)
-    g = np.einsum("siab,sjba->sij", e, e)
-    # never alone for d <= 21: effects within hermitian_tol of Hermitian, each
-    # at most I, give |Im G_ij| <= d^1.5 hermitian_tol
-    kept &= np.abs(g.imag).max(axis=(1, 2)) <= tol.zero_tol
-    g = (g.real + g.real.swapaxes(1, 2)) / 2
-    eigs = np.linalg.eigvalsh(g)
-    # the singular values of the symmetric g are |eigs|, so its rank is full
-    # wherever min |eigs| clears rank_tol by a factor of 1e3, far beyond any
-    # rounding between the two; numerical_rank decides the rest
-    s_abs = np.abs(eigs)
-    near = kept & ~(s_abs.min(axis=1) > 1e3 * tol.rank_tol * s_abs.max(axis=1))
-    if near.any():
-        kept[near] = numerical_rank(g[near], tol) == n
+    tol, n = DEFAULT_TOL, a.shape[1]
+    rank, kept, e = _squash(a, tol)
+    faulty, _, summed, _ = _effect_rules(e, tol)
+    real, g = _gram_rules(e, tol)
+    eigs, g_rank = _gram_rank(g, tol)
+    kept &= (rank == n) & (faulty == n) & summed & real & (g_rank == n)
+    kept &= _negligible(np.trace(e, axis1=2, axis2=3).real, tol) == n
     return eigs, kept
 
 
@@ -445,7 +416,7 @@ def spectra_study(kind: MicKind, d: int, n_samples: int, bin_width,
     that many processes, and at most os.cpu_count().
     bin_width must be an exact rational (Fraction or a string like
     "1/198") dividing (0, 1/d] into whole bins; floats are snapped to the
-    nearest small fraction first.
+    nearest small fraction first.  Any other bin_width raises ValueError.
     """
     kind = MicKind(kind)
     if n_samples < 1:

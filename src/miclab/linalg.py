@@ -16,7 +16,6 @@ from .errors import (
     NonFinite,
     NotHermitian,
     ShapeMismatch,
-    SingularOperator,
 )
 
 
@@ -42,16 +41,23 @@ def hermiticity_defect(a):
     return np.where(np.isnan(defect), np.inf, defect)
 
 
-def eigh(h, tol: ToleranceConfig = DEFAULT_TOL, vectors: bool = True):
+def _lapack(f, a):
+    """f(a) for a numpy.linalg routine f, with LAPACK not converging raised
+    as ConvergenceFailure."""
+    try:
+        return f(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+
+
+def eigh(h, tol: ToleranceConfig = DEFAULT_TOL):
     """Eigendecomposition of a Hermitian matrix or a (..., n, n) stack of them.
 
     Returns (eigenvalues, eigenvectors) with real eigenvalues in ascending
-    order along the last axis and eigenvectors as columns.  vectors=False
-    returns None for the eigenvectors and uses LAPACK's values-only driver,
-    whose eigenvalues can differ from the full one's in the last bits.
-    The first matrix (in C order of the leading axes) that has a non-finite
-    entry raises NonFinite, or that deviates from its own adjoint by more
-    than hermitian_tol NotHermitian, either naming its index; LAPACK not
+    order along the last axis and eigenvectors as columns.  The first matrix
+    (in C order of the leading axes) that has a non-finite entry raises
+    NonFinite, or that deviates from its own adjoint by more than
+    hermitian_tol NotHermitian, either naming its index; LAPACK not
     converging raises ConvergenceFailure.
     """
     h = _as_square(h)
@@ -62,35 +68,12 @@ def eigh(h, tol: ToleranceConfig = DEFAULT_TOL, vectors: bool = True):
             raise NonFinite(i)
         raise NotHermitian(f"hermiticity defect {defect[i]:.3e} exceeds "
                            f"{tol.hermitian_tol:.1e}", index=i)
-    try:
-        if not vectors:
-            return np.linalg.eigvalsh(h), None
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    return w, v
+    return tuple(_lapack(np.linalg.eigh, h))
 
 
 def eigvalsh(h, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, or of each in a stack."""
-    # the full driver, so the values match eigh's bit for bit
     return eigh(h, tol)[0]
-
-
-def inv_sqrt_psd(h, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Inverse square root of a positive definite Hermitian matrix.
-
-    The result R is Hermitian and satisfies R @ H @ R = I.  Raises
-    SingularOperator if the smallest eigenvalue does not clear
-    rank_tol times the largest.
-    """
-    w, v = eigh(h, tol)
-    scale = w[-1]
-    if scale <= 0 or w[0] <= tol.rank_tol * scale:
-        raise SingularOperator(
-            f"eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}] is not safely positive"
-        )
-    return (v / np.sqrt(w)) @ v.conj().T
 
 
 def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL):
@@ -99,7 +82,7 @@ def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL):
     a = np.asarray(a)
     if a.ndim < 2:
         raise ShapeMismatch(f"expected a matrix or a stack of them, got shape {a.shape}")
-    s = np.linalg.svd(a, compute_uv=False)
+    s = _lapack(np.linalg.svdvals, a)
     # s is non-negative and descending, so a zero matrix has rank 0
     rank = np.count_nonzero(s > tol.rank_tol * s[..., :1], axis=-1)
     return int(rank) if a.ndim == 2 else rank

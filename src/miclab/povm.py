@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .errors import (
     SumNotIdentity,
     WrongCount,
 )
-from .linalg import eigh, eigvalsh, hermiticity_defect, numerical_rank
+from .linalg import _lapack, eigh, eigvalsh, hermiticity_defect, numerical_rank
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -154,6 +153,27 @@ def _stack(effects) -> tuple[np.ndarray, ShapeMismatch | None]:
     return np.array(rows[:i]), error
 
 
+def _first(mask: np.ndarray) -> np.ndarray:
+    # index of the first True along the last axis, its length if none
+    return np.where(mask.any(axis=-1), mask.argmax(axis=-1), mask.shape[-1])
+
+
+def _effect_rules(e: np.ndarray, tol: ToleranceConfig):
+    """validate_povm's rules on each set of N effects of a (..., N, d, d) stack:
+    the index of its lowest effect that is non-finite, beyond hermitian_tol
+    of its adjoint or below -zero_tol in an eigenvalue (N if none), each
+    effect's least eigenvalue, whether the Frobenius norm of the sum minus
+    the identity is within zero_tol * d, and that norm."""
+    hermitian = hermiticity_defect(e) <= tol.hermitian_tol
+    # only finite Hermitian effects reach LAPACK
+    h = e if hermitian.all() else np.where(hermitian[..., None, None], e, 0)
+    low = _lapack(np.linalg.eigvalsh, h)[..., 0]
+    d = e.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows fails below
+        deficit = np.linalg.norm(e.sum(axis=-3) - np.eye(d), axis=(-2, -1))
+    return _first(~hermitian | (low < -tol.zero_tol)), low, deficit <= tol.zero_tol * d, deficit
+
+
 def validate_povm(effects, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
     """Check that effects, an (N, d, d) array or a sequence of d x d
     matrices, form a POVM, with one batched eigendecomposition.
@@ -164,24 +184,48 @@ def validate_povm(effects, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
     zero_tol * d in Frobenius norm.
     """
     mats, ragged = _stack(effects)
-    try:
-        low, fault = eigh(mats, tol, vectors=False)[0][:, 0], ragged
-    except (NonFinite, NotHermitian) as exc:
-        # an effect before the faulty one may still fail first
-        low, fault = eigh(mats[:exc.index], tol, vectors=False)[0][:, 0], exc
-    if low.min(initial=0.0) < -tol.zero_tol:
-        i = int(np.argmax(low < -tol.zero_tol))
-        raise NotPsd(i, float(low[i]))
-    if fault is not None:
-        raise fault
-    d = mats.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows fails below
-        rest = mats.sum(axis=0) - np.eye(d)
-    deficit = sqrt(np.vdot(rest, rest).real)  # Frobenius norm
-    if not deficit <= tol.zero_tol * d:  # NaN fails too
-        raise SumNotIdentity(deficit)
+    first, low, summed, deficit = _effect_rules(mats, tol)
+    if first < len(mats):
+        eigh(mats[:first + 1], tol)  # raises NonFinite or NotHermitian for a non-Hermitian one
+        raise NotPsd(int(first), float(low[first]))
+    if ragged is not None:
+        raise ragged
+    if not summed:
+        raise SumNotIdentity(float(deficit))
     traces = mats.trace(axis1=1, axis2=2).real
-    return Povm(dim=d, stack=_frozen(mats), traces=_frozen(traces))
+    return Povm(dim=mats.shape[1], stack=_frozen(mats), traces=_frozen(traces))
+
+
+def _negligible(weights: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    # validate_mic's weight rule: each (..., n) set's first weight <= zero_tol, n if none
+    return _first(weights <= tol.zero_tol)
+
+
+def _gram_rules(mats: np.ndarray, tol: ToleranceConfig):
+    """gram's rules on each set of effects of a (..., n, d, d) stack: whether
+    its Gram matrix tr(E_i E_j) is finite with imaginary residue at most
+    zero_tol, and that matrix's real part, symmetrized."""
+    g = np.einsum("...iab,...jba->...ij", mats, mats)
+    real = np.isfinite(g).all(axis=(-2, -1))
+    real &= np.abs(g.imag).max(axis=(-2, -1), initial=0.0) <= tol.zero_tol
+    g = g.real
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Gram is refused above
+        return real, (g + g.mT) / 2
+
+
+def _gram_rank(g: np.ndarray, tol: ToleranceConfig):
+    """Ascending eigenvalues and numerical rank of each real symmetric matrix
+    of a (..., n, n) stack.  Its singular values are its |eigenvalues|, so
+    its rank is n wherever the least clears rank_tol times the largest by a
+    factor of 1e3, far beyond any rounding between the two; numerical_rank's
+    SVD decides the rest."""
+    eigs = _lapack(np.linalg.eigvalsh, g)
+    s = np.abs(eigs)
+    rank = np.full(eigs.shape[:-1], eigs.shape[-1])
+    near = ~(s.min(axis=-1) > 1e3 * tol.rank_tol * s.max(axis=-1))
+    if near.any():
+        rank[near] = numerical_rank(g[near], tol)
+    return eigs, rank
 
 
 def gram(povm: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -193,17 +237,15 @@ def gram(povm: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     non-finite Gram row.  The entries of a POVM Gram matrix always sum to d.
     """
     mats = povm.matrices()
-    g = np.einsum("iab,jba->ij", mats, mats)
-    if not np.isfinite(g).all():
+    real, g = _gram_rules(mats, tol)
+    if not real:
+        c = np.einsum("iab,jba->ij", mats, mats)
         finite = np.isfinite(mats).all(axis=(1, 2))
-        if finite.all():
-            finite = np.isfinite(g).all(axis=1)
-        raise NonFinite(int(np.argmin(finite)))
-    residue = float(np.abs(g.imag).max(initial=0.0))
-    if residue > tol.zero_tol:
-        raise NotHermitian(f"Gram matrix has imaginary residue {residue:.3e}")
-    g = g.real
-    return _frozen((g + g.T) / 2)
+        finite = np.isfinite(c).all(axis=1) if finite.all() else finite
+        if not finite.all():
+            raise NonFinite(int(np.argmin(finite)))
+        raise NotHermitian(f"Gram matrix has imaginary residue {np.abs(c.imag).max():.3e}")
+    return _frozen(g)
 
 
 def validate_mic(povm: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
@@ -216,14 +258,13 @@ def validate_mic(povm: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
     n = len(povm)
     if n != d * d:
         raise WrongCount(n, d * d)
-    negligible = povm.weights() <= tol.zero_tol
-    if negligible.any():
-        i = int(np.argmax(negligible))
-        raise LinearlyDependent(n - 1, n, f"effect {i} has negligible weight")
+    light = _negligible(povm.weights(), tol)
+    if light < n:
+        raise LinearlyDependent(n - 1, n, f"effect {light} has negligible weight")
     g = gram(povm, tol)
-    rank = numerical_rank(g, tol)
-    if rank != d * d:
-        raise LinearlyDependent(rank, d * d)
+    rank = int(_gram_rank(g, tol)[1])
+    if rank != n:
+        raise LinearlyDependent(rank, n)
     return Mic(dim=d, stack=povm.stack, traces=povm.traces, gram=g)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import numbers
-from fractions import Fraction
 
 import numpy as np
 
@@ -112,14 +111,6 @@ def histogram_to_table(h) -> str:
         right = format_float(float(edges[k + 1]))
         lines.append(f"{h.kind.value},{h.d},{left},{right},{int(count)}")
     return "\n".join(lines) + "\n"
-
-
-def parse_fraction(text: str) -> Fraction:
-    """Exact rational from strings like 1/198, 0.005, or 3."""
-    try:
-        return Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a fraction: {text!r}") from exc
 
 
 def write_document(path, doc) -> None:

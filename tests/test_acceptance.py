@@ -13,9 +13,12 @@ xfail so the honest failure stays visible without masking regressions
 elsewhere.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from miclab.acceptance import CRITERIA, run_criteria
+from wh_rank1_laws import d3_plateau_ratio
 
 CRITERION_NUMBERS = list(range(1, len(CRITERIA) + 1))
 
@@ -37,6 +40,7 @@ def test_criterion(number):
             and "top-bin mass >= n for covariant kinds: True" in result.detail):
         pytest.xfail(
             "plateau contrast at the 1/12 edge measures ~1.3, not >= 3; "
-            "the eigenvalue density's closed form predicts 1.2950 at bin "
-            "width 1/198, so the shortfall is intrinsic, not a sampling artifact")
+            "the eigenvalue density's closed form predicts "
+            f"{d3_plateau_ratio(Fraction(1, 198)):.4f} at bin width 1/198, "
+            "so the shortfall is intrinsic, not a sampling artifact")
     assert result.passed, line

@@ -48,6 +48,15 @@ def test_gen_orthocross_refuses_dimension_one():
     assert res.stderr == "error: d must be at least 2, got 1\n"
 
 
+@pytest.mark.parametrize("kind", ["wh", "random:generic", "random:wh-rank1"])
+def test_gen_random_kind_refuses_a_dimension_beyond_the_envelope(kind, capsys):
+    # refused before any draw: numpy never sees the size
+    assert cli.main(["gen", kind, "--d", "1000000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: dimension 1000000 exceeds supported limit 32\n"
+
+
 def test_gen_appleby_even_dimension_usage_error():
     res = run_cli("gen", "appleby", "--d", "4")
     assert res.returncode == 2
@@ -268,6 +277,13 @@ def test_spectra_rejects_dimension_outside_envelope():
 def test_spectra_rejects_non_dividing_bin():
     res = run_cli("spectra", "generic", "--d", "3", "--n", "5", "--bin", "1/200")
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("width", ["1/0", "one half"])
+def test_spectra_rejects_an_unparsable_bin(width):
+    res = run_cli("spectra", "wh", "--d", "2", "--n", "5", "--bin", width)
+    assert res.returncode == 2
+    assert res.stderr == f"error: not a fraction: {width!r}\n"
 
 
 def test_spectra_rejects_unknown_kind():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from miclab.analysis import group_covariance_check, orthogonal_pairs
+from miclab.config import DEFAULT_TOL
 from miclab.constructions import (
     SicFiducial,
+    _squash,
     appleby_mic,
     builtin_fiducial,
     eigenprojector_basis,
@@ -32,6 +34,7 @@ from miclab.errors import (
     EvenDimension,
     LinearlyDependent,
     NotSic,
+    SingularOperator,
     WrongCount,
 )
 from miclab.povm import born_probabilities, is_unbiased
@@ -268,6 +271,31 @@ def test_mic_from_psd_basis_accepts_random_operators():
     # an (N, d, d) array is taken as it is and gives the same MIC
     same = mic_from_psd_basis(np.array(ops))
     assert same.matrices().tobytes() == mic.matrices().tobytes()
+
+
+def test_squash_of_a_stack_maps_each_omega_to_the_identity():
+    # Omega^{-1/2} A_i Omega^{-1/2} sums to Omega^{-1/2} Omega Omega^{-1/2} = I,
+    # for each basis of a stack of any leading shape as for one basis alone
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((2, 3, 9, 3, 3)) + 1j * rng.standard_normal((2, 3, 9, 3, 3))
+    a = a @ a.conj().swapaxes(-1, -2)
+    rank, safe, e = _squash(a, DEFAULT_TOL)
+    assert rank.tolist() == [[9] * 3] * 2 and safe.all()
+    assert np.abs(e.sum(axis=-3) - np.eye(3)).max() < 1e-10
+    one = _squash(a[1, 2], DEFAULT_TOL)
+    assert one[0] == 9 and one[1] and np.array_equal(one[2], e[1, 2])
+
+
+def test_spanning_basis_with_a_singular_omega_is_refused():
+    # I, X, Y and diag(1, 0) - I - X - Y span operator space, and sum to the
+    # singular diag(1, 0); the last two elements are not PSD
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    y = np.array([[0, -1j], [1j, 0]])
+    basis = [np.eye(2), x, y, np.diag([1.0, 0.0]) - np.eye(2) - x - y]
+    with pytest.raises(SingularOperator, match=r"\[0\.000e\+00, 1\.000e\+00\]"):
+        mic_from_psd_basis(basis)
+    rank, safe, _ = _squash(np.array(basis), DEFAULT_TOL)
+    assert rank == 4 and not safe
 
 
 @pytest.mark.parametrize("basis", [[], np.zeros((0, 2, 2))])

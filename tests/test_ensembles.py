@@ -2,12 +2,13 @@
 
 import hashlib
 import os
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from miclab import ensembles
+from miclab import constructions, ensembles, povm
 from miclab.ensembles import (
     BLOCK_SIZE,
     MicKind,
@@ -22,6 +23,7 @@ from miclab.ensembles import (
 from miclab.constructions import mic_from_psd_basis, wh_mic
 from miclab.errors import (
     DegenerateFiducial,
+    EnvelopeExceeded,
     InvalidState,
     LinearlyDependent,
     NotHermitian,
@@ -29,8 +31,10 @@ from miclab.errors import (
     SamplingExhausted,
     WrongDimension,
 )
+from miclab.linalg import numerical_rank
 from miclab.povm import is_unbiased, rank1_mic_check
 from miclab.serialize import histogram_to_table
+from wh_rank1_laws import d3_bin_probabilities, d3_cdf
 
 
 def test_haar_states_are_normalized():
@@ -152,6 +156,19 @@ def test_random_mic_effects_are_byte_stable():
 
 
 @pytest.mark.parametrize("kind", list(MicKind))
+def test_random_mic_checks_the_dimension_before_it_draws(kind, monkeypatch):
+    # a draw at d = 100000 would ask numpy for up to d^4 complex entries
+    def draw(*args):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(ensembles, "_draw", draw)
+    with pytest.raises(EnvelopeExceeded, match="exceeds supported limit 32"):
+        random_mic(kind, 100000, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        random_mic(kind, 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("kind", list(MicKind))
 def test_random_mic_kinds_are_valid(kind):
     rng = np.random.default_rng(4)
     for d in (2, 3):
@@ -247,15 +264,49 @@ def test_wh_rank1_qubit_spectrum_matches_closed_form():
     assert chi2 <= 150.0, chi2  # p ~ 6e-4 on 99 dof
 
 
+def test_wh_rank1_qutrit_spectrum_matches_closed_form():
+    # For d = 3 the eight non-pinned Gram eigenvalues come in equal pairs,
+    # |c_kl| = |c_-k,-l|, so each pair is counted once: 4n values, each with
+    # the disc-in-triangle CDF of wh_rank1_laws.  The pinned eigenvalue 1/3
+    # adds n counts to the last bin.  Measured: chi^2 = 60.2 on 65 dof;
+    # seeds 1, 2, 3, 11, 42 give 57..79.
+    assert abs(d3_cdf(1 / 3) - 1) < 1e-12
+    n, w = 10 ** 4, Fraction(1, 198)
+    h = spectra_study(MicKind.WH_RANK1, 3, n, w, seed=7)
+    observed = h.counts.astype(float)
+    observed[-1] -= n
+    expected = 4 * n * d3_bin_probabilities(w)
+    chi2 = float(((observed / 2 - expected) ** 2 / expected).sum())
+    assert chi2 <= 110.0, chi2  # p ~ 4e-4 on 65 dof
+
+
 def test_bin_width_must_divide_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not divide"):
         spectra_study(MicKind.GENERIC_PSD, 3, 5, Fraction(1, 200), seed=0)
 
 
 def test_bin_width_accepts_float_and_string_fraction():
     h1 = spectra_study(MicKind.WH_GENERIC, 2, 20, Fraction(1, 200), seed=3)
-    h2 = spectra_study(MicKind.WH_GENERIC, 2, 20, 1 / 200, seed=3)
-    assert np.array_equal(h1.counts, h2.counts)
+    for width in (1 / 200, "1/200", " 1/200 ", "0.005"):
+        h2 = spectra_study(MicKind.WH_GENERIC, 2, 20, width, seed=3)
+        assert h2.bin_width == Fraction(1, 200)
+        assert np.array_equal(h1.counts, h2.counts)
+    assert spectra_study(MicKind.WH_RANK1, 3, 2, "1/198", seed=0).bin_width == Fraction(1, 198)
+
+
+@pytest.mark.parametrize("width, message", [
+    ("one half", "not a fraction: 'one half'"),
+    ("1/0", "not a fraction: '1/0'"),
+    (float("inf"), "not a fraction: inf"),
+    (float("nan"), "not a fraction: nan"),
+    (None, "not a fraction: None"),
+    (0, "must be positive"),
+    ("-1/200", "must be positive"),
+    (1e-300, "bin width 1e-300 does not divide"),  # snaps to 0
+])
+def test_bad_bin_widths_raise_value_error(width, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        spectra_study(MicKind.WH_RANK1, 2, 3, width, seed=0)
 
 
 def test_unbiased_kind_tops_the_last_bin():
@@ -551,15 +602,18 @@ def test_gram_rank_near_the_threshold_is_decided_by_svd(kind, d, monkeypatch):
     # A basis whose last element is a0 + a1 + eps x is nearly dependent: its
     # MIC Gram's least eigenvalue falls as eps^2, so a sweep of eps crosses
     # rank_tol.  Where min |eig| comes within 1e3 of the threshold, the
-    # Gram's SVD decides, and the decision is the single build's.
+    # Gram's SVD decides, and the decision is the single build's.  The
+    # oracle is numerical_rank on a basis Gram and a MIC Gram that the test
+    # squashes itself.
     calls = []
-    real = ensembles.numerical_rank
 
     def rank(a, tol):
         calls.append(len(a))
-        return real(a, tol)
+        return numerical_rank(a, tol)
 
-    monkeypatch.setattr(ensembles, "numerical_rank", rank)
+    # the basis gate's rank and the MIC Gram's
+    monkeypatch.setattr(constructions, "numerical_rank", rank)
+    monkeypatch.setattr(povm, "numerical_rank", rank)
     a = ensembles._draw(kind, d, np.random.default_rng(1))
     x = ensembles._draw(kind, d, np.random.default_rng(2))[0]
     outcomes = set()
@@ -568,14 +622,20 @@ def test_gram_rank_near_the_threshold_is_decided_by_svd(kind, d, monkeypatch):
         b[-1] = a[0] + a[1] + eps * x
         calls.clear()
         kept = ensembles._squash_spectra(b[None])[1][0]
+        batch_calls = calls[:]
         try:
             mic_from_psd_basis(b)
             built = True
         except LinearlyDependent:
             built = False
         assert kept == built, eps
+        w, v = np.linalg.eigh(b.sum(axis=0))
+        r = (v / np.sqrt(w)) @ v.conj().T
+        e = r @ b @ r
+        spans = [numerical_rank(np.einsum("iab,jba->ij", m, m).real) == d * d for m in (b, e)]
+        assert kept == all(spans), eps
         if kept:  # past the basis gate; the MIC Gram's rank went to the SVD
-            assert calls == [1, 1], eps
+            assert batch_calls == [1, 1], eps
         outcomes.add(bool(kept))
     assert outcomes == {True, False}
     # far from the threshold the eigenvalues decide, with no second SVD

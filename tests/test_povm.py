@@ -213,6 +213,22 @@ def test_validate_mic_linearly_dependent():
         validate_mic(povm)
 
 
+@pytest.mark.parametrize("side", [1.01, 0.99])
+def test_validate_mic_decides_on_each_side_of_rank_tol(side):
+    # The depolarized qubit SIC E_i = beta S_i + (1 - beta) I/4 has Gram
+    # eigenvalues beta^2/6 (thrice) and 1/2, so their ratio beta^2/3 is put
+    # 1% to one side of rank_tol, within 1e3 of it: the SVD decides.
+    beta = np.sqrt(3 * side * DEFAULT_TOL.rank_tol)
+    povm = validate_povm(beta * sic_qubit().matrices() + (1 - beta) * np.eye(2) / 4)
+    s = np.linalg.svd(np.einsum("iab,jba->ij", povm.stack, povm.stack).real, compute_uv=False)
+    assert abs(s[-1] / s[0] / (side * DEFAULT_TOL.rank_tol) - 1) < 1e-6
+    if side > 1:
+        assert validate_mic(povm).gram.shape == (4, 4)
+    else:
+        with pytest.raises(LinearlyDependent, match="span only 1 of 4"):
+            validate_mic(povm)
+
+
 # ------------------------------------------------------------------ gram
 
 def test_gram_entries_sum_to_dimension():

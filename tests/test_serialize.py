@@ -18,7 +18,6 @@ from miclab.serialize import (
     histogram_to_table,
     mic_from_document,
     mic_to_document,
-    parse_fraction,
     read_document,
     write_document,
 )
@@ -147,13 +146,6 @@ def test_histogram_table_shape():
     assert int(first[1]) == 2
     assert float(first[2]) == 0.0
     assert table.endswith("\n")
-
-
-def test_parse_fraction():
-    assert parse_fraction("1/198") == Fraction(1, 198)
-    assert parse_fraction(" 3/4 ") == Fraction(3, 4)
-    with pytest.raises(ValueError):
-        parse_fraction("one half")
 
 
 def test_write_and_read_document(tmp_path):
