@@ -16,6 +16,9 @@ worker counts.
 MIC_LAB_TOL overrides the relative rank tolerance rank_tol of gen, example
 and analyze only; spectra and verify never read it.  Every command exits 2
 when it is set to anything but a positive finite number.
+
+The argument parser is built once per process, on the first call of main,
+and every later call reuses it: parsing leaves no state in the parser.
 """
 
 from __future__ import annotations
@@ -303,7 +306,9 @@ def cmd_verify(args, tol: ToleranceConfig) -> int:
 
 # -------------------------------------------------------------- parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The miclab argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="miclab",
         description="Construct, validate, and analyze minimal "

@@ -5,18 +5,39 @@ as decimal scientific notation with 17 significant digits, which is
 enough to round-trip IEEE doubles exactly, so gen/analyze pipelines are
 byte-stable.  The stdlib json writer does not expose float formatting,
 hence the small emitter here; anything it writes is plain JSON and reads
-back with json.loads.
+back with json.loads.  A list of numbers and strings is written on one
+line, any other list and every dict one entry per line; negative zero is
+written as zero, and a non-finite number raises ValueError.
+
+The emitter dispatches on exact types first.  A Python float, int or str
+is written directly, and a list of Python floats is written with one
+join.  A list whose entries are all such lists, like an effect row of
+[re, im] pairs, is written in one piece as well, so a MIC document costs
+one call per row rather than one per number.  Everything else (bools,
+None, arrays, numpy scalars, other registered numbers, subclasses) takes
+the general isinstance chain.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
+from itertools import chain
 
 import numpy as np
 
 from .config import DEFAULT_TOL, MAX_DIMENSION, ToleranceConfig
 from .povm import Mic, mic_from_matrices
+
+# The float format and its two rules.  format_float applies the rules to
+# one number; _floats_text applies them to the joined text of many, and
+# relies on two properties of this format: only the non-finite values
+# ("inf", "nan") spell a letter n, and "-0." opens the mantissa of
+# negative zero alone.  test_dumps_refuses_non_finite_numbers_anywhere and
+# test_dumps_matches_the_reference_emitter hold the two to the same output.
+_SCIENTIFIC = "{:.16e}".format  # 17 significant digits
+_NEGATIVE_ZERO, _ZERO = _SCIENTIFIC(-0.0), _SCIENTIFIC(0.0)
 
 
 def format_float(x: float) -> str:
@@ -27,30 +48,56 @@ def format_float(x: float) -> str:
     signs freely).
     """
     x = float(x) + 0.0
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"documents may not contain non-finite numbers, got {x}")
-    return f"{x:.16e}"
+    return _SCIENTIFIC(x)
+
+
+def _floats_text(text: str, floats) -> str:
+    """Apply format_float's rules to text, the joined _SCIENTIFIC forms of floats."""
+    if "n" in text:
+        for x in floats:
+            format_float(x)  # raises for the first non-finite number
+    return text.replace(_NEGATIVE_ZERO, _ZERO)
+
+
+def _sequence(seq: list, indent: int) -> str:
+    """A list on one line if it holds only numbers and strings, else one entry per line."""
+    if not seq:
+        return "[]"
+    kinds = set(map(type, seq))
+    if kinds == {float}:
+        return _floats_text("[" + ", ".join(map(_SCIENTIFIC, seq)) + "]", seq)
+    if all(isinstance(v, (numbers.Number, str)) for v in seq):
+        return "[" + ", ".join(dumps(v) for v in seq) + "]"
+    inner = " " * (indent + 2)
+    close = "\n" + " " * indent + "]"
+    if kinds == {list} and set(map(type, chain.from_iterable(seq))) == {float}:
+        # every entry is a flat line of floats: write the lines in one piece
+        lines = ("],\n" + inner + "[").join([", ".join(map(_SCIENTIFIC, v)) for v in seq])
+        return _floats_text("[\n" + inner + "[" + lines + "]" + close,
+                            chain.from_iterable(seq))
+    return "[\n" + ",\n".join(inner + dumps(v, indent + 2) for v in seq) + close
 
 
 def dumps(doc, indent: int = 0) -> str:
     """Serialize a document (dicts, lists, numbers, strings, bools, None)."""
-    pad = " " * indent
-    inner = " " * (indent + 2)
+    kind = type(doc)
+    if kind is float:
+        return format_float(doc)
+    if kind is int:
+        return str(doc)
+    if kind is str:
+        return json.dumps(doc)
     if isinstance(doc, dict):
         if not doc:
             return "{}"
+        inner = " " * (indent + 2)
         items = (f'{inner}{json.dumps(str(k))}: {dumps(v, indent + 2)}'
                  for k, v in doc.items())
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}"
     if isinstance(doc, (list, tuple, np.ndarray)):
-        seq = list(doc)
-        if not seq:
-            return "[]"
-        flat = all(isinstance(v, (numbers.Number, str)) for v in seq)
-        if flat:
-            return "[" + ", ".join(dumps(v) for v in seq) + "]"
-        items = (inner + dumps(v, indent + 2) for v in seq)
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        return _sequence(list(doc), indent)
     if isinstance(doc, (bool, np.bool_)):
         return "true" if doc else "false"
     if doc is None:

@@ -336,6 +336,49 @@ def test_no_subcommand_is_usage_error():
     assert res.returncode == 2
 
 
+# main builds its parser once per process; these run several commands in one
+
+
+def _call(capsys, *argv):
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_shared_parser_forgets_beta_between_calls(capsys):
+    assert _call(capsys, "gen", "equiangular", "--beta", "0.5")[0] == 0
+    code, _, err = _call(capsys, "gen", "equiangular")
+    assert code == 2
+    assert "requires --beta" in err
+
+
+def test_shared_parser_forgets_checks_between_calls(tmp_path, capsys):
+    doc = tmp_path / "sic3.json"
+    assert _call(capsys, "gen", "sic", "--d", "3", "--out", str(doc))[0] == 0
+    code, out, _ = _call(capsys, "analyze", str(doc), "--checks", "ortho-pairs")
+    assert code == 0
+    assert set(json.loads(out)["checks"]) == {"ortho-pairs"}
+    code, out, _ = _call(capsys, "analyze", str(doc))
+    assert code == 0
+    assert set(json.loads(out)["checks"]) == set(cli.ANALYZE_CHECKS)
+
+
+def test_shared_parser_recovers_from_help_and_usage_errors(capsys):
+    gen = ("gen", "sic", "--d", "3")
+    first = _call(capsys, *gen)
+    assert first[0] == 0
+    shown = _call(capsys, "--help")
+    assert shown[0] == 0
+    assert "usage: miclab" in shown[1]
+    assert _call(capsys, *gen) == first
+    refused = _call(capsys, "gen", "sic", "--d", "three")
+    assert refused[0] == 2
+    assert "invalid int value" in refused[2]
+    assert _call(capsys, *gen) == first
+    assert _call(capsys, "--help") == shown
+    assert _call(capsys, "gen", "sic", "--d", "three") == refused
+
+
 def test_env_tolerance_override_accepted(tmp_path):
     import os
     env = dict(os.environ, MIC_LAB_TOL="1e-6")

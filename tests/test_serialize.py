@@ -1,6 +1,7 @@
 """Byte-stable serialization of MIC documents and histogram tables."""
 
 import json
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -59,6 +60,160 @@ def test_dumps_handles_nested_structures():
 def test_dumps_bool_not_confused_with_int():
     assert json.loads(dumps({"x": True}))["x"] is True
     assert json.loads(dumps({"x": 1}))["x"] == 1
+
+
+# one document holding every leaf type the emitter writes
+PINNED_DOC = {
+    "float": 0.1,
+    "negative_zero": -0.0,
+    "subnormal": 5e-324,
+    "np_float64": np.float64(1 / 3),
+    "np_float32": np.float32(0.1),
+    "int": -7,
+    "np_int64": np.int64(2 ** 40),
+    "bool": True,
+    "np_bool": np.bool_(False),
+    "none": None,
+    "text": 'say "hé"',
+    "tuple": (1, -2.5),
+    "empty_list": [],
+    "empty_dict": {},
+    "array": np.array([[1.0, -0.0], [2.5e-300, -3.0]]),
+    "mixed": [1, 0.5, "a", True, np.float32(2.0)],
+    "nested": [{"pairs": [[0.25, -0.0], [1.0, 2.0]]}, [None, 3], [[]]],
+}
+PINNED_TEXT = """{
+  "float": 1.0000000000000001e-01,
+  "negative_zero": 0.0000000000000000e+00,
+  "subnormal": 4.9406564584124654e-324,
+  "np_float64": 3.3333333333333331e-01,
+  "np_float32": 1.0000000149011612e-01,
+  "int": -7,
+  "np_int64": 1099511627776,
+  "bool": true,
+  "np_bool": false,
+  "none": null,
+  "text": "say \\"h\\u00e9\\"",
+  "tuple": [1, -2.5000000000000000e+00],
+  "empty_list": [],
+  "empty_dict": {},
+  "array": [
+    [1.0000000000000000e+00, 0.0000000000000000e+00],
+    [2.5000000000000000e-300, -3.0000000000000000e+00]
+  ],
+  "mixed": [1, 5.0000000000000000e-01, "a", true, 2.0000000000000000e+00],
+  "nested": [
+    {
+      "pairs": [
+        [2.5000000000000000e-01, 0.0000000000000000e+00],
+        [1.0000000000000000e+00, 2.0000000000000000e+00]
+      ]
+    },
+    [
+      null,
+      3
+    ],
+    [
+      []
+    ]
+  ]
+}"""
+
+
+def test_dumps_writes_every_leaf_type_byte_for_byte():
+    assert dumps(PINNED_DOC) == PINNED_TEXT
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("place", [
+    lambda x: x,
+    lambda x: [0.5, x],
+    lambda x: [[0.5, -0.0], [1.0, x]],
+    lambda x: {"a": [[[0.5, x]]]},
+    lambda x: [1, "a", x],
+    lambda x: np.array([[0.5, x]]),
+    lambda x: [x, 0.5, -x],
+    lambda x: [[0.5, -0.0], [x], [-x, x]],
+])
+def test_dumps_refuses_non_finite_numbers_anywhere(bad, place):
+    """Every path refuses the first non-finite number with format_float's message."""
+    with pytest.raises(ValueError, match=f"non-finite numbers, got {bad}$"):
+        dumps(place(bad))
+
+
+@pytest.mark.parametrize("bad", [1j, np.complex128(1), object(), [0.5, 1j], {"a": [object()]},
+                                 np.array(0.5)])
+def test_dumps_refuses_what_json_cannot_hold(bad):
+    with pytest.raises(TypeError):
+        dumps(bad)
+
+
+def reference_format_float(x: float) -> str:
+    """The emitter's first format_float, kept as the oracle."""
+    x = float(x) + 0.0
+    if not np.isfinite(x):
+        raise ValueError(f"documents may not contain non-finite numbers, got {x}")
+    return f"{x:.16e}"
+
+
+def reference_dumps(doc, indent: int = 0) -> str:
+    """The emitter's first recursive dumps, kept verbatim as the oracle."""
+    pad = " " * indent
+    inner = " " * (indent + 2)
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        items = (f'{inner}{json.dumps(str(k))}: {reference_dumps(v, indent + 2)}'
+                 for k, v in doc.items())
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(doc, (list, tuple, np.ndarray)):
+        seq = list(doc)
+        if not seq:
+            return "[]"
+        flat = all(isinstance(v, (numbers.Number, str)) for v in seq)
+        if flat:
+            return "[" + ", ".join(reference_dumps(v) for v in seq) + "]"
+        items = (inner + reference_dumps(v, indent + 2) for v in seq)
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(doc, (bool, np.bool_)):
+        return "true" if doc else "false"
+    if doc is None:
+        return "null"
+    if isinstance(doc, numbers.Integral):
+        return str(int(doc))
+    if isinstance(doc, numbers.Real):
+        return reference_format_float(doc)
+    if isinstance(doc, str):
+        return json.dumps(doc)
+    raise TypeError(f"cannot serialize {type(doc).__name__}")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+LEAVES = (FINITE | st.just(-0.0) | st.integers() | st.booleans() | st.none() | st.text(max_size=4)
+          | FINITE.map(np.float64) | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64))
+SMALL_ARRAYS = (
+    st.lists(st.lists(FINITE, min_size=1, max_size=3), min_size=1, max_size=3)
+    .filter(lambda rows: len({len(r) for r in rows}) == 1).map(np.array)
+    | st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=4).map(lambda v: np.array(v, dtype=np.int64))
+    | st.lists(FINITE, min_size=1, max_size=4).map(np.array)
+    | st.lists(st.booleans(), min_size=1, max_size=3).map(np.array))
+DOCUMENTS = st.recursive(
+    LEAVES | SMALL_ARRAYS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=24)
+# the shapes a MIC document takes: rows of flat float lists, some with -0.0
+FLOAT_ROWS = st.lists(st.lists(st.lists(FINITE | st.just(-0.0), max_size=3), max_size=3),
+                      min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOCUMENTS | FLOAT_ROWS)
+@example([[[1.0, -0.0], [0.5, 2.0]], [[], [3.0]]])
+@example({"a": [[0.5, 1], [2.0, 3.0]], "b": [[True, 0.5]]})
+@example([-0.0, 5e-324, -5e-324, -1e-300, 0.0, -0.0])
+def test_dumps_matches_the_reference_emitter(doc):
+    assert dumps(doc) == reference_dumps(doc)
 
 
 def test_mic_document_round_trip_is_byte_identical():
