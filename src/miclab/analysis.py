@@ -30,6 +30,7 @@ import numpy as np
 from .config import CONDITION_LIMIT, DEFAULT_TOL, ToleranceConfig
 from .errors import (
     BiasedMic,
+    NonFinite,
     ShapeMismatch,
     SingularConditionalMatrix,
     WrongCount,
@@ -114,6 +115,18 @@ def dual_indefiniteness(mic: Mic, tol: ToleranceConfig = DEFAULT_TOL
     return all_indefinite, [(float(lo), float(hi)) for lo, hi in zip(low, high)]
 
 
+def _square_gram(g) -> np.ndarray:
+    # g as a square float matrix: ShapeMismatch otherwise, and NonFinite names
+    # its first row with a non-finite entry
+    g = np.asarray(g, dtype=float)
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise ShapeMismatch(f"expected a square Gram matrix, got {g.shape}")
+    finite = np.isfinite(g).all(axis=1)
+    if not finite.all():
+        raise NonFinite(int(np.argmin(finite)))
+    return g
+
+
 def orthogonal_pairs(g) -> OrthogonalityReport:
     """Index pairs i < j with [G]_ij at most zero_tol (1e-10).
 
@@ -121,11 +134,8 @@ def orthogonal_pairs(g) -> OrthogonalityReport:
     operators, hence nonnegative; an entry that small marks an orthogonal
     pair of effects.
     """
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ShapeMismatch(f"expected a square Gram matrix, got {g.shape}")
-    n = g.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
+    g = _square_gram(g)
+    iu, ju = np.triu_indices(g.shape[0], k=1)
     off = g[iu, ju]
     mask = off <= DEFAULT_TOL.zero_tol
     pairs = tuple((int(i), int(j)) for i, j in zip(iu[mask], ju[mask]))
@@ -226,9 +236,7 @@ def group_covariance_check(g) -> bool:
     effects), so a False certifies non-covariance; True is necessary but
     not sufficient.
     """
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ShapeMismatch(f"expected a square Gram matrix, got {g.shape}")
+    g = _square_gram(g)
     reference = np.sort(g[0])
     for row in g[1:]:
         if np.abs(np.sort(row) - reference).max() > 1e-9:
@@ -251,10 +259,7 @@ def orthocross_min_gram_probe() -> dict:
     report: dict = {"probe": "orthocross-min-gram"}
     values = []
     for d in _PROBE_DIMENSIONS:
-        g = orthocross_mic(d).gram
-        n = g.shape[0]
-        iu, ju = np.triu_indices(n, k=1)
-        values.append(float(g[iu, ju].min()))
+        values.append(orthogonal_pairs(orthocross_mic(d).gram).min_offdiagonal)
         report[f"min_offdiagonal_d{d}"] = values[-1]
     report["all_positive"] = bool(min(values) > 0)
     report["decreasing_in_d"] = bool(

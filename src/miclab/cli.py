@@ -148,11 +148,6 @@ def cmd_gen(args, tol: ToleranceConfig) -> int:
     return 0
 
 
-def cmd_example(args, tol: ToleranceConfig) -> int:
-    _emit(mic_to_document(example_seven_orthogonal(tol)), args.out)
-    return 0
-
-
 # ------------------------------------------------------------- analyze
 
 def _check_unbiased_equivalence(mic: Mic, tol):
@@ -334,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex = sub.add_parser("example",
                           help="write the seven-orthogonal-pair example MIC")
     p_ex.add_argument("--out", default=None)
-    p_ex.set_defaults(func=cmd_example)
+    p_ex.set_defaults(func=cmd_gen, kind="example7")
 
     p_an = sub.add_parser("analyze", help="run invariant checks on a MIC document")
     p_an.add_argument("path", help="MIC document to analyze")

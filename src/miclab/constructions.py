@@ -27,14 +27,13 @@ from .errors import (
     EnvelopeExceeded,
     EvenDimension,
     LinearlyDependent,
-    NotNormalized,
     NotSic,
     SingularOperator,
     WrongCount,
     WrongDimension,
 )
 from .linalg import _lapack, eigh, hermiticity_defect, numerical_rank
-from .povm import Mic, _check_state, _frozen, mic_from_matrices, validate_povm
+from .povm import Mic, _check_state, _check_unit, _frozen, mic_from_matrices, validate_povm
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,9 +46,7 @@ class SicFiducial:
     @staticmethod
     def from_vector(v) -> "SicFiducial":
         v = np.asarray(v, dtype=complex).ravel()
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-10:
-            raise NotNormalized(0, norm)
+        _check_unit(0, v)
         return SicFiducial(dim=v.shape[0], vector=_frozen(v))
 
 

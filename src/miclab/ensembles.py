@@ -23,15 +23,15 @@ the number of samples.
 A block's substreams are seeded at once.  Sample i's stream is
 default_rng(SeedSequence([seed, i])), and for seed and i below 2^32 both
 are one entropy word, so numpy's SeedSequence hash (mix_entropy, then
-generate_state(4, uint64)) is fixed uint32 arithmetic on them; it runs as
-array operations over the whole block, followed by PCG64's seeding, two
-steps of its 128-bit LCG, per sample.  Both are restated from numpy and
-frozen by NEP 19's stream policy, and a test compares the states with
-numpy's.  A larger seed or index is several entropy words, and a negative
-seed numpy refuses, so those substreams are seeded by numpy itself.  Each
-state is set on one reused Generator, which reads only that sample's
-standard_normal block; the rest of the draw math runs once per batch.  A
-batch holds at most BATCH_ENTRIES draw entries: BATCH_ENTRIES // d^4
+generate_state(4, uint64)) is fixed uint32 arithmetic on them; it is
+restated from numpy, frozen by NEP 19's stream policy, and runs as array
+operations over the whole block.  Each sample's hashed words are handed to
+PCG64 as a bit_generator.ISeedSequence, so PCG64 seeds itself from them,
+and a test compares the seeded states with numpy's.  A larger seed or index
+is several entropy words, and a negative seed numpy refuses, so those
+substreams get numpy's own SeedSequence.  Each sample's Generator reads
+only its standard_normal block; the rest of the draw math runs once per
+batch.  A batch holds at most BATCH_ENTRIES draw entries: BATCH_ENTRIES // d^4
 generic samples, or BATCH_ENTRIES // d^2 covariant ones.
 
 The batch keeps only first draws that random_mic builds as they stand.
@@ -205,15 +205,13 @@ def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
     return np.array(out, dtype=np.uint32)
 
 
-# numpy's SeedSequence and PCG64 seeding, restated for (seed, i) entropy of two
-# words (numpy/random/bit_generator.pyx and pcg64.c, frozen by NEP 19): the
-# constants of mix_entropy's 16 hashmix calls and of generate_state's 8 words,
-# mix's two multipliers, and the 128-bit LCG multiplier of PCG64
+# numpy's SeedSequence hash, restated for (seed, i) entropy of two words
+# (numpy/random/bit_generator.pyx, frozen by NEP 19): the constants of
+# mix_entropy's 16 hashmix calls and of generate_state's 8 words, and mix's two
+# multipliers
 _HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
 _HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK_128 = (1 << 128) - 1
 
 
 def _hashmix(v: np.ndarray, j: int) -> np.ndarray:
@@ -222,8 +220,21 @@ def _hashmix(v: np.ndarray, j: int) -> np.ndarray:
     return v ^ v >> 16
 
 
-def _substream_states(seed: int, start: int, stop: int) -> list:
-    """PCG64 (state, inc) of default_rng(SeedSequence([seed, i])) for i in start..stop-1.
+class _HashedWords(np.random.bit_generator.ISeedSequence):
+    """One sample's hashed words, the answer to PCG64's only request,
+    generate_state(4, np.uint64); only PCG64 is seeded from it."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _substreams(seed: int, start: int, stop: int) -> list:
+    """Seed sequences that seed PCG64 as SeedSequence([seed, i]) does, for i in start..stop-1.
 
     With seed and every i below 2^32, each is one entropy word, and the
     whole range is hashed at once as uint32 arrays, by numpy's rules.  Any
@@ -231,11 +242,7 @@ def _substream_states(seed: int, start: int, stop: int) -> list:
     numpy itself.
     """
     if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 32 and stop <= 2 ** 32):
-        out = []
-        for i in range(start, stop):
-            st = np.random.PCG64(np.random.SeedSequence([seed, i])).state["state"]
-            out.append((st["state"], st["inc"]))
-        return out
+        return [np.random.SeedSequence([seed, i]) for i in range(start, stop)]
     n = stop - start
     entropy = (np.full(n, seed, dtype=np.uint32), np.arange(start, stop, dtype=np.uint32),
                np.zeros(n, dtype=np.uint32), np.zeros(n, dtype=np.uint32))
@@ -249,32 +256,19 @@ def _substream_states(seed: int, start: int, stop: int) -> list:
                 pool[dst] = r ^ r >> 16
                 j += 1
     # generate_state(4, np.uint64): 8 words cycled from the pool, paired low | high
-    words = []
+    words = np.empty((n, 8), dtype="<u4")
     for j in range(8):
         v = (pool[j % 4] ^ _HASH_B[j]) * _HASH_B[j + 1]
-        words.append((v ^ v >> 16).astype(np.uint64))
-    seeds = [(words[2 * j] | words[2 * j + 1] << 32).tolist() for j in range(4)]
-    out = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*seeds):
-        # pcg_setseq_128_srandom_r: inc = initseq << 1 | 1, step, += initstate, step
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK_128
-        out.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK_128, inc))
-    return out
+        words[:, j] = v ^ v >> 16
+    return [_HashedWords(w) for w in words.view("<u8").astype(np.uint64)]
 
 
-def _first_draws(kind: MicKind, d: int, states: list) -> np.ndarray:
-    """The first draws of the substreams at the given PCG64 (state, inc), as one stack.
-
-    Each state is set on one Generator, which reads that sample's
-    standard_normal block; the draw math then runs once on the stack.
-    """
-    z = np.empty((len(states), *_normals_shape(kind, d)))
-    reader = np.random.Generator(np.random.PCG64(0))
-    bits = reader.bit_generator
-    for j, (state, inc) in enumerate(states):
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
-        reader.standard_normal(out=z[j])
+def _first_draws(kind: MicKind, d: int, seqs: list) -> np.ndarray:
+    """The first draws of the given seed sequences' substreams, as one stack: each
+    generator reads its standard_normal block, then the draw math runs once."""
+    z = np.empty((len(seqs), *_normals_shape(kind, d)))
+    for j, seq in enumerate(seqs):
+        np.random.Generator(np.random.PCG64(seq)).standard_normal(out=z[j])
     return _draws(kind, d, z)
 
 
@@ -379,16 +373,16 @@ def _block_spectra(kind: MicKind, d: int, start: int, stop: int, seed: int) -> n
     and checked in batches of at most BATCH_ENTRIES draw entries.  A sample
     whose first draw the batch refuses is random_mic's on its substream.
     """
-    states = _substream_states(seed, start, stop)
+    seqs = _substreams(seed, start, stop)
     spectra = _squash_spectra if kind in _GENERIC else _orbit_spectrum
     step = max(1, BATCH_ENTRIES // (_normals_shape(kind, d)[0] * d * d))
     eigs = np.empty((stop - start, d * d))
     for lo in range(0, stop - start, step):
-        eigs[lo:lo + step], kept = spectra(_first_draws(kind, d, states[lo:lo + step]))
+        eigs[lo:lo + step], kept = spectra(_first_draws(kind, d, seqs[lo:lo + step]))
         for j in np.flatnonzero(~kept):
             i = start + lo + j
             try:
-                mic = random_mic(kind, d, np.random.default_rng(np.random.SeedSequence([seed, i])))
+                mic = random_mic(kind, d, np.random.Generator(np.random.PCG64(seqs[lo + j])))
             except SamplingExhausted as exc:
                 raise SamplingExhausted(exc.kind, exc.d, exc.attempts, sample_index=i)
             eigs[lo + j] = np.linalg.eigvalsh(mic.gram)

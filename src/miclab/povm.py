@@ -366,6 +366,13 @@ def purity_form(p, g) -> float:
     return float(p @ np.linalg.solve(g, p))
 
 
+def _check_unit(i: int, v: np.ndarray) -> None:
+    # NotNormalized(i, |v|) unless |v| is 1 within 1e-10; a non-finite norm fails too
+    norm = float(np.linalg.norm(v))
+    if not abs(norm - 1.0) <= 1e-10:
+        raise NotNormalized(i, norm)
+
+
 def rescaled_vector_gram(vectors, weights, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Gram matrix of the rescaled vectors sqrt(e_i) |phi_i>.
 
@@ -379,12 +386,10 @@ def rescaled_vector_gram(vectors, weights, tol: ToleranceConfig = DEFAULT_TOL) -
     ws = np.asarray(weights, dtype=float)
     if len(vs) != ws.shape[0]:
         raise ShapeMismatch(f"{len(vs)} vectors but {ws.shape[0]} weights")
-    if ws.min(initial=0.0) < 0 or ws.max(initial=0.0) > 1 + tol.zero_tol:
+    if not ((ws >= 0) & (ws <= 1 + tol.zero_tol)).all():  # a NaN weight fails too
         raise ValueError("weights must lie in [0, 1]")
     for i, v in enumerate(vs):
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-10:
-            raise NotNormalized(i, norm)
+        _check_unit(i, v)
     v = np.array(vs)
     scaled = v * np.sqrt(ws)[:, None]
     g = scaled.conj() @ scaled.T

@@ -24,7 +24,7 @@ from miclab.constructions import (
     sic_mic,
     sic_qubit,
 )
-from miclab.errors import BiasedMic, IllConditionedGram
+from miclab.errors import BiasedMic, IllConditionedGram, NonFinite, ShapeMismatch
 from miclab.povm import DualBasis, born_probabilities, dual_basis, purity_form
 
 
@@ -139,6 +139,18 @@ def test_gram_inverses_share_one_condition_gate(small):
 def test_group_covariance_check():
     assert group_covariance_check(sic_mic(3).gram)
     assert not group_covariance_check(example_seven_orthogonal().gram)
+
+
+@pytest.mark.parametrize("check", [group_covariance_check, orthogonal_pairs])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gram_checks_refuse_non_finite_entries(check, bad):
+    g = np.eye(4)
+    g[2, 1] = bad
+    with pytest.raises(NonFinite) as exc:
+        check(g)
+    assert exc.value.index == 2  # the first row holding one
+    with pytest.raises(ShapeMismatch):
+        check(np.ones((2, 3)))
 
 
 # -------------------------------------------------------------- Phi matrix

@@ -33,6 +33,7 @@ from miclab.errors import (
     EnvelopeExceeded,
     EvenDimension,
     LinearlyDependent,
+    NotNormalized,
     NotSic,
     SingularOperator,
     WrongCount,
@@ -65,6 +66,12 @@ def test_sic_from_fiducial_rejects_generic_vector():
     f = SicFiducial.from_vector(v / np.linalg.norm(v))
     with pytest.raises(NotSic):
         sic_from_fiducial(f)
+
+
+@pytest.mark.parametrize("v", [[np.nan, 0], [np.inf, 0], [1, 1]])
+def test_fiducial_must_be_a_finite_unit_vector(v):
+    with pytest.raises(NotNormalized):
+        SicFiducial.from_vector(v)
 
 
 def test_builtin_fiducial_is_unit_and_reproducible():

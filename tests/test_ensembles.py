@@ -426,15 +426,13 @@ def _refusing_draw(monkeypatch, refuse, seed, n):
     the second, K = |0><1| + |1><0|: Omega stays Hermitian, and those two
     effects are not.
     Both seams are patched: _first_draws, which reads a block's first draws
-    at their substreams' PCG64 states, and _draw, which reads one draw from
-    a generator.  A sample is told by its substream's initial state, where
-    both a block's first draw and random_mic's generator start.  The patch
-    returns the generators _draw meets, by sample."""
+    from the PCG64 states their seed sequences seed, and _draw, which reads
+    one draw from a generator.  A sample is told by its substream's initial
+    state, where both a block's first draw and random_mic's generator start.
+    The patch returns the generators _draw meets, by sample."""
     real_draw, real_first = ensembles._draw, ensembles._first_draws
-    gens, index, draws, at = {}, {}, {}, {}
-    for k in range(n):  # (state, inc) -> sample
-        st = _substream(seed, k).bit_generator.state["state"]
-        at[st["state"], st["inc"]] = k
+    gens, index, draws = {}, {}, {}
+    at = {st: k for k, st in enumerate(_numpy_states(seed, 0, n))}  # (state, inc) -> sample
 
     def fault(k, attempt, out, d):
         gate = refuse(k, attempt)
@@ -452,9 +450,9 @@ def _refusing_draw(monkeypatch, refuse, seed, n):
             out = out + np.array([1j * kk, -1j * kk] + [0 * kk] * (len(out) - 2))
         return 2 * out if gate == "trace" else out
 
-    def first_draws(kind, d, states):
+    def first_draws(kind, d, seqs):
         return np.array([fault(at[st], 0, out, d)
-                         for st, out in zip(states, real_first(kind, d, states))])
+                         for st, out in zip(_seeded_states(seqs), real_first(kind, d, seqs))])
 
     def draw(kind, d, rng):
         if id(rng) not in index:  # gens keeps every id unique
@@ -562,17 +560,22 @@ def test_exhausted_sample_is_named(kind, monkeypatch):
     assert fast_gens[270].bytes(8) == dense_gens[270].bytes(8)
 
 
-def _numpy_states(seed, start, stop):
+def _seeded_states(seqs):
+    # the PCG64 (state, inc) each seed sequence seeds
     out = []
-    for i in range(start, stop):
-        st = _substream(seed, i).bit_generator.state["state"]
+    for seq in seqs:
+        st = np.random.PCG64(seq).state["state"]
         out.append((st["state"], st["inc"]))
     return out
 
 
+def _numpy_states(seed, start, stop):
+    return _seeded_states([np.random.SeedSequence([seed, i]) for i in range(start, stop)])
+
+
 def test_block_seeding_matches_numpy(monkeypatch):
-    # the restated SeedSequence hash and PCG64 seeding must give numpy's own
-    # states; if numpy ever changes its seeding, this fails
+    # the restated SeedSequence hash must seed PCG64 to numpy's own states;
+    # if numpy ever changes its seeding, this fails
     rs = np.random.default_rng(2024)
     seeds = [0, 1, 7, 2 ** 32 - 1, *rs.integers(0, 2 ** 32, 4).tolist()]
     ranges = [(0, 64), (2 ** 32 - 64, 2 ** 32)]
@@ -582,13 +585,15 @@ def test_block_seeding_matches_numpy(monkeypatch):
             want = _numpy_states(seed, start, stop)
             with monkeypatch.context() as m:
                 m.setattr(np.random, "SeedSequence", None)  # no numpy seeding on this path
-                assert ensembles._substream_states(seed, start, stop) == want, (seed, start)
+                got = _seeded_states(ensembles._substreams(seed, start, stop))
+                assert got == want, (seed, start)
 
 
 def test_seeds_beyond_one_word_are_left_to_numpy():
     # a seed or index of 2^32 or more is more than one entropy word
     for seed, start, stop in ((2 ** 32, 0, 3), (2 ** 40, 5, 8), (7, 2 ** 32 - 2, 2 ** 32 + 2)):
-        assert ensembles._substream_states(seed, start, stop) == _numpy_states(seed, start, stop)
+        got = _seeded_states(ensembles._substreams(seed, start, stop))
+        assert got == _numpy_states(seed, start, stop)
 
 
 def test_negative_seed_is_refused_as_numpy_refuses_it():

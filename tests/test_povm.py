@@ -14,6 +14,7 @@ from miclab.errors import (
     LinearlyDependent,
     NonFinite,
     NotHermitian,
+    NotNormalized,
     NotPsd,
     ShapeMismatch,
     SumNotIdentity,
@@ -472,6 +473,18 @@ def test_rank1_mic_check_rejects_small_family():
     vecs = [np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)]
     is_povm, is_mic = rank1_mic_check(vecs, [1.0, 1.0])
     assert is_povm and not is_mic
+
+
+def test_rank1_inputs_must_be_finite():
+    # a NaN fails the comparisons a bound is written with, so each gate must
+    # be written to hold only for finite values
+    with pytest.raises(ValueError, match="weights"):
+        rescaled_vector_gram([[1, 0], [0, 1]], [np.nan, 0.5])
+    vecs = [np.array([1.0, 0.0]), np.array([np.nan, 0.0])]
+    for check in (rescaled_vector_gram, rank1_mic_check):
+        with pytest.raises(NotNormalized) as exc:
+            check(vecs, [1.0, 1.0])
+        assert exc.value.index == 1
 
 
 def test_unbiasedness_predicate():
