@@ -36,8 +36,8 @@ from .errors import (
     WrongCount,
 )
 from .linalg import eigvalsh
-from .povm import (Mic, Povm, _check_state, _gram_condition, born_probabilities, dual_basis,
-                   is_unbiased)
+from .povm import (Mic, Povm, _check_state, _gram_condition, _valid_states, born_probabilities,
+                   dual_basis, is_unbiased)
 
 
 @dataclass(frozen=True)
@@ -188,10 +188,17 @@ def phi_matrix(mic: Mic, post_states, tol: ToleranceConfig = DEFAULT_TOL) -> Phi
     """
     d = mic.dim
     n = d * d
-    states = [_check_state(s, d, tol) for s in post_states]
-    if len(states) != n:
-        raise WrongCount(len(states), n)
-    m = np.einsum("iab,jba->ij", mic.matrices(), np.array(states)).real
+    post_states = list(post_states)
+    try:
+        states = np.asarray(post_states, dtype=complex)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        states = None
+    if states is None or states.shape != (n, d, d) or not _valid_states(states, tol).all():
+        # one state at a time, so the lowest bad index raises its own error
+        states = [_check_state(s, d, tol) for s in post_states]
+        if len(states) != n:
+            raise WrongCount(len(states), n)
+    m = np.einsum("iab,jba->ij", mic.matrices(), np.asarray(states)).real
     cond = float(np.linalg.cond(m))
     if not np.isfinite(cond) or cond >= CONDITION_LIMIT:
         raise SingularConditionalMatrix(cond)

@@ -14,11 +14,16 @@ its N effects as one read-only (N, d, d) array beside their weights tr E_i.
 A MIC computes its dual basis, with the conditioning and biorthogonality
 checks, on first use and keeps it as one read-only (d^2, d, d) array, so
 reconstructing many states from one MIC inverts its Gram matrix once.
+The dual basis, the purity form and the inverse-Gram distance share one
+condition gate, cond(G) <= 1e12; it runs once per distinct Gram matrix,
+recognized by content, and remembers the last 64 Gram matrices it passed.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,11 +130,34 @@ class Mic(Povm):
         return DualBasis(dim=self.dim, stack=_frozen(duals))
 
 
+# the condition numbers of the last _CONDITION_CACHE_SIZE Gram matrices the
+# gate passed, oldest first, keyed by shape and a 128-bit digest of the
+# float64 bytes: an 8 MB Gram at d = 32 costs one small key, and a Gram
+# changed in place gets a new one
+_CONDITION_CACHE_SIZE = 64
+_conditions: dict[tuple, float] = {}
+_conditions_lock = threading.Lock()
+
+
 def _gram_condition(g: np.ndarray) -> float:
-    """cond(g), or IllConditionedGram if it is not finite or exceeds CONDITION_LIMIT."""
+    """cond(g), or IllConditionedGram if it is not finite or exceeds CONDITION_LIMIT.
+
+    The SVD runs once per distinct Gram matrix, recognized by its content:
+    a Gram that passed is looked up among the last _CONDITION_CACHE_SIZE
+    that did, and a refused one is checked, and refused, on every call.
+    """
+    a = np.ascontiguousarray(g, dtype=float)
+    key = (a.shape, hashlib.blake2b(a, digest_size=16).digest())
+    cond = _conditions.get(key)
+    if cond is not None:
+        return cond
     cond = float(np.linalg.cond(g))
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise IllConditionedGram(cond)
+    with _conditions_lock:
+        _conditions[key] = cond
+        if len(_conditions) > _CONDITION_CACHE_SIZE:
+            del _conditions[next(iter(_conditions))]
     return cond
 
 
@@ -355,7 +383,9 @@ def purity_form(p, g) -> float:
 
     When p comes from measuring rho with the MIC whose Gram matrix is g this
     equals tr(rho^2), so it is 1 exactly for pure states and smaller for
-    mixed ones.  A NaN or infinite p_i raises NonFinite(i).
+    mixed ones.  A NaN or infinite p_i raises NonFinite(i).  The Gram's
+    condition gate runs once per distinct g (see _gram_condition); the
+    solve runs on every call.
     """
     p = np.asarray(p, dtype=float)
     g = np.asarray(g, dtype=float)

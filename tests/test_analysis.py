@@ -1,5 +1,7 @@
 """Gram-matrix analyses: unbiasedness, duals, distances, Phi, probes."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,10 @@ from miclab.constructions import (
     sic_mic,
     sic_qubit,
 )
-from miclab.errors import BiasedMic, IllConditionedGram, NonFinite, ShapeMismatch
-from miclab.povm import DualBasis, born_probabilities, dual_basis, purity_form
+from miclab.config import DEFAULT_TOL
+from miclab.errors import (BiasedMic, IllConditionedGram, InvalidState, NonFinite, ShapeMismatch,
+                           WrongCount)
+from miclab.povm import DualBasis, _check_state, born_probabilities, dual_basis, purity_form
 
 
 def random_psd(d, rng):
@@ -115,10 +119,43 @@ def test_frobenius_gap_rejects_biased_mic():
         frobenius_orthogonality_gap(biased_mic())
 
 
-def test_inv_gram_distance_sic_value():
+# The SIC in dimension d has Gram eigenvalues 1/d once and 1/(d(d+1))
+# d^2 - 1 times, so cond(G) = d + 1.  Each field below comes from G or the
+# effects through one backward-stable inverse, solve or eigendecomposition
+# of a d^2 x d^2 matrix: about cond(G) eps of error per entry, summed over
+# d^2 terms.  So every SIC closed form is asserted to cond(G) eps d^2
+# (3.3e-14 at d = 5); the largest deviation seen is 0.67 of that.
+SICS = [pytest.param(sic_qubit, id="qubit")] + [
+    pytest.param(functools.partial(sic_mic, d), id=f"sic{d}") for d in (2, 3, 4, 5)]
+
+
+def sic_tol(d):
+    return (d + 1) * np.finfo(float).eps * d * d
+
+
+@pytest.mark.parametrize("build", SICS)
+def test_inv_gram_distance_sic_value(build):
     # d sqrt(d^2 - 1) at the SIC minimum
-    assert inv_gram_distance(sic_qubit()) == pytest.approx(2 * np.sqrt(3), abs=1e-9)
-    assert inv_gram_distance(sic_mic(3)) == pytest.approx(3 * np.sqrt(8), abs=1e-7)
+    mic = build()
+    d = mic.dim
+    assert inv_gram_distance(mic) == pytest.approx(d * np.sqrt(d * d - 1), rel=0, abs=sic_tol(d))
+
+
+@pytest.mark.parametrize("build", SICS)
+def test_sic_fields_match_their_closed_forms(build):
+    mic = build()
+    d = mic.dim
+    tol = sic_tol(d)
+    expected = np.full(d * d, 1 / (d * (d + 1)))
+    expected[-1] = 1 / d
+    assert np.abs(np.linalg.eigvalsh(mic.gram) - expected).max() <= tol
+    # the duals are (d + 1) P_i - I: eigenvalue d once and -1 d - 1 times
+    _, ranges = dual_indefiniteness(mic)
+    assert np.abs(np.array(ranges) - [-1.0, d]).max() <= tol
+    assert abs(frobenius_orthogonality_gap(mic) - (d - 1) / (d + 1)) <= tol
+    # with the trace-normalized effects as post-states, M = d G
+    posts = mic.matrices() / mic.weights()[:, None, None]
+    assert abs(phi_matrix(mic, posts).condition_number - (d + 1)) <= tol
 
 
 @pytest.mark.parametrize("small", [0.0, 1e-13])
@@ -164,6 +201,41 @@ def test_phi_matrix_sic_closed_form():
     assert np.abs(rep.matrix - expected).max() < 1e-9
     assert np.abs(rep.matrix.sum(axis=0) - 1.0).max() < 1e-10
     assert rep.matrix.min() < 0
+
+
+BAD_POST_STATES = {
+    "non-hermitian": np.array([[0.5, 0.1], [0.0, 0.5]]),
+    "negative": np.diag([1.5, -0.5]),
+    "wrong-trace": np.eye(2),
+    "wrong-shape": np.eye(3) / 3,
+    "nan": np.array([[0.5, np.nan], [np.nan, 0.5]]),
+}
+
+
+@pytest.mark.parametrize("k", [0, 2, 3])
+@pytest.mark.parametrize("bad", sorted(BAD_POST_STATES))
+def test_phi_matrix_refuses_the_first_bad_post_state(bad, k):
+    # the error _check_state gives on the state at index k, the lowest bad
+    # one, whether or not the states stack into one array
+    mic = sic_qubit()
+    posts = list(mic.matrices() / mic.weights()[:, None, None])
+    posts[k] = BAD_POST_STATES[bad]
+    if k < 3:
+        posts[3] = 3 * np.eye(2)  # a later bad state never decides
+    with pytest.raises(InvalidState) as want:
+        _check_state(posts[k], 2, DEFAULT_TOL)
+    with pytest.raises(InvalidState) as got:
+        phi_matrix(mic, posts)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_phi_matrix_counts_the_post_states():
+    mic = sic_qubit()
+    posts = mic.matrices() / mic.weights()[:, None, None]
+    with pytest.raises(WrongCount):
+        phi_matrix(mic, posts[:3])
+    assert np.array_equal(phi_matrix(mic, posts).matrix, phi_matrix(mic, list(posts)).matrix)
 
 
 def test_cascaded_probability_equals_direct_born():

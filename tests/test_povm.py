@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from miclab.constructions import mic_from_psd_basis, sic_mic, sic_qubit
+from miclab import povm
+from miclab.constructions import mic_from_psd_basis, orthocross_mic, sic_mic, sic_qubit
 from miclab.config import DEFAULT_TOL
 from miclab.ensembles import MicKind, haar_pure_states, random_mic
 from miclab.errors import (
@@ -23,6 +24,7 @@ from miclab.errors import (
 from miclab.povm import (
     Povm,
     _check_state,
+    _gram_condition,
     _valid_states,
     born_probabilities,
     dual_basis,
@@ -369,6 +371,74 @@ def test_purity_form_matches_state_purity():
     p = born_probabilities(rho, mic)
     assert purity_form(p, mic.gram) == pytest.approx(
         np.trace(rho @ rho).real, abs=1e-9)
+
+
+# ------------------------------------------------- the shared condition gate
+
+def test_refused_gram_is_refused_on_every_call():
+    g = np.diag([1.0, 1.0, 1.0, 1e-13])
+    for _ in range(2):
+        with pytest.raises(IllConditionedGram):
+            _gram_condition(g)
+        with pytest.raises(IllConditionedGram):
+            purity_form(np.full(4, 0.25), g)
+
+
+def test_gram_changed_in_place_is_checked_again():
+    g = np.diag([1.0, 2.0, 3.0, 4.0])
+    assert _gram_condition(g) == pytest.approx(4.0)
+    g[3, 3] = 0.0  # the same writable array, now singular
+    with pytest.raises(IllConditionedGram):
+        _gram_condition(g)
+    with pytest.raises(IllConditionedGram):
+        purity_form(np.full(4, 0.25), g)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """One entry per np.linalg.cond call, with the gate's memory emptied."""
+    calls = []
+    real_cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda a: calls.append(1) or real_cond(a))
+    monkeypatch.setattr(povm, "_conditions", {})
+    return calls
+
+
+def test_condition_cache_keeps_a_fixed_number_of_grams(svd_calls):
+    size = povm._CONDITION_CACHE_SIZE
+    grams = [np.diag([1.0, 2.0 + k]) for k in range(3 * size)]
+    for g in grams:
+        _gram_condition(g)
+    assert len(povm._conditions) == size
+    # oldest first out: the newest Gram is still known, the first is not
+    svd_calls.clear()
+    _gram_condition(grams[-1])
+    assert svd_calls == []
+    _gram_condition(grams[0])
+    assert svd_calls == [1]
+
+
+def _tomography_mics(d):
+    yield sic_mic(d)
+    yield orthocross_mic(d)
+    for k, kind in enumerate(MicKind):
+        yield random_mic(kind, d, np.random.default_rng([0, d, k]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_purity_form_returns_the_bits_of_one_solve(d, svd_calls):
+    # the gate's SVD runs once per Gram; the value is the solve's, on the
+    # first call as on the hundredth
+    rho = random_state(d, np.random.default_rng(d))
+    for mic in _tomography_mics(d):
+        g = mic.gram
+        p = born_probabilities(rho, mic)
+        expected = float(p @ np.linalg.solve(g, p))
+        before = len(svd_calls)
+        values = [purity_form(p, g) for _ in range(100)]
+        assert len(svd_calls) == before + 1
+        for value in (values[0], values[-1]):
+            assert np.float64(value).tobytes() == np.float64(expected).tobytes()
 
 
 def _states_at_each_rule_edge(d):

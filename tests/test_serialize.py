@@ -1,5 +1,6 @@
 """Byte-stable serialization of MIC documents and histogram tables."""
 
+import argparse
 import json
 import numbers
 from fractions import Fraction
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from miclab import cli
+from miclab.config import DEFAULT_TOL
 from miclab.constructions import mic_from_psd_basis, sic_qubit
 from miclab.ensembles import MicKind, spectra_study
 from miclab.errors import MicLabError
@@ -236,6 +239,32 @@ def test_mic_document_round_trip_random_mic():
     text1 = dumps(mic_to_document(mic))
     text2 = dumps(mic_to_document(mic_from_document(json.loads(text1))))
     assert text1 == text2
+
+
+# the dimensions each gen kind is built at here, and its own parameters
+GEN_DIMENSIONS = {"appleby": (3, 5, 7), "example7": (3,), "tensorhedron": (2, 3)}
+
+
+@st.composite
+def gen_requests(draw):
+    kind = draw(st.sampled_from(cli.GEN_KINDS + tuple(f"random:{k.value}" for k in MicKind)))
+    d = draw(st.sampled_from(GEN_DIMENSIONS.get(kind, (2, 3, 4, 5))))
+    # beta in [-1/(d - 1), 1] away from 0, where the effects become dependent
+    beta = draw(st.floats(-1 / (d - 1), -1e-3) | st.floats(1e-3, 1.0))
+    return argparse.Namespace(kind=kind, d=d, n=2 if d == 3 else draw(st.sampled_from((2, 3))),
+                              seed=draw(st.integers(0, 2**32 - 1)), beta=beta,
+                              t=draw(st.floats(1e-3, 0.999)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(gen_requests())
+def test_gen_documents_read_back_to_the_same_effects(args):
+    mic = cli._GEN_DISPATCH[args.kind](args, DEFAULT_TOL)
+    back = mic_from_document(json.loads(dumps(mic_to_document(mic))))
+    # the same bits in every entry, once each -0.0 becomes the 0.0 that
+    # format_float writes for it
+    assert back.dim == mic.dim
+    assert back.matrices().tobytes() == (mic.matrices() + 0.0).tobytes()
 
 
 def test_mic_from_document_rejects_malformed():
