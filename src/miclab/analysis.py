@@ -214,8 +214,10 @@ def cascaded_probability(rho, mic: Mic, post_states, second_povm,
     second POVM: Q_j = sum_ik tr(sigma_i D_j) [Phi]_ik tr(rho H_k).  The
     result reproduces the direct Born probabilities tr(rho D_j) of the
     second POVM exactly, which is the consistency condition the Phi matrix
-    encodes.  second_povm may be a Povm or a plain sequence of effects.
+    encodes.  second_povm may be a Povm or a plain sequence of effects, and
+    post_states any iterable of states.
     """
+    post_states = list(post_states)  # read twice: by phi_matrix and below
     phi = phi_matrix(mic, post_states, tol)
     p_first = born_probabilities(rho, mic, tol)
     second = (second_povm.matrices() if isinstance(second_povm, Povm)

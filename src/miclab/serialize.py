@@ -10,12 +10,13 @@ line, any other list and every dict one entry per line; negative zero is
 written as zero, and a non-finite number raises ValueError.
 
 The emitter dispatches on exact types first.  A Python float, int or str
-is written directly, and a list of Python floats is written with one
-join.  A list whose entries are all such lists, like an effect row of
-[re, im] pairs, is written in one piece as well, so a MIC document costs
-one call per row rather than one per number.  Everything else (bools,
-None, arrays, numpy scalars, other registered numbers, subclasses) takes
-the general isinstance chain.
+is written directly.  A regular grid of Python floats, that is nested
+lists of one length per level holding only floats (a flat float list,
+or a MIC document's (N, d, d, 2) effects), is written through a layout:
+the text the general path would write for that shape, with one %.16e
+slot per float, filled by a single % call.  Everything else (bools,
+None, arrays, tuples, numpy scalars, other registered numbers,
+subclasses, ragged or empty lists) takes the general isinstance chain.
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ from .config import DEFAULT_TOL, MAX_DIMENSION, ToleranceConfig
 from .povm import Mic, mic_from_matrices
 
 # The float format and its two rules.  format_float applies the rules to
-# one number; _floats_text applies them to the joined text of many, and
-# relies on two properties of this format: only the non-finite values
-# ("inf", "nan") spell a letter n, and "-0." opens the mantissa of
-# negative zero alone.  test_dumps_refuses_non_finite_numbers_anywhere and
-# test_dumps_matches_the_reference_emitter hold the two to the same output.
+# one number; _floats_text applies them to the text of many, and relies on
+# two properties of this format: only the non-finite values ("inf", "nan")
+# spell a letter n, and "-0." opens the mantissa of negative zero alone.
+# A float layout's "%.16e" slots and _SCIENTIFIC format a float through the
+# same CPython routine.  test_dumps_refuses_non_finite_numbers_anywhere and
+# test_dumps_matches_the_reference_emitter hold the paths to the same output.
 _SCIENTIFIC = "{:.16e}".format  # 17 significant digits
 _NEGATIVE_ZERO, _ZERO = _SCIENTIFIC(-0.0), _SCIENTIFIC(0.0)
 
@@ -54,29 +56,54 @@ def format_float(x: float) -> str:
 
 
 def _floats_text(text: str, floats) -> str:
-    """Apply format_float's rules to text, the joined _SCIENTIFIC forms of floats."""
+    """Apply format_float's rules to text, which holds the _SCIENTIFIC forms of floats."""
     if "n" in text:
         for x in floats:
             format_float(x)  # raises for the first non-finite number
     return text.replace(_NEGATIVE_ZERO, _ZERO)
 
 
+def _float_grid(seq: list):
+    """(shape, leaves) if seq is a regular grid of Python floats, else None.
+
+    Every level must hold only lists (exactly list) of one nonzero length,
+    and the last level only floats (exactly float); leaves are the floats
+    in row-major order.
+    """
+    shape = [len(seq)]
+    while type(seq[0]) is list:
+        n = len(seq[0])
+        if not n or set(map(type, seq)) != {list} or set(map(len, seq)) != {n}:
+            return None
+        seq = list(chain.from_iterable(seq))
+        shape.append(n)
+    if set(map(type, seq)) != {float}:
+        return None
+    return shape, seq
+
+
+def _float_layout(shape, indent: int) -> str:
+    """The text _sequence writes for a float grid of this shape, one %.16e slot per float."""
+    n = shape[0]
+    if len(shape) == 1:
+        return "[" + ", ".join(["%.16e"] * n) + "]"
+    inner = " " * (indent + 2)
+    row = inner + _float_layout(shape[1:], indent + 2)
+    return "[\n" + ",\n".join([row] * n) + "\n" + " " * indent + "]"
+
+
 def _sequence(seq: list, indent: int) -> str:
     """A list on one line if it holds only numbers and strings, else one entry per line."""
     if not seq:
         return "[]"
-    kinds = set(map(type, seq))
-    if kinds == {float}:
-        return _floats_text("[" + ", ".join(map(_SCIENTIFIC, seq)) + "]", seq)
+    grid = _float_grid(seq)
+    if grid is not None:
+        shape, leaves = grid
+        return _floats_text(_float_layout(shape, indent) % tuple(leaves), leaves)
     if all(isinstance(v, (numbers.Number, str)) for v in seq):
         return "[" + ", ".join(dumps(v) for v in seq) + "]"
     inner = " " * (indent + 2)
     close = "\n" + " " * indent + "]"
-    if kinds == {list} and set(map(type, chain.from_iterable(seq))) == {float}:
-        # every entry is a flat line of floats: write the lines in one piece
-        lines = ("],\n" + inner + "[").join([", ".join(map(_SCIENTIFIC, v)) for v in seq])
-        return _floats_text("[\n" + inner + "[" + lines + "]" + close,
-                            chain.from_iterable(seq))
     return "[\n" + ",\n".join(inner + dumps(v, indent + 2) for v in seq) + close
 
 
@@ -140,9 +167,10 @@ def mic_from_document(doc: dict, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
         raise ValueError(f"malformed MIC document: effects hold {a.dtype} entries, not numbers")
     if a.ndim != 4 or a.shape[1:] != (d, d, 2):
         raise ValueError(f"effects have shape {a.shape}, expected (N, {d}, {d}, 2)")
-    # numpy reads a bool among numbers as 0 or 1; JSON arrays are lists
-    if isinstance(effects, list) and any(
-            type(x) is bool for grid in effects for row in grid for pair in row for x in pair):
+    # numpy reads a bool among numbers as 0 or 1; JSON arrays are lists, and
+    # the (N, d, d, 2) shape above makes three flattenings reach every leaf
+    if isinstance(effects, list) and bool in set(map(type, chain.from_iterable(
+            chain.from_iterable(chain.from_iterable(effects))))):
         raise ValueError("malformed MIC document: effects hold bool entries, not numbers")
     a = a.astype(float)
     # each [re, im] pair is read as the bytes of one complex number

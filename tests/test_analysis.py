@@ -269,6 +269,14 @@ def test_cascaded_probability_accepts_plain_effect_list():
     assert q.sum() == pytest.approx(1.0, abs=1e-10)
 
 
+def test_cascaded_probability_reads_a_generator_of_post_states_once():
+    mic = sic_qubit()
+    posts = mic.matrices() / mic.weights()[:, None, None]
+    rho = random_state(2, np.random.default_rng(5))
+    q = cascaded_probability(rho, mic, list(posts), mic)
+    assert np.array_equal(cascaded_probability(rho, mic, (s for s in posts), mic), q)
+
+
 # ------------------------------------------------------------------ Wigner
 
 def test_wigner_quasiprobs_sum_to_one_and_flat_on_mixed():

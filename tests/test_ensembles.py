@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miclab import constructions, ensembles, povm
 from miclab.ensembles import (
@@ -695,6 +697,16 @@ def test_blocks_sum_to_the_same_table_at_any_worker_count(kind):
               for w in (1, 2, 3)]
     assert all(np.array_equal(t, tables[0]) for t in tables[1:])
     assert np.array_equal(tables[0], _dense_counts(kind, 2, n, 8, 100))
+
+
+# seeds past 2**32 take the per-sample SeedSequence path
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.sampled_from(list(MicKind)), st.sampled_from((2, 3)), st.integers(1, 700),
+       st.integers(0, 2 ** 32 - 1) | st.integers(2 ** 32, 2 ** 64))
+def test_worker_count_never_changes_the_counts(kind, d, n, seed):
+    tables = [spectra_study(kind, d, n, default_bin_width(d), seed=seed, workers=w).counts
+              for w in (1, 2)]
+    assert np.array_equal(tables[0], tables[1])
 
 
 def test_pool_rounds_cover_every_block(monkeypatch):

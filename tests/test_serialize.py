@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from miclab import cli
 from miclab.config import DEFAULT_TOL
-from miclab.constructions import mic_from_psd_basis, sic_qubit
+from miclab.constructions import mic_from_psd_basis, sic_mic, sic_qubit
 from miclab.ensembles import MicKind, spectra_study
 from miclab.errors import MicLabError
 from miclab.povm import Mic
@@ -137,6 +137,7 @@ def test_dumps_writes_every_leaf_type_byte_for_byte():
     lambda x: np.array([[0.5, x]]),
     lambda x: [x, 0.5, -x],
     lambda x: [[0.5, -0.0], [x], [-x, x]],
+    lambda x: [[[[0.5, -0.0], [1.0, 2.0]]] * 2, [[[0.5, 0.5], [0.25, 0.5]], [[1.0, 0.0], [0.0, x]]]],
 ])
 def test_dumps_refuses_non_finite_numbers_anywhere(bad, place):
     """Every path refuses the first non-finite number with format_float's message."""
@@ -205,14 +206,30 @@ DOCUMENTS = st.recursive(
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
                    | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
     max_leaves=24)
-# the shapes a MIC document takes: rows of flat float lists, some with -0.0
+# rows of flat float lists, some with -0.0, and ragged or empty ones among them
 FLOAT_ROWS = st.lists(st.lists(st.lists(FINITE | st.just(-0.0), max_size=3), max_size=3),
                       min_size=1, max_size=3)
 
 
+def float_grids(shape):
+    """Regular nested lists of floats of this shape."""
+    grid = FINITE | st.just(-0.0)
+    for n in reversed(shape):
+        grid = st.lists(grid, min_size=n, max_size=n)
+    return grid
+
+
+# the shape a MIC document's effects take: (N, d, d, 2)
+FLOAT_GRIDS = st.tuples(*[st.integers(1, 3)] * 4).flatmap(float_grids)
+
+
 @settings(max_examples=300, deadline=None)
-@given(DOCUMENTS | FLOAT_ROWS)
+@given(DOCUMENTS | FLOAT_ROWS | FLOAT_GRIDS)
 @example([[[1.0, -0.0], [0.5, 2.0]], [[], [3.0]]])
+@example([[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]])  # as many leaves as a 3 x 2 grid
+@example([[1.0, 2.0], (3.0, 4.0)])
+@example([[1.0, 2.0], [3.0, 4]])
+@example([[[0.5, -0.0], []], [[1.0, 2.0], [3.0, 4.0]]])
 @example({"a": [[0.5, 1], [2.0, 3.0]], "b": [[True, 0.5]]})
 @example([-0.0, 5e-324, -5e-324, -1e-300, 0.0, -0.0])
 def test_dumps_matches_the_reference_emitter(doc):
@@ -279,6 +296,11 @@ def test_mic_from_document_rejects_malformed():
         grid = [[[entry, 0], [0, 0]], [[0, 0], [0.5, 0]]]
         with pytest.raises(ValueError, match="not numbers"):
             mic_from_document({"dimension": 2, "effects": [grid]})
+    # the bool check reaches the last leaf of a full document
+    doc = mic_to_document(sic_mic(5))
+    doc["effects"][-1][-1][-1][-1] = True
+    with pytest.raises(ValueError, match="effects hold bool entries, not numbers"):
+        mic_from_document(doc)
 
 
 def test_mic_from_document_requires_dimension_two_or_more():
