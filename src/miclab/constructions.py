@@ -7,6 +7,13 @@ squashing any positive semidefinite operator basis with the inverse square
 root of its sum, equiangular interpolations, a rank-(d+1)/2 covariant family
 for odd dimensions, tensor products, and a hand-built rank-1 unbiased MIC in
 dimension three with exactly seven orthogonal pairs of effects.
+
+The squash's basis-rank gate is certified by one Cholesky factorization
+of S - tau I, S = (G + G^T) / 2 the symmetrized basis Gram and tau =
+2 rank_tol ||G||_F + n max|G - G^T|, where 48 n^2 u (1 + rank_tol) <
+rank_tol (u = 2^-53; n up to 476 at the default rank_tol): a Gram that
+factors has full rank by numerical_rank's SVD too, and any other goes to
+that SVD, as does a stack of fewer than 128 entries (_basis_rank).
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ from .errors import (
     WrongCount,
     WrongDimension,
 )
-from .linalg import _lapack, eigh, hermiticity_defect, numerical_rank
+from .linalg import (_CERTIFY_MIN_ENTRIES, _factors, _lapack, _rounding, eigh,
+                     hermiticity_defect, numerical_rank)
 from .povm import Mic, _check_state, _check_unit, _frozen, mic_from_matrices, validate_povm
 
 
@@ -255,13 +263,42 @@ def orthocross_probability_bound(d: int) -> float:
 
 # ----------------------------------------------- generic squashed-basis MICs
 
+def _basis_rank(g: np.ndarray, tol: ToleranceConfig):
+    """numerical_rank(g, tol) of a real n x n matrix, or of each of a
+    (..., n, n) stack, with full rank certified by one Cholesky factorization.
+
+    For one matrix G, with N = ||G||_F, S = (G + G^T) / 2 and
+    tau = 2 rank_tol N + n max|G - G^T|: if S - tau I factors, S has least
+    eigenvalue at least tau - d_c, d_c = u (2 N + tau) for forming S - tau I
+    plus 8 (n + 1) u sqrt(n) N for the factorization.  G differs from S by
+    its skew part, of 2-norm at most (n / 2) max|G - G^T|, so
+    sigma_min(G) >= 2 rank_tol N - d_c.  svdvals then returns a least
+    singular value of at least that less d_s = 16 n^2 u N, and a largest of
+    at most N + d_s, and numerical_rank counts all n when the first exceeds
+    rank_tol times the second.  With tau <= (2 rank_tol + 2 n) N, all of it
+    holds where linalg._rounding(n) (1 + rank_tol) < rank_tol, a bound on n
+    and rank_tol alone (at the default rank_tol of 1e-9, n up to 476, so
+    d <= 21).  Where it fails, or a stack does not factor or is not finite,
+    numerical_rank decides, so every rank is its; it also decides a stack of
+    fewer than linalg._CERTIFY_MIN_ENTRIES entries, which it answers sooner.
+    """
+    n = g.shape[-1]
+    if g.size >= _CERTIFY_MIN_ENTRIES and _rounding(n) * (1 + tol.rank_tol) < tol.rank_tol:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite tau steps aside
+            tau = 2 * tol.rank_tol * np.sqrt(np.einsum("...ij,...ij->...", g, g))
+            tau += n * np.abs(g - g.mT).max(axis=(-2, -1))
+        if np.isfinite(tau).all() and _factors((g + g.mT) / 2 - tau[..., None, None] * np.eye(n)):
+            return n if g.ndim == 2 else np.full(g.shape[:-2], n)
+    return numerical_rank(g, tol)
+
+
 def _squash(a: np.ndarray, tol: ToleranceConfig):
     """mic_from_psd_basis's squash of each basis of a (..., n, d, d) stack: the
-    numerical rank of its Gram matrix tr(A_i A_j), whether Omega = sum_i A_i
-    is within hermitian_tol of its adjoint and safely positive (least
-    eigenvalue above rank_tol times the largest), and the effects
-    Omega^{-1/2} A_i Omega^{-1/2}, which mean nothing where it is not."""
-    rank = numerical_rank(np.einsum("...iab,...jba->...ij", a, a).real, tol)
+    numerical rank of its Gram matrix tr(A_i A_j), by _basis_rank, whether
+    Omega = sum_i A_i is within hermitian_tol of its adjoint and safely
+    positive (least eigenvalue above rank_tol times the largest), and the
+    effects Omega^{-1/2} A_i Omega^{-1/2}, which mean nothing where it is not."""
+    rank = _basis_rank(np.einsum("...iab,...jba->...ij", a, a).real, tol)
     omega = a.sum(axis=-3)
     safe = np.asarray(hermiticity_defect(omega) <= tol.hermitian_tol)
     # only finite Hermitian Omegas reach LAPACK

@@ -49,6 +49,12 @@ rank gate is then read off the components, and it implies wh_mic's
 overlap gate.  A generic batch goes once through the single build's own
 gate functions, each written once for a stack of any leading shape; the
 last gives the Gram eigenvalues and runs the rank SVD only near rank_tol.
+The PSD checks of fiducials and effects and the basis-rank gate are each
+one Cholesky certificate over the batch (povm._psd, with margin
+zero_tol / 2, and constructions._basis_rank, with margin
+2 rank_tol ||G||_F).  It passes a batch only if every matrix factors and
+the margin covers LAPACK's rounding; any other batch goes whole to
+eigvalsh or the SVD, so every verdict is the single build's.
 
 Every draw is one standard_normal block: haar_pure_states reads n vectors
 from an (n, 2, d) block, real then imaginary parts, and gue_psd_samples n
@@ -358,7 +364,7 @@ def _squash_spectra(a: np.ndarray):
     """
     tol, n = DEFAULT_TOL, a.shape[1]
     rank, kept, e = _squash(a, tol)
-    faulty, _, summed, _ = _effect_rules(e, tol)
+    faulty, summed, _ = _effect_rules(e, tol)
     real, g = _gram_rules(e, tol)
     eigs, g_rank = _gram_rank(g, tol)
     kept &= (rank == n) & (faulty == n) & summed & real & (g_rank == n)

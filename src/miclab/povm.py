@@ -17,6 +17,17 @@ reconstructing many states from one MIC inverts its Gram matrix once.
 The dual basis, the purity form and the inverse-Gram distance share one
 condition gate, cond(G) <= 1e12; it runs once per distinct Gram matrix,
 recognized by content, and remembers the last 64 Gram matrices it passed.
+
+The PSD rule, least eigenvalue at least -zero_tol, is certified for a whole
+stack (the effects of validate_povm and of the generic spectra batch, the
+states of the covariant batch and of phi_matrix) by one Cholesky
+factorization of H + (zero_tol / 2) I.  It runs only where 48 n^2 u (F +
+zero_tol / 2) <= zero_tol / 2, F the stack's largest Frobenius norm and u =
+2^-53, which covers the rounding of the factorization and of eigvalsh
+(_psd).  A stack that factors there has every verdict eigvalsh would give;
+any other stack goes to eigvalsh whole, and so does one of fewer than 128
+entries, which eigvalsh answers sooner.  So every verdict is eigvalsh's,
+and NotPsd's value is still eigvalsh's least eigenvalue of that effect.
 """
 
 from __future__ import annotations
@@ -41,7 +52,8 @@ from .errors import (
     SumNotIdentity,
     WrongCount,
 )
-from .linalg import _lapack, eigh, eigvalsh, hermiticity_defect, numerical_rank
+from .linalg import (_CERTIFY_MIN_ENTRIES, _factors, _lapack, _rounding, eigh, eigvalsh,
+                     hermiticity_defect, numerical_rank)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -186,25 +198,55 @@ def _first(mask: np.ndarray) -> np.ndarray:
     return np.where(mask.any(axis=-1), mask.argmax(axis=-1), mask.shape[-1])
 
 
+def _psd(h: np.ndarray, zero_tol: float) -> np.ndarray:
+    """Whether each matrix of a finite (..., n, n) stack has, by eigvalsh, a
+    least eigenvalue of at least -zero_tol, read as LAPACK reads it: the
+    Hermitian matrix H of its lower triangle.
+
+    One Cholesky factorization of the whole stack shifted by s = zero_tol / 2
+    certifies every verdict.  With F the largest Frobenius norm in the stack,
+    ||H||_F <= sqrt(2) F.  If h + sI factors, each H has least eigenvalue at
+    least -s - d_c, where d_c = u (sqrt(2) F + s) for forming the shift and
+    8 (n + 1) u tr(H + sI) <= 8 (n + 1) u (sqrt(2 n) F + n s) for the
+    factorization; eigvalsh then returns at least -s - d_c - d_e, with
+    d_e = 16 n^2 u sqrt(2) F its own rounding.  All three are within
+    linalg._rounding(n) (F + s) = 48 n^2 u (F + s), so where that is at most
+    s, a stack that factors has every least eigenvalue at or above
+    -zero_tol by eigvalsh too.  Otherwise (a large F, a tiny zero_tol, or a
+    stack that does not factor) eigvalsh decides, so every verdict is its;
+    it also decides a stack of fewer than linalg._CERTIFY_MIN_ENTRIES
+    entries, which it answers sooner.
+    """
+    n = h.shape[-1]
+    s = zero_tol / 2
+    if h.size >= _CERTIFY_MIN_ENTRIES:
+        flat = h.reshape(-1, n * n)
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf norm steps aside
+            f = float(np.sqrt(np.vecdot(flat, flat).real.max()))
+            if _rounding(n) * (f + s) <= s and _factors(h + s * np.eye(n)):
+                return np.ones(h.shape[:-2], dtype=bool)
+    return _lapack(np.linalg.eigvalsh, h)[..., 0] >= -zero_tol
+
+
 def _effect_rules(e: np.ndarray, tol: ToleranceConfig):
     """validate_povm's rules on each set of N effects of a (..., N, d, d) stack:
     the index of its lowest effect that is non-finite, beyond hermitian_tol
-    of its adjoint or below -zero_tol in an eigenvalue (N if none), each
-    effect's least eigenvalue, whether the Frobenius norm of the sum minus
-    the identity is within zero_tol * d, and that norm."""
+    of its adjoint or below -zero_tol in an eigenvalue (N if none), whether
+    the Frobenius norm of the sum minus the identity is within zero_tol * d,
+    and that norm.  The eigenvalue rule is _psd's, certified by Cholesky."""
     hermitian = hermiticity_defect(e) <= tol.hermitian_tol
     # only finite Hermitian effects reach LAPACK
     h = e if hermitian.all() else np.where(hermitian[..., None, None], e, 0)
-    low = _lapack(np.linalg.eigvalsh, h)[..., 0]
     d = e.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows fails below
         deficit = np.linalg.norm(e.sum(axis=-3) - np.eye(d), axis=(-2, -1))
-    return _first(~hermitian | (low < -tol.zero_tol)), low, deficit <= tol.zero_tol * d, deficit
+    return _first(~hermitian | ~_psd(h, tol.zero_tol)), deficit <= tol.zero_tol * d, deficit
 
 
 def validate_povm(effects, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
     """Check that effects, an (N, d, d) array or a sequence of d x d
-    matrices, form a POVM, with one batched eigendecomposition.
+    matrices, form a POVM, with the PSD rule decided for all effects at
+    once (see _psd).
 
     Of several faulty effects the lowest index raises: ShapeMismatch,
     NonFinite, NotHermitian, or NotPsd for an eigenvalue below -zero_tol.
@@ -212,10 +254,10 @@ def validate_povm(effects, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
     zero_tol * d in Frobenius norm.
     """
     mats, ragged = _stack(effects)
-    first, low, summed, deficit = _effect_rules(mats, tol)
+    first, summed, deficit = _effect_rules(mats, tol)
     if first < len(mats):
         eigh(mats[:first + 1], tol)  # raises NonFinite or NotHermitian for a non-Hermitian one
-        raise NotPsd(int(first), float(low[first]))
+        raise NotPsd(int(first), float(_lapack(np.linalg.eigvalsh, mats[first])[0]))
     if ragged is not None:
         raise ragged
     if not summed:
@@ -320,9 +362,9 @@ def _check_state(rho, d: int, tol: ToleranceConfig) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d, d):
         raise InvalidState(f"state has shape {rho.shape}, expected {(d, d)}")
-    # a non-finite entry makes the defect inf, and so does an overflow
-    defect = hermiticity_defect(rho)
+    # a non-finite entry makes the defect NaN or inf, and an overflow makes it inf
     with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.abs(rho - rho.conj().T).max()
         tr = complex(rho.trace())
     if not defect <= tol.hermitian_tol:
         if not np.isfinite(rho).all():
@@ -344,7 +386,7 @@ def _valid_states(rhos: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     with np.errstate(over="ignore"):
         ok &= np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0) <= 1e-10
     half = rhos / 2
-    ok &= np.linalg.eigvalsh(half + half.conj().transpose(0, 2, 1))[:, 0] >= -tol.zero_tol
+    ok &= _psd(half + half.conj().transpose(0, 2, 1), tol.zero_tol)
     return ok
 
 

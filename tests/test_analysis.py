@@ -20,6 +20,7 @@ from miclab.analysis import (
     wigner_quasiprobs,
 )
 from miclab.constructions import (
+    equiangular_mic,
     example_seven_orthogonal,
     mic_from_psd_basis,
     orthocross_mic,
@@ -156,6 +157,48 @@ def test_sic_fields_match_their_closed_forms(build):
     # with the trace-normalized effects as post-states, M = d G
     posts = mic.matrices() / mic.weights()[:, None, None]
     assert abs(phi_matrix(mic, posts).condition_number - (d + 1)) <= tol
+
+
+# The equiangular MIC E_i = (beta/d) P_i + (1 - beta)/d^2 I has Gram
+# alpha I + zeta J with alpha = beta^2/(d(d+1)) and alpha + d^2 zeta = 1/d,
+# so its Gram eigenvalues are alpha (d^2 - 1 times) and 1/d, and
+# cond(G) = (d+1)/beta^2.  Its duals are (E_i - d zeta I)/alpha, and
+# G^-1 has eigenvalues 1/alpha and d.  As for the SIC each field carries
+# about cond(G) eps of relative error per term, summed over d^2 terms, so
+# each is asserted to cond(G) eps d^2 times max(1, |field|): at beta = 0.1
+# the inverse-Gram distance reaches 2.9e3.  The largest deviation seen is
+# 0.24 of that.
+EQUIANGULAR = [pytest.param(d, beta, id=f"d{d}-{name}") for d in (2, 3, 4, 5)
+               for name, beta in (("half", 0.5), ("tenth", 0.1),
+                                  ("neg-half-end", -1 / (2 * (d - 1))), ("neg-end", -1 / (d - 1)))]
+
+
+@pytest.mark.parametrize("d, beta", EQUIANGULAR)
+def test_equiangular_fields_match_their_closed_forms(d, beta):
+    mic = equiangular_mic(sic_mic(d), beta)
+    n = d * d
+    alpha = beta ** 2 / (d * (d + 1))
+    zeta = (1 / d - alpha) / n
+    cond = (d + 1) / beta ** 2
+
+    def close(got, want):
+        scale = max(1.0, np.abs(want).max())
+        return np.abs(np.asarray(got) - want).max() <= cond * np.finfo(float).eps * n * scale
+
+    expected = np.full(n, alpha)
+    expected[-1] = 1 / d
+    assert close(np.linalg.eigvalsh(mic.gram), expected)
+    # E_i has eigenvalues beta/d + (1 - beta)/d^2 and, d - 1 times, (1 - beta)/d^2
+    top = (d + 1) * (d + beta - 1) / (d * beta) - 1
+    rest = (beta - 1) * (d + 1) / (d * beta) - 1
+    _, ranges = dual_indefiniteness(mic)
+    assert close(ranges, np.array([min(top, rest), max(top, rest)]))
+    gap = n * (1 / d - alpha - zeta) ** 2 + n * (n - 1) * zeta ** 2
+    assert close(frobenius_orthogonality_gap(mic), gap)
+    assert close(inv_gram_distance(mic), np.sqrt(n - 1) * abs(1 - 1 / (d * alpha)))
+    # with the trace-normalized effects as post-states, M = d G
+    posts = mic.matrices() / mic.weights()[:, None, None]
+    assert close(phi_matrix(mic, posts).condition_number, cond)
 
 
 @pytest.mark.parametrize("small", [0.0, 1e-13])

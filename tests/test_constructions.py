@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from miclab import constructions
 from miclab.analysis import group_covariance_check, orthogonal_pairs
-from miclab.config import DEFAULT_TOL
+from miclab.config import DEFAULT_TOL, ToleranceConfig
 from miclab.constructions import (
     SicFiducial,
     _squash,
@@ -29,6 +32,7 @@ from miclab.constructions import (
 from miclab.errors import (
     BetaOutOfRange,
     BetaZero,
+    ConvergenceFailure,
     DegenerateFiducial,
     EnvelopeExceeded,
     EvenDimension,
@@ -38,6 +42,7 @@ from miclab.errors import (
     SingularOperator,
     WrongCount,
 )
+from miclab.linalg import numerical_rank
 from miclab.povm import born_probabilities, is_unbiased
 
 
@@ -291,6 +296,69 @@ def test_squash_of_a_stack_maps_each_omega_to_the_identity():
     assert np.abs(e.sum(axis=-3) - np.eye(3)).max() < 1e-10
     one = _squash(a[1, 2], DEFAULT_TOL)
     assert one[0] == 9 and one[1] and np.array_equal(one[2], e[1, 2])
+
+
+def _with_singular_values(sigma, skew, rng):
+    # Q diag(sigma) Q^T for a random orthogonal Q, plus a skew part whose
+    # largest entry is skew
+    n = len(sigma)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    k = rng.standard_normal((n, n))
+    k -= k.T
+    return (q * sigma) @ q.T + skew * k / np.abs(k).max()
+
+
+def _ranks(g, tol):
+    # the rank array of a stack, or the error type it raises
+    try:
+        return numerical_rank(g, tol).tolist()
+    except ConvergenceFailure:
+        return ConvergenceFailure
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(4, 1.0, [2.0, 1e3], DEFAULT_TOL.rank_tol, 0.0, None, 8, 0)  # stacks it runs on
+@example(4, 1e3, [1e3], DEFAULT_TOL.rank_tol, 1e-12, None, 8, 1)
+@example(25, 1e6, [4.0], DEFAULT_TOL.rank_tol, 1e-16, None, 0, 2)
+@given(st.sampled_from([4, 25]), st.sampled_from([1.0, 1e3, 1e6]),
+       st.lists(st.sampled_from([1 - 1e-3, 1 + 1e-3, 2.0, 1e3]), min_size=1, max_size=3),
+       st.sampled_from([DEFAULT_TOL.rank_tol, 1e-13, 1e-15]),
+       st.sampled_from([0.0, 1e-16, 1e-12]), st.sampled_from([None, np.nan, np.inf]),
+       st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=10_000))
+def test_certified_basis_ranks_are_svd_ranks(n, scale, ratios, rank_tol, skew, bad, pad, seed):
+    # each Gram's least singular value sits at ratio * rank_tol times its
+    # largest, so the rule decides on either side of rank_tol; the ranks are
+    # numerical_rank's, and so is the error for a non-finite Gram; pad
+    # identity Grams bring small stacks to the size the certificate runs at
+    rng = np.random.default_rng(seed)
+    tol = ToleranceConfig(rank_tol=rank_tol)
+    g = np.array([scale * np.eye(n)] * pad + [_with_singular_values(
+        scale * np.r_[1.0, rng.uniform(r * rank_tol, 1.0, n - 2), r * rank_tol], scale * skew, rng)
+        for r in ratios])
+    if bad is not None:
+        g[-1, 0, 1] = bad
+    want = _ranks(g, tol)
+    try:
+        got = constructions._basis_rank(g, tol).tolist()
+    except ConvergenceFailure:
+        got = ConvergenceFailure
+    assert got == want
+    if want is not ConvergenceFailure:
+        assert [constructions._basis_rank(m, tol) for m in g] == want
+
+
+def test_basis_rank_certificate_steps_aside_where_its_bound_fails(monkeypatch):
+    # the certificate runs only where 48 n^2 u (1 + rank_tol) < rank_tol, on
+    # a stack of at least 128 entries: at the default rank_tol for n = 25
+    # (d = 5), not for n = 1024 (d = 32), not for n = 25 at rank_tol 1e-13,
+    # and not for one 9 x 9 Gram (d = 3)
+    calls = []
+    monkeypatch.setattr(constructions, "numerical_rank", lambda g, tol: calls.append(len(g)) or -1)
+    assert constructions._basis_rank(np.eye(25), DEFAULT_TOL) == 25 and calls == []
+    assert constructions._basis_rank(np.eye(1024), DEFAULT_TOL) == -1 and calls == [1024]
+    assert constructions._basis_rank(np.eye(25), ToleranceConfig(rank_tol=1e-13)) == -1
+    assert constructions._basis_rank(np.eye(9), DEFAULT_TOL) == -1
+    assert constructions._basis_rank(np.tile(np.eye(9), (2, 1, 1)), DEFAULT_TOL).tolist() == [9, 9]
 
 
 def test_spanning_basis_with_a_singular_omega_is_refused():

@@ -22,6 +22,7 @@ from miclab.ensembles import (
     random_mic,
     spectra_study,
 )
+from miclab.config import DEFAULT_TOL
 from miclab.constructions import mic_from_psd_basis, wh_mic
 from miclab.errors import (
     DegenerateFiducial,
@@ -33,7 +34,7 @@ from miclab.errors import (
     SamplingExhausted,
     WrongDimension,
 )
-from miclab.linalg import numerical_rank
+from miclab.linalg import _CERTIFY_MIN_ENTRIES, numerical_rank
 from miclab.povm import is_unbiased, rank1_mic_check
 from miclab.serialize import histogram_to_table
 from wh_rank1_laws import d3_bin_probabilities, d3_cdf
@@ -611,7 +612,9 @@ def test_gram_rank_near_the_threshold_is_decided_by_svd(kind, d, monkeypatch):
     # rank_tol.  Where min |eig| comes within 1e3 of the threshold, the
     # Gram's SVD decides, and the decision is the single build's.  The
     # oracle is numerical_rank on a basis Gram and a MIC Gram that the test
-    # squashes itself.
+    # squashes itself.  The basis Gram's SVD runs only where its Cholesky
+    # certificate does not pass: on a stack too small for it, or where
+    # S - tau I does not factor.
     calls = []
 
     def rank(a, tol):
@@ -642,14 +645,29 @@ def test_gram_rank_near_the_threshold_is_decided_by_svd(kind, d, monkeypatch):
         spans = [numerical_rank(np.einsum("iab,jba->ij", m, m).real) == d * d for m in (b, e)]
         assert kept == all(spans), eps
         if kept:  # past the basis gate; the MIC Gram's rank went to the SVD
-            assert batch_calls == [1, 1], eps
+            basis_svd = [] if _basis_rank_certified(b[None]) else [1]
+            assert batch_calls == basis_svd + [1], eps
         outcomes.add(bool(kept))
     assert outcomes == {True, False}
     # far from the threshold the eigenvalues decide, with no second SVD
     calls.clear()
     draws = np.array([ensembles._draw(kind, d, _substream(7, i)) for i in range(6)])
     assert ensembles._squash_spectra(draws)[1].all()
-    assert calls == [6]
+    assert calls == ([] if _basis_rank_certified(draws) else [6])
+
+
+def _basis_rank_certified(bases, tol=DEFAULT_TOL):
+    # constructions._basis_rank's certificate on the Grams of a stack of
+    # bases, restated: the stack is large enough, and S - tau I factors
+    g = np.einsum("...iab,...jba->...ij", bases, bases).real
+    n = g.shape[-1]
+    tau = 2 * tol.rank_tol * np.linalg.norm(g, axis=(-2, -1))
+    tau += n * np.abs(g - g.mT).max(axis=(-2, -1))
+    try:
+        np.linalg.cholesky((g + g.mT) / 2 - tau[:, None, None] * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return g.size >= _CERTIFY_MIN_ENTRIES
 
 
 @pytest.mark.parametrize("kind", GENERIC)

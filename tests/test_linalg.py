@@ -9,6 +9,7 @@ from miclab import errors
 from miclab.config import ToleranceConfig
 from miclab.errors import NonFinite, NotHermitian, ShapeMismatch, SingularOperator
 from miclab.linalg import (
+    _rounding,
     eigh,
     eigvalsh,
     hermiticity_defect,
@@ -149,3 +150,27 @@ def test_eigh_eigenvalues_match_trace_and_norm(d, seed):
     w = eigvalsh(h)
     assert w.sum() == pytest.approx(np.trace(h).real, abs=1e-10)
     assert (w ** 2).sum() == pytest.approx((np.abs(h) ** 2).sum(), abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 5, 25, 32])
+def test_lapack_rounding_stays_within_its_allowance(n):
+    # _rounding(n) = 48 n^2 u grants 16 n^2 u ||A||_F to eigvalsh and to
+    # svdvals, and 8 (n + 1) u tr(A) to a completed Cholesky factorization;
+    # the errors measured on matrices of known spectrum stay within them
+    u = np.finfo(float).eps / 2
+    assert _rounding(n) == 48 * n * n * u
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        w = np.sort(rng.uniform(-1, 1, n) * np.logspace(0, -8, n))
+        h = (q * w) @ q.conj().T
+        h = (h + h.conj().T) / 2
+        assert np.abs(np.linalg.eigvalsh(h) - w).max() <= 16 * n * n * u * np.linalg.norm(h)
+        o = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        s = np.logspace(0, -8, n)
+        g = (o * s) @ o.T
+        assert np.abs(np.linalg.svdvals(g) - s).max() <= 16 * n * n * u * np.linalg.norm(g)
+        a = (q * (np.abs(w) + 1e-3)) @ q.conj().T
+        a = (a + a.conj().T) / 2
+        r = np.linalg.cholesky(a)
+        assert np.linalg.norm(r @ r.conj().T - a, 2) <= 8 * (n + 1) * u * np.trace(a).real

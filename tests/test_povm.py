@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from miclab import povm
 from miclab.constructions import mic_from_psd_basis, orthocross_mic, sic_mic, sic_qubit
-from miclab.config import DEFAULT_TOL
+from miclab.config import DEFAULT_TOL, ToleranceConfig
 from miclab.ensembles import MicKind, haar_pure_states, random_mic
 from miclab.errors import (
     IllConditionedGram,
@@ -21,6 +21,7 @@ from miclab.errors import (
     SumNotIdentity,
     WrongCount,
 )
+from miclab.linalg import hermiticity_defect
 from miclab.povm import (
     Povm,
     _check_state,
@@ -494,6 +495,105 @@ def test_effects_whose_sum_overflows_do_not_sum_to_identity():
     big = np.diag([1e308, 0.0])
     with pytest.raises(SumNotIdentity):
         validate_povm([big, big])
+
+
+# ------------------------------------------------ certified PSD verdicts
+
+def _eigvalsh_effect_rules(e, tol):
+    # _effect_rules' index and validate_povm's NotPsd value as one batched
+    # eigvalsh gave them before the Cholesky certificate
+    hermitian = hermiticity_defect(e) <= tol.hermitian_tol
+    low = np.linalg.eigvalsh(np.where(hermitian[..., None, None], e, 0))[..., 0]
+    first = povm._first(~hermitian | (low < -tol.zero_tol))
+    return first, (low[first] if first < len(e) else None)
+
+
+def _eigvalsh_valid_states(rhos, tol):
+    # _valid_states as eigvalsh decided it before the Cholesky certificate
+    ok = hermiticity_defect(rhos) <= tol.hermitian_tol
+    rhos = np.where(ok[:, None, None], rhos, 0)
+    with np.errstate(over="ignore"):
+        ok &= np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0) <= 1e-10
+    half = rhos / 2
+    return ok & (np.linalg.eigvalsh(half + half.conj().transpose(0, 2, 1))[:, 0] >= -tol.zero_tol)
+
+
+def _hermitian_with_spectrum(w, rng):
+    # Q diag(w) Q^dagger for a random unitary Q, exactly Hermitian
+    d = len(w)
+    q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    h = (q * w) @ q.conj().T
+    return (h + h.conj().T) / 2
+
+
+def _masked(m, fault, rng):
+    # a matrix that the Hermiticity rule masks: non-finite, or skew by 1e-6
+    m = m.copy()
+    if fault == "skew":
+        m[0, -1] += 1e-6 * m.shape[0]
+    else:
+        m[rng.integers(len(m)), rng.integers(len(m))] = {"nan": np.nan, "inf": np.inf}[fault]
+    return m
+
+
+# least eigenvalues in units of zero_tol: either side of the rule at -1 and
+# of the shift at -1/2, and 0
+LEAST = [-(1 + 1e-3), -(1 - 1e-3), -0.5, 0.0, 0.5]
+# the default, and tolerances so small that the certificate steps aside
+ZERO_TOLS = [DEFAULT_TOL.zero_tol, 1e-15, 1e-300]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(2, 1.0, [0.0, 0.5], DEFAULT_TOL.zero_tol, [], 40, 0)  # stacks it passes
+@example(2, 1.0, [0.5, 0.0, 0.5], DEFAULT_TOL.zero_tol, ["nan", "skew"], 40, 1)
+@example(5, 1e3, [0.0, 0.5], DEFAULT_TOL.zero_tol, [], 8, 2)
+@example(32, 1.0, [0.5], DEFAULT_TOL.zero_tol, ["inf"], 0, 3)
+@given(st.sampled_from([2, 5, 32]), st.sampled_from([1.0, 1e3, 1e6]),
+       st.lists(st.sampled_from(LEAST), min_size=1, max_size=4), st.sampled_from(ZERO_TOLS),
+       st.lists(st.sampled_from(["nan", "inf", "skew"]), max_size=2),
+       st.integers(min_value=0, max_value=64), st.integers(min_value=0, max_value=10_000))
+def test_certified_psd_verdicts_are_eigvalsh_verdicts(d, scale, least, zero_tol, faults, pad,
+                                                      seed):
+    # _effect_rules (validate_povm and the generic batch) and _valid_states
+    # (the covariant batch and phi_matrix) decide as eigvalsh does, and
+    # validate_povm's NotPsd value keeps its bits; pad extra PSD matrices
+    # bring a small stack to the size the certificate runs at
+    rng = np.random.default_rng(seed)
+    tol = ToleranceConfig(zero_tol=zero_tol)
+    e = np.array([_hermitian_with_spectrum(np.r_[k * zero_tol, scale * rng.random(d - 1)], rng)
+                  for k in least] + [scale * np.eye(d) / d] * pad)
+    rhos = np.array([_hermitian_with_spectrum(np.r_[k * zero_tol, w * (1 - k * zero_tol) / w.sum()],
+                                              rng) for k in least for w in [rng.random(d - 1)]]
+                    + [np.eye(d) / d] * pad)
+    for i, fault in enumerate(faults):
+        e[i % len(least)] = _masked(e[i % len(least)], fault, rng)
+        rhos[-1 - i % len(least)] = _masked(rhos[-1 - i % len(least)], fault, rng)
+    first, low = _eigvalsh_effect_rules(e, tol)
+    assert povm._effect_rules(e, tol)[0] == first
+    if low is not None and np.isfinite(e[first]).all() and hermiticity_defect(e[first]) <= 1e-12:
+        with pytest.raises(NotPsd) as info:
+            validate_povm(e, tol)
+        assert (info.value.index, info.value.min_eigenvalue) == (first, low)
+    assert _valid_states(rhos, tol).tolist() == _eigvalsh_valid_states(rhos, tol).tolist()
+    h = np.where(np.isfinite(e), e, 0)
+    assert povm._psd(h, zero_tol).tolist() == (np.linalg.eigvalsh(h)[:, 0] >= -zero_tol).tolist()
+
+
+def test_psd_certificate_steps_aside_where_its_bound_fails(monkeypatch):
+    # the certificate runs only where 48 n^2 u (F + zero_tol/2) <= zero_tol/2,
+    # on a stack of at least 128 entries: for unit-norm matrices at n = 32
+    # and the default zero_tol, not at 1e-15, and not for 31 2 x 2 matrices
+    calls = []
+    real = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or real(a))
+    h = np.eye(32)[None] / np.sqrt(32)
+    assert povm._psd(h, DEFAULT_TOL.zero_tol).all() and calls == [(1, 32, 32)]
+    calls.clear()
+    assert povm._psd(h, 1e-15).all() and calls == []
+    assert povm._psd(1e6 * h, DEFAULT_TOL.zero_tol).all() and calls == []
+    assert povm._psd(np.tile(np.eye(2), (31, 1, 1)), DEFAULT_TOL.zero_tol).all() and calls == []
+    assert povm._psd(np.tile(np.eye(2), (32, 1, 1)), DEFAULT_TOL.zero_tol).all()
+    assert calls == [(32, 2, 2)]
 
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
