@@ -245,12 +245,8 @@ def group_covariance_check(g) -> bool:
     effects), so a False certifies non-covariance; True is necessary but
     not sufficient.
     """
-    g = _square_gram(g)
-    reference = np.sort(g[0])
-    for row in g[1:]:
-        if np.abs(np.sort(row) - reference).max() > 1e-9:
-            return False
-    return True
+    rows = np.sort(_square_gram(g), axis=1)
+    return bool(np.abs(rows - rows[0]).max() <= 1e-9)
 
 
 # ------------------------------------------------------------ conjecture probes

@@ -398,13 +398,13 @@ def tensorhedron_mic(component: Mic, n: int, tol: ToleranceConfig = DEFAULT_TOL)
     dim = component.dim ** n
     if dim > MAX_DIMENSION:
         raise EnvelopeExceeded(dim, MAX_DIMENSION)
-    mats = component.matrices()
-    effects = []
-    for combo in itertools.product(range(len(mats)), repeat=n):
-        e = mats[combo[0]]
-        for i in combo[1:]:
-            e = np.kron(e, mats[i])
-        effects.append(e)
+    mats = effects = component.matrices()
+    for _ in range(n - 1):
+        # one Kronecker factor more: with m component effects of size d, entry
+        # (k m + l, i d + p, j d + q) is effects[k, i, j] * mats[l, p, q], np.kron's product
+        size = effects.shape[1] * mats.shape[1]
+        effects = (effects[:, None, :, None, :, None] * mats[None, :, None, :, None, :]).reshape(
+            -1, size, size)
     return mic_from_matrices(effects, tol)
 
 

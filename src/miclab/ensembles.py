@@ -24,8 +24,11 @@ A block's substreams are seeded at once.  Sample i's stream is
 default_rng(SeedSequence([seed, i])), and for seed and i below 2^32 both
 are one entropy word, so numpy's SeedSequence hash (mix_entropy, then
 generate_state(4, uint64)) is fixed uint32 arithmetic on them; it is
-restated from numpy, frozen by NEP 19's stream policy, and runs as array
-operations over the whole block.  Each sample's hashed words are handed to
+restated from numpy, frozen by NEP 19's stream policy, as six passes over
+one (4, n) uint32 pool: the entropy words (seed, i, 0, 0), one per source
+word, and the 8 output words.  A source word's three mixes are one (3, n)
+step: each reads only the source word, which its round leaves as it is, and
+writes another word.  Each sample's hashed words are handed to
 PCG64 as a bit_generator.ISeedSequence, so PCG64 seeds itself from them,
 and a test compares the seeded states with numpy's.  A larger seed or index
 is several entropy words, and a negative seed numpy refuses, so those
@@ -214,16 +217,10 @@ def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
 # numpy's SeedSequence hash, restated for (seed, i) entropy of two words
 # (numpy/random/bit_generator.pyx, frozen by NEP 19): the constants of
 # mix_entropy's 16 hashmix calls and of generate_state's 8 words, and mix's two
-# multipliers
-_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
-_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
+# multipliers, as columns that broadcast over a (k, n) slice of the pool
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)[:, None]
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)[:, None]
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-
-def _hashmix(v: np.ndarray, j: int) -> np.ndarray:
-    # SeedSequence's hashmix of uint32 words v, as its j-th call
-    v = (v ^ _HASH_A[j]) * _HASH_A[j + 1]
-    return v ^ v >> 16
 
 
 class _HashedWords(np.random.bit_generator.ISeedSequence):
@@ -249,24 +246,25 @@ def _substreams(seed: int, start: int, stop: int) -> list:
     """
     if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 32 and stop <= 2 ** 32):
         return [np.random.SeedSequence([seed, i]) for i in range(start, stop)]
-    n = stop - start
-    entropy = (np.full(n, seed, dtype=np.uint32), np.arange(start, stop, dtype=np.uint32),
-               np.zeros(n, dtype=np.uint32), np.zeros(n, dtype=np.uint32))
-    # mix_entropy: hash the pool, then mix each word into every other one
-    pool = [_hashmix(v, j) for j, v in enumerate(entropy)]
-    j = len(pool)
+    pool = np.zeros((4, stop - start), dtype=np.uint32)
+    pool[0], pool[1] = seed, np.arange(start, stop, dtype=np.uint32)
+    # mix_entropy: hashmix the entropy (seed, i, 0, 0), calls 0..3
+    pool = (pool ^ _HASH_A[:4]) * _HASH_A[1:5]
+    pool ^= pool >> 16
+    # then mix each source word into the other three, with three consecutive
+    # hashmix calls of the source word, which its round does not change
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                r = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], j)
-                pool[dst] = r ^ r >> 16
-                j += 1
+        j = 4 + 3 * src
+        h = (pool[src] ^ _HASH_A[j:j + 3]) * _HASH_A[j + 1:j + 4]
+        h ^= h >> 16
+        dst = [k for k in range(4) if k != src]
+        r = _MIX_L * pool[dst] - _MIX_R * h
+        pool[dst] = r ^ r >> 16
     # generate_state(4, np.uint64): 8 words cycled from the pool, paired low | high
-    words = np.empty((n, 8), dtype="<u4")
-    for j in range(8):
-        v = (pool[j % 4] ^ _HASH_B[j]) * _HASH_B[j + 1]
-        words[:, j] = v ^ v >> 16
-    return [_HashedWords(w) for w in words.view("<u8").astype(np.uint64)]
+    v = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _HASH_B[:8]) * _HASH_B[1:]
+    v ^= v >> 16
+    words = np.ascontiguousarray(v.T, dtype="<u4").view("<u8")
+    return [_HashedWords(w) for w in words.astype(np.uint64)]
 
 
 def _first_draws(kind: MicKind, d: int, seqs: list) -> np.ndarray:

@@ -219,6 +219,11 @@ def test_gram_inverses_share_one_condition_gate(small):
 def test_group_covariance_check():
     assert group_covariance_check(sic_mic(3).gram)
     assert not group_covariance_check(example_seven_orthogonal().gram)
+    # one off-diagonal entry raised by 1e-6 in the first, a middle or the last row
+    for i, j in ((0, 4), (4, 7), (8, 0)):
+        g = np.array(sic_mic(3).gram)
+        g[i, j] += 1e-6
+        assert not group_covariance_check(g), (i, j)
 
 
 @pytest.mark.parametrize("check", [group_covariance_check, orthogonal_pairs])

@@ -1,5 +1,7 @@
 """Closed-form checks for each MIC constructor."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -186,6 +188,26 @@ def test_tensorhedron_gram_is_kron_power():
     w = np.sort(np.linalg.eigvalsh(mic.gram))
     expected = np.sort([1 / 4] + [1 / 12] * 6 + [1 / 36] * 9)
     assert np.abs(w - expected).max() < 1e-12
+
+
+def _kron_chain(mats, n):
+    # the effects as a loop of np.kron calls, first factor slowest
+    effects = []
+    for combo in itertools.product(range(len(mats)), repeat=n):
+        e = mats[combo[0]]
+        for i in combo[1:]:
+            e = np.kron(e, mats[i])
+        effects.append(e)
+    return np.array(effects)
+
+
+@pytest.mark.parametrize("component, n", [("qubit", 1), ("qubit", 2), ("qubit", 3), ("sic3", 2)])
+def test_tensorhedron_effects_are_the_kron_chain_bytewise(component, n):
+    q = sic_qubit() if component == "qubit" else sic_mic(3)
+    got = tensorhedron_mic(q, n).matrices()
+    want = _kron_chain(q.matrices(), n)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_tensorhedron_respects_dimension_envelope():

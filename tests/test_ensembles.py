@@ -581,7 +581,7 @@ def test_block_seeding_matches_numpy(monkeypatch):
     # if numpy ever changes its seeding, this fails
     rs = np.random.default_rng(2024)
     seeds = [0, 1, 7, 2 ** 32 - 1, *rs.integers(0, 2 ** 32, 4).tolist()]
-    ranges = [(0, 64), (2 ** 32 - 64, 2 ** 32)]
+    ranges = [(0, 64), (0, 256), (256, 512), (2 ** 32 - 64, 2 ** 32)]
     ranges += [(i, i + 1) for i in rs.integers(0, 2 ** 32, 40).tolist()]
     for seed in seeds:
         for start, stop in ranges:
