@@ -58,11 +58,13 @@ class SicFiducial:
         return SicFiducial(dim=v.shape[0], vector=_frozen(v))
 
 
-def _check_dimension(d: int) -> None:
+def _check_dimension(d: int, least: int = 1) -> None:
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     if d > MAX_DIMENSION:
         raise EnvelopeExceeded(d, MAX_DIMENSION)
+    if d < least:
+        raise ValueError(f"d must be at least {least}, got {d}")
 
 
 def sic_gram_matrix(d: int) -> np.ndarray:
@@ -210,9 +212,7 @@ def orthocross_projectors(d: int) -> list[np.ndarray]:
     (|j> + |k>)/sqrt(2) for j < k in lexicographic order, then onto
     (|j> + i |k>)/sqrt(2), same ordering.  d must be at least 2.
     """
-    _check_dimension(d)
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
+    _check_dimension(d, 2)
     out = []
     for j in range(d):
         p = np.zeros((d, d), dtype=complex)

@@ -189,14 +189,14 @@ def _draw(kind: MicKind, d: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_mic(kind: MicKind, d: int, rng: np.random.Generator,
                tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
-    """Draw one random MIC of the given kind.
+    """Draw one random MIC of the given kind in dimension d, 2 <= d <= MAX_DIMENSION.
 
     Degenerate draws (linearly dependent basis, or a fiducial with a
     vanishing displacement overlap) are discarded and redrawn from the
     same stream, up to MAX_DRAW_ATTEMPTS times.
     """
     kind = MicKind(kind)
-    _check_dimension(d)
+    _check_dimension(d, 2)
     for _ in range(MAX_DRAW_ATTEMPTS):
         draw = _draw(kind, d, rng)
         try:
@@ -423,7 +423,7 @@ def spectra_study(kind: MicKind, d: int, n_samples: int, bin_width,
     n_bins = int(Fraction(1, d) / w)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    _check_dimension(d)
+    _check_dimension(d, 2)
     starts = range(0, n_samples, BLOCK_SIZE)
     args = (kind.value, d, seed, n_samples, n_bins)
     counts = np.zeros(n_bins, dtype=np.int64)

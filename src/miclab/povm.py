@@ -11,12 +11,12 @@ entries sum to d.  The dual basis {E~_i}, defined by tr(E_i E~_j) = delta_ij,
 is obtained by applying the inverse Gram matrix to the effects and is what
 turns measured probabilities back into operators.  A validated POVM holds
 its N effects as one read-only (N, d, d) array beside their weights tr E_i.
-A MIC computes its dual basis, with the conditioning and biorthogonality
-checks, on first use and keeps it as one read-only (d^2, d, d) array, so
-reconstructing many states from one MIC inverts its Gram matrix once.
-The dual basis, the purity form and the inverse-Gram distance share one
-condition gate, cond(G) <= 1e12; it runs once per distinct Gram matrix,
-recognized by content, and remembers the last 64 Gram matrices it passed.
+A MIC solves for its inverse Gram matrix once, on first use and behind the
+condition gate cond(G) <= 1e12, and keeps it; its dual basis (checked for
+biorthogonality and kept as one read-only (d^2, d, d) array), the
+inverse-Gram distance and the half-integer probe all read that one inverse.
+The purity form passes the same gate, which remembers the last Gram matrix
+it passed, by content.
 
 The PSD rule, least eigenvalue at least -zero_tol, is certified for a whole
 stack (the effects of validate_povm and of the generic spectra batch, the
@@ -33,8 +33,6 @@ and NotPsd's value is still eigvalsh's least eigenvalue of that effect.
 from __future__ import annotations
 
 import functools
-import hashlib
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,22 +113,27 @@ class Mic(Povm):
     """A validated MIC with its d^2 x d^2 Gram matrix.
 
     duals is the dual basis, computed and checked on first use and then
-    kept: stack and gram are read-only, so it never goes stale.  A MIC whose
-    Gram matrix is refused raises IllConditionedGram on every access.
+    kept, like the inverse Gram matrix it is built from: stack and gram are
+    read-only, so neither goes stale.  A MIC whose Gram matrix is refused
+    raises IllConditionedGram on every access.
     """
 
     gram: np.ndarray
 
     @functools.cached_property
-    def duals(self) -> DualBasis:
+    def _inverse_gram(self) -> np.ndarray:
+        # G^-1 behind the condition gate, solved once per MIC
         g = self.gram
-        cond = _gram_condition(g)
+        _gram_condition(g)
+        return _frozen(np.linalg.solve(g, np.eye(len(g))))
+
+    @functools.cached_property
+    def duals(self) -> DualBasis:
         mats = self.matrices()
         n = mats.shape[0]
-        coeffs = np.linalg.solve(g, np.eye(n))
         # the exact inverse is symmetric; averaging halves the solve error
         # that otherwise concentrates in the small-eigenvalue subspace
-        coeffs = (coeffs + coeffs.T) / 2.0
+        coeffs = (self._inverse_gram + self._inverse_gram.T) / 2.0
         duals = np.einsum("ij,jab->iab", coeffs, mats)
         # exactly Hermitian in theory; large inverse-Gram coefficients can
         # leave rounding asymmetry big enough to trip downstream eigh gates
@@ -138,38 +141,29 @@ class Mic(Povm):
         check = np.einsum("iab,jba->ij", mats, duals)
         defect = float(np.abs(check - np.eye(n)).max())
         if defect > 1e-8:
-            raise IllConditionedGram(cond, f"biorthogonality defect {defect:.3e} exceeds 1e-8")
+            raise IllConditionedGram(_gram_condition(self.gram),
+                                     f"biorthogonality defect {defect:.3e} exceeds 1e-8")
         return DualBasis(dim=self.dim, stack=_frozen(duals))
-
-
-# the condition numbers of the last _CONDITION_CACHE_SIZE Gram matrices the
-# gate passed, oldest first, keyed by shape and a 128-bit digest of the
-# float64 bytes: an 8 MB Gram at d = 32 costs one small key, and a Gram
-# changed in place gets a new one
-_CONDITION_CACHE_SIZE = 64
-_conditions: dict[tuple, float] = {}
-_conditions_lock = threading.Lock()
 
 
 def _gram_condition(g: np.ndarray) -> float:
     """cond(g), or IllConditionedGram if it is not finite or exceeds CONDITION_LIMIT.
 
-    The SVD runs once per distinct Gram matrix, recognized by its content:
-    a Gram that passed is looked up among the last _CONDITION_CACHE_SIZE
-    that did, and a refused one is checked, and refused, on every call.
+    The SVD runs only when g differs from the last Gram that passed:
+    _condition remembers that one Gram by shape and bytes, so a Gram changed
+    in place is checked again, and a refused one is checked, and refused, on
+    every call.
     """
     a = np.ascontiguousarray(g, dtype=float)
-    key = (a.shape, hashlib.blake2b(a, digest_size=16).digest())
-    cond = _conditions.get(key)
-    if cond is not None:
-        return cond
-    cond = float(np.linalg.cond(g))
+    return _condition(a.shape, a.tobytes())
+
+
+@functools.lru_cache(maxsize=1)
+def _condition(shape: tuple, data: bytes) -> float:
+    # lru_cache keeps no exception, so only a passed Gram is remembered
+    cond = float(np.linalg.cond(np.frombuffer(data).reshape(shape)))
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise IllConditionedGram(cond)
-    with _conditions_lock:
-        _conditions[key] = cond
-        if len(_conditions) > _CONDITION_CACHE_SIZE:
-            del _conditions[next(iter(_conditions))]
     return cond
 
 
@@ -425,9 +419,10 @@ def purity_form(p, g) -> float:
 
     When p comes from measuring rho with the MIC whose Gram matrix is g this
     equals tr(rho^2), so it is 1 exactly for pure states and smaller for
-    mixed ones.  A NaN or infinite p_i raises NonFinite(i).  The Gram's
-    condition gate runs once per distinct g (see _gram_condition); the
-    solve runs on every call.
+    mixed ones.  A NaN or infinite p_i raises NonFinite(i).  g passes the
+    condition gate of a MIC's inverse Gram matrix, whose SVD runs only when
+    g differs from the last Gram it passed (see _gram_condition); the solve
+    runs on every call.
     """
     p = np.asarray(p, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -445,6 +440,20 @@ def _check_unit(i: int, v: np.ndarray) -> None:
         raise NotNormalized(i, norm)
 
 
+def _vector_rows(vectors) -> np.ndarray:
+    """The vectors as the rows of an (n, d) complex array, d from the first:
+    WrongCount(0, 1) if there are none, and ShapeMismatch for the first
+    vector of another length."""
+    vs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
+    if not vs:
+        raise WrongCount(0, 1)
+    d = len(vs[0])
+    for i, v in enumerate(vs):
+        if len(v) != d:
+            raise ShapeMismatch(f"vector {i} has length {len(v)}, expected {d}")
+    return np.array(vs)
+
+
 def rescaled_vector_gram(vectors, weights, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Gram matrix of the rescaled vectors sqrt(e_i) |phi_i>.
 
@@ -452,17 +461,17 @@ def rescaled_vector_gram(vectors, weights, tol: ToleranceConfig = DEFAULT_TOL) -
     lie in [0, 1].  The result g_ij = sqrt(e_i e_j) <phi_i|phi_j> is complex
     Hermitian and positive semidefinite; its entrywise product with its own
     conjugate reproduces the POVM Gram matrix when the effects are
-    E_i = e_i |phi_i><phi_i|.
+    E_i = e_i |phi_i><phi_i|.  No vectors at all raise WrongCount, and
+    vectors of different lengths ShapeMismatch.
     """
-    vs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
+    v = _vector_rows(vectors)
     ws = np.asarray(weights, dtype=float)
-    if len(vs) != ws.shape[0]:
-        raise ShapeMismatch(f"{len(vs)} vectors but {ws.shape[0]} weights")
+    if len(v) != ws.shape[0]:
+        raise ShapeMismatch(f"{len(v)} vectors but {ws.shape[0]} weights")
     if not ((ws >= 0) & (ws <= 1 + tol.zero_tol)).all():  # a NaN weight fails too
         raise ValueError("weights must lie in [0, 1]")
-    for i, v in enumerate(vs):
-        _check_unit(i, v)
-    v = np.array(vs)
+    for i, row in enumerate(v):
+        _check_unit(i, row)
     scaled = v * np.sqrt(ws)[:, None]
     g = scaled.conj() @ scaled.T
     return _frozen((g + g.conj().T) / 2)
@@ -477,8 +486,9 @@ def rank1_mic_check(vectors, weights, tol: ToleranceConfig = DEFAULT_TOL) -> tup
     d^2 vectors and full rank of the entrywise product of g with its
     conjugate, which is the POVM Gram matrix.
     """
-    g = rescaled_vector_gram(vectors, weights, tol)
-    d = len(np.asarray(vectors[0]).ravel())
+    v = _vector_rows(vectors)
+    g = rescaled_vector_gram(v, weights, tol)
+    d = v.shape[1]
     projector_defect = float(np.abs(g @ g - g).max())
     is_povm = projector_defect <= tol.zero_tol and numerical_rank(g, tol) == d
     if not is_povm:

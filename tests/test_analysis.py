@@ -26,11 +26,14 @@ from miclab.constructions import (
     orthocross_mic,
     sic_mic,
     sic_qubit,
+    tensorhedron_mic,
 )
 from miclab.config import DEFAULT_TOL
+from miclab.ensembles import MicKind, random_mic
 from miclab.errors import (BiasedMic, IllConditionedGram, InvalidState, NonFinite, ShapeMismatch,
                            WrongCount)
-from miclab.povm import DualBasis, _check_state, born_probabilities, dual_basis, purity_form
+from miclab.povm import (DualBasis, _check_state, born_probabilities, dual_basis, is_unbiased,
+                         purity_form)
 
 
 def random_psd(d, rng):
@@ -199,6 +202,90 @@ def test_equiangular_fields_match_their_closed_forms(d, beta):
     # with the trace-normalized effects as post-states, M = d G
     posts = mic.matrices() / mic.weights()[:, None, None]
     assert close(phi_matrix(mic, posts).condition_number, cond)
+
+
+# The k-th tensor power of the SIC in dimension d is a MIC in dimension
+# D = d^k with n = d^(2k) effects, the products of the SIC's.  Its Gram matrix
+# is the k-fold Kronecker power of the SIC's, so its eigenvalues are k-fold
+# products of 1/d and 1/(d(d+1)), the largest 1/D, and cond(G) = (d+1)^k.
+# Its duals are products of the SIC's (d+1) P_i - I, with eigenvalues d and
+# -1, so each ranges over [-d^(k-1), d^k].  Each field is asserted to
+# cond(G) eps n times max(1, |field|), as for the equiangular MIC; at
+# d = 4, k = 2 the inverse-Gram distance is sqrt(130080), about 360.7.  The
+# largest deviation seen is 0.22 of that tolerance, on cond(Phi) at d = 2.
+SIC_POWERS = ([pytest.param(d, 1, id=f"sic{d}") for d in (2, 3, 4, 5)]
+              + [pytest.param(d, 2, id=f"sic{d}-squared") for d in (2, 3, 4)])
+
+
+@pytest.mark.parametrize("d, k", SIC_POWERS)
+def test_sic_tensor_powers_match_their_closed_forms(d, k):
+    mic = sic_mic(d) if k == 1 else tensorhedron_mic(sic_mic(d), k)
+    big, n, cond = d ** k, d ** (2 * k), (d + 1) ** k
+
+    def close(got, want):
+        scale = max(1.0, np.abs(want).max())
+        return np.abs(np.asarray(got) - want).max() <= cond * np.finfo(float).eps * n * scale
+
+    sic = np.full(d * d, 1 / (d * (d + 1)))
+    sic[-1] = 1 / d
+    eigs = functools.reduce(np.multiply.outer, [sic] * k).ravel()
+    assert close(np.linalg.eigvalsh(mic.gram), np.sort(eigs))
+    rep = unbiased_equivalence_report(mic)
+    assert rep.weights_uniform and rep.doubly_stochastic and rep.max_eigenvalue_pinned
+    assert close([rep.max_weight_deviation, rep.max_sum_deviation, rep.max_eigenvalue_gap], 0.0)
+    all_indefinite, ranges = dual_indefiniteness(mic)
+    assert all_indefinite
+    assert close(ranges, np.array([-big / d, big]))
+    assert close(frobenius_orthogonality_gap(mic), ((eigs - 1 / big) ** 2).sum())
+    assert close(inv_gram_distance(mic), np.sqrt(((1 - 1 / (big * eigs)) ** 2).sum()))
+    # with the trace-normalized effects as post-states, M = D G
+    posts = mic.matrices() / mic.weights()[:, None, None]
+    assert close(phi_matrix(mic, posts).condition_number, cond)
+    assert group_covariance_check(mic.gram)
+    pairs = orthogonal_pairs(mic.gram)
+    assert pairs.count == 0
+    assert close(pairs.min_offdiagonal, (1 / (d * d * (d + 1))) ** k)
+
+
+def _reference_inv_gram_distance(mic):
+    # inv_gram_distance with an inverse of its own, from np.linalg.inv
+    a = np.eye(len(mic.gram)) - np.linalg.inv(mic.gram) / mic.dim
+    a = (a + a.T) / 2
+    return float(np.sqrt((np.linalg.eigvalsh(a) ** 2).sum()))
+
+
+def _mics_of_each_kind(d):
+    yield sic_mic(d)
+    yield orthocross_mic(d)
+    for k, kind in enumerate(MicKind):
+        yield random_mic(kind, d, np.random.default_rng([0, d, k]))
+
+
+@pytest.mark.parametrize("mics", [pytest.param(functools.partial(_mics_of_each_kind, d), id=f"d{d}")
+                                  for d in (2, 3, 4, 5)]
+                         + [pytest.param(lambda: [tensorhedron_mic(sic_qubit(), 3)],
+                                         id="tensorhedron-qubit-3")])
+def test_shared_inverse_has_the_bits_of_np_linalg_inv(mics):
+    # the dual basis, the inverse-Gram distance and the half-integer probe
+    # read the MIC's one solve, which is bitwise np.linalg.inv's
+    for mic in mics():
+        assert mic._inverse_gram.tobytes() == np.linalg.inv(mic.gram).tobytes()
+        if is_unbiased(mic):
+            got, want = inv_gram_distance(mic), _reference_inv_gram_distance(mic)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_one_gram_inverse_per_mic(monkeypatch):
+    mic = random_mic(MicKind.WH_GENERIC, 3, np.random.default_rng(7))
+    calls = []
+    for name in ("inv", "solve"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    for _ in range(2):
+        dual_basis(mic)
+        inv_gram_distance(mic)
+    assert calls == ["solve"]
 
 
 @pytest.mark.parametrize("small", [0.0, 1e-13])

@@ -41,8 +41,9 @@ def test_gen_to_stdout_matches_file_output(tmp_path):
     assert res_stdout.stdout.strip() == out.read_text().strip()
 
 
-def test_gen_orthocross_refuses_dimension_one():
-    res = run_cli("gen", "orthocross", "--d", "1")
+@pytest.mark.parametrize("kind", ["orthocross", "wh"] + [f"random:{k.value}" for k in MicKind])
+def test_gen_refuses_dimension_one(kind):
+    res = run_cli("gen", kind, "--d", "1")
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr == "error: d must be at least 2, got 1\n"

@@ -169,6 +169,8 @@ def test_random_mic_checks_the_dimension_before_it_draws(kind, monkeypatch):
         random_mic(kind, 100000, np.random.default_rng(0))
     with pytest.raises(ValueError, match="dimension must be positive"):
         random_mic(kind, 0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="d must be at least 2, got 1"):
+        random_mic(kind, 1, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("kind", list(MicKind))
@@ -310,6 +312,13 @@ def test_bin_width_accepts_float_and_string_fraction():
 def test_bad_bin_widths_raise_value_error(width, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         spectra_study(MicKind.WH_RANK1, 2, 3, width, seed=0)
+
+
+@pytest.mark.parametrize("kind", list(MicKind))
+def test_spectra_study_refuses_dimension_one(kind, monkeypatch):
+    monkeypatch.setattr(ensembles, "_count_block", lambda *args: pytest.fail("sampled"))
+    with pytest.raises(ValueError, match="d must be at least 2, got 1"):
+        spectra_study(kind, 1, 3, Fraction(1, 10), seed=0)
 
 
 def test_unbiased_kind_tops_the_last_bin():

@@ -401,22 +401,15 @@ def svd_calls(monkeypatch):
     calls = []
     real_cond = np.linalg.cond
     monkeypatch.setattr(np.linalg, "cond", lambda a: calls.append(1) or real_cond(a))
-    monkeypatch.setattr(povm, "_conditions", {})
+    povm._condition.cache_clear()
     return calls
 
 
-def test_condition_cache_keeps_a_fixed_number_of_grams(svd_calls):
-    size = povm._CONDITION_CACHE_SIZE
-    grams = [np.diag([1.0, 2.0 + k]) for k in range(3 * size)]
-    for g in grams:
+def test_condition_memo_keeps_exactly_the_last_gram(svd_calls):
+    a, b = np.diag([1.0, 2.0]), np.diag([1.0, 3.0])
+    for g in (a, a, b, b, a):
         _gram_condition(g)
-    assert len(povm._conditions) == size
-    # oldest first out: the newest Gram is still known, the first is not
-    svd_calls.clear()
-    _gram_condition(grams[-1])
-    assert svd_calls == []
-    _gram_condition(grams[0])
-    assert svd_calls == [1]
+    assert len(svd_calls) == 3
 
 
 def _tomography_mics(d):
@@ -655,6 +648,14 @@ def test_rank1_inputs_must_be_finite():
         with pytest.raises(NotNormalized) as exc:
             check(vecs, [1.0, 1.0])
         assert exc.value.index == 1
+
+
+def test_rank1_inputs_are_refused_with_typed_errors():
+    for check in (rescaled_vector_gram, rank1_mic_check):
+        with pytest.raises(WrongCount):
+            check([], [])
+        with pytest.raises(ShapeMismatch, match="vector 2 has length 3, expected 2"):
+            check([[1, 0], [0, 1], [1, 0, 0]], [0.5, 0.5, 0.5])
 
 
 def test_unbiasedness_predicate():
