@@ -30,14 +30,13 @@ import numpy as np
 from .config import CONDITION_LIMIT, DEFAULT_TOL, ToleranceConfig
 from .errors import (
     BiasedMic,
-    NonFinite,
     ShapeMismatch,
     SingularConditionalMatrix,
     WrongCount,
 )
 from .linalg import eigvalsh
-from .povm import (Mic, Povm, _check_state, _valid_states, born_probabilities, dual_basis,
-                   is_unbiased)
+from .povm import (Mic, Povm, _check_finite, _check_state, _valid_states, born_probabilities,
+                   dual_basis, is_unbiased)
 
 
 @dataclass(frozen=True)
@@ -121,9 +120,7 @@ def _square_gram(g) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ShapeMismatch(f"expected a square Gram matrix, got {g.shape}")
-    finite = np.isfinite(g).all(axis=1)
-    if not finite.all():
-        raise NonFinite(int(np.argmin(finite)))
+    _check_finite(g)
     return g
 
 
@@ -241,9 +238,11 @@ def group_covariance_check(g) -> bool:
 
     Group-covariant MICs always pass (conjugation by the group permutes
     effects), so a False certifies non-covariance; True is necessary but
-    not sufficient.
+    not sufficient.  An empty Gram matrix has no first row: ShapeMismatch.
     """
     rows = np.sort(_square_gram(g), axis=1)
+    if not len(rows):
+        raise ShapeMismatch("expected a nonempty Gram matrix, got (0, 0)")
     return bool(np.abs(rows - rows[0]).max() <= 1e-9)
 
 

@@ -8,12 +8,16 @@ root of its sum, equiangular interpolations, a rank-(d+1)/2 covariant family
 for odd dimensions, tensor products, and a hand-built rank-1 unbiased MIC in
 dimension three with exactly seven orthogonal pairs of effects.
 
-The squash's basis-rank gate is certified by one Cholesky factorization
+mic_from_psd_basis checks the basis Gram's rank first, then squashes
+(_squash).  The basis-rank gate is certified by one Cholesky factorization
 of S - tau I, S = (G + G^T) / 2 the symmetrized basis Gram and tau =
 2 rank_tol ||G||_F + n max|G - G^T|, where 48 n^2 u (1 + rank_tol) <
 rank_tol (u = 2^-53; n up to 476 at the default rank_tol): a Gram that
 factors has full rank by numerical_rank's SVD too, and any other goes to
-that SVD, as does a stack of fewer than 128 entries (_basis_rank).
+that SVD, as does a stack of fewer than 128 entries (_basis_rank).  The
+generic spectra batch builds the basis Gram only for the rows whose
+squashed spectra do not already certify its full rank
+(ensembles._squash_spectra).
 """
 
 from __future__ import annotations
@@ -292,13 +296,17 @@ def _basis_rank(g: np.ndarray, tol: ToleranceConfig):
     return numerical_rank(g, tol)
 
 
+def _basis_gram(a: np.ndarray) -> np.ndarray:
+    # the real part of tr(A_i A_j) for each basis of a (..., n, d, d) stack
+    return np.einsum("...iab,...jba->...ij", a, a).real
+
+
 def _squash(a: np.ndarray, tol: ToleranceConfig):
-    """mic_from_psd_basis's squash of each basis of a (..., n, d, d) stack: the
-    numerical rank of its Gram matrix tr(A_i A_j), by _basis_rank, whether
-    Omega = sum_i A_i is within hermitian_tol of its adjoint and safely
-    positive (least eigenvalue above rank_tol times the largest), and the
-    effects Omega^{-1/2} A_i Omega^{-1/2}, which mean nothing where it is not."""
-    rank = _basis_rank(np.einsum("...iab,...jba->...ij", a, a).real, tol)
+    """mic_from_psd_basis's squash of each basis of a (..., n, d, d) stack:
+    the ascending eigenvalues w of Omega = sum_i A_i, whether Omega is within
+    hermitian_tol of its adjoint and safely positive (least eigenvalue above
+    rank_tol times the largest), and the effects Omega^{-1/2} A_i Omega^{-1/2}.
+    Where Omega is not safe, w is all ones and the effects mean nothing."""
     omega = a.sum(axis=-3)
     safe = np.asarray(hermiticity_defect(omega) <= tol.hermitian_tol)
     # only finite Hermitian Omegas reach LAPACK
@@ -306,7 +314,7 @@ def _squash(a: np.ndarray, tol: ToleranceConfig):
     safe &= (w[..., -1] > 0) & (w[..., 0] > tol.rank_tol * w[..., -1])
     w = np.where(safe[..., None], w, 1.0)
     r = (v / np.sqrt(w)[..., None, :]) @ v.conj().mT
-    return rank, safe, np.einsum("...ab,...kbc,...cd->...kad", r, a, r)
+    return w, safe, np.einsum("...ab,...kbc,...cd->...kad", r, a, r)
 
 
 def mic_from_psd_basis(basis, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
@@ -325,9 +333,10 @@ def mic_from_psd_basis(basis, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
     _check_dimension(d)
     if len(stack) != d * d:
         raise WrongCount(len(stack), d * d)
-    rank, safe, effects = _squash(stack, tol)
+    rank = _basis_rank(_basis_gram(stack), tol)
     if rank != d * d:
         raise LinearlyDependent(rank, d * d, "input basis")
+    _, safe, effects = _squash(stack, tol)
     if not safe:
         w = eigh(stack.sum(axis=0), tol)[0]  # NonFinite or NotHermitian for a non-Hermitian Omega
         raise SingularOperator(f"eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}] is not safely positive")

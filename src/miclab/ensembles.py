@@ -51,13 +51,16 @@ D rho D^dagger / d PSD and the orbit sum to the identity.  validate_mic's
 rank gate is then read off the components, and it implies wh_mic's
 overlap gate.  A generic batch goes once through the single build's own
 gate functions, each written once for a stack of any leading shape; the
-last gives the Gram eigenvalues and runs the rank SVD only near rank_tol.
-The PSD checks of fiducials and effects and the basis-rank gate are each
-one Cholesky certificate over the batch (povm._psd, with margin
-zero_tol / 2, and constructions._basis_rank, with margin
-2 rank_tol ||G||_F).  It passes a batch only if every matrix factors and
-the margin covers LAPACK's rounding; any other batch goes whole to
-eigvalsh or the SVD, so every verdict is the single build's.
+MIC Gram's gives its eigenvalues and runs the rank SVD only near rank_tol.
+The basis-rank gate comes last, and only for the rows every other gate
+keeps whose full rank the MIC Gram's eigenvalues and Omega's do not
+certify (_squash_spectra): those rows alone build the basis Gram.  The
+PSD checks of fiducials and effects and the basis-rank gate are each one
+Cholesky certificate over its stack (povm._psd, with margin zero_tol / 2,
+and constructions._basis_rank, with margin 2 rank_tol ||G||_F).  It
+passes a stack only if every matrix factors and the margin covers
+LAPACK's rounding; any other stack goes whole to eigvalsh or the SVD, so
+every verdict is the single build's.
 
 Every draw is one standard_normal block: haar_pure_states reads n vectors
 from an (n, 2, d) block, real then imaginary parts, and gue_psd_samples n
@@ -79,6 +82,8 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .constructions import (
+    _basis_gram,
+    _basis_rank,
     _check_dimension,
     _displacement_components,
     _squash,
@@ -91,9 +96,13 @@ from .errors import (
     SamplingExhausted,
     WrongDimension,
 )
+from .linalg import _UNIT_ROUNDOFF
 from .povm import Mic, _effect_rules, _gram_rank, _gram_rules, _negligible, _valid_states
 
 MAX_DRAW_ATTEMPTS = 100
+# the largest d at which the rounding constants of _squash_spectra's
+# certificate were measured; past it no row is certified
+_SPECTRAL_CERTIFICATE_MAX_D = 8
 # samples per block: spectra_study batches, bins and hands out work in blocks
 BLOCK_SIZE = 256
 # draw entries per batch of a block: max(1, BATCH_ENTRIES // d^4) generic samples,
@@ -357,16 +366,60 @@ def _squash_spectra(a: np.ndarray):
     stack, one ascending row each, and the mask of the bases that build keeps.
 
     The stack goes once through the gate functions of mic_from_psd_basis
-    (_squash), validate_povm (_effect_rules), validate_mic (_negligible,
-    _gram_rank) and gram (_gram_rules).  A refused row means nothing.
+    (_squash, and _basis_rank last), validate_povm (_effect_rules),
+    validate_mic (_negligible, _gram_rank) and gram (_gram_rules).  Only the
+    rows every other gate keeps, and whose full rank the spectra at hand do
+    not certify, build their basis Gram tr(A_i A_j) for _basis_rank, as one
+    stack.  A refused row means nothing.
+
+    The certificate.  For Hermitian A_i and any invertible Hermitian R, the
+    map X -> R X R on C^(d x d) has singular values sigma_i(R) sigma_j(R),
+    so the Grams G_A of the A_i and G_E of the E_i = R A_i R have
+    lambda_min(G_A) / lambda_max(G_A) >= lambda_min(G_E) / lambda_max(G_E)
+    times (sigma_min(R) / sigma_max(R))^4.  The squash's R = V diag(w^-1/2)
+    V^dagger, from Omega's eigh, makes that factor (w_min / w_max)^2.  A row
+    is certified where beta = min|eig| / max|eig| (w_min / w_max)^2 exceeds
+    1e3 rank_tol, _gram_rank's margin; at the default rank_tol, beta > 1e-6
+    needs cond(Omega) < 10^3 and cond(G_E) < 10^6.  Every other kept row
+    takes _basis_rank, so every verdict is numerical_rank's.
+
+    Rounding, with u = 2^-53 and n = d^2.  The bound holds for the computed
+    R's Hermitian part R~, whose singular values are w^-1/2 within a factor
+    1 +- 35 d^2 u sqrt(kappa), kappa = w_max / w_min: eigh's V is unitary
+    within 16 d^2 u.  The effects are within 6 d^3 u kappa of R~ A_i R~ in
+    relative Frobenius norm, so their Gram is within n (12 d^3 u kappa +
+    3 d^2 u) lambda_max of G_E, and eigvalsh adds 16 n^2 u ||G_E||_F (the
+    constants of linalg._rounding).  Skew parts of the A_i, which the
+    Hermiticity gates hold to hermitian_tol, enter both Grams squared, below
+    n^2.5 u.  In all, the eigenvalues are within (12 kappa + 20) n^2.5 u
+    lambda_max of G_E's, all positive where beta > 1e-6, and svdvals sees
+    the basis Gram within 20 n^2.5 u lambda_max of G_A.  Against beta >
+    1e3 rank_tol kappa^-2, at the default rank_tol the batch uses, that
+    shrinks the least-to-largest ratio svdvals finds by a factor of at least
+    1 - 0.1 n^2.5 u / rank_tol.  Where n^2.5 u <= rank_tol the factor
+    exceeds 0.9 and the ratio stays above 900 rank_tol.  The constants of
+    the effects and of V and R~ were measured below a seventh of their
+    stated values at d = 2 to 8 and cond(Omega) up to 10^3; those of the
+    Gram, eigvalsh and svdvals are linalg._rounding's.  So rows are
+    certified only where d <= _SPECTRAL_CERTIFICATE_MAX_D = 8 (there n^2.5 u
+    < 4e-12) and n^2.5 u <= rank_tol; elsewhere every kept row builds its
+    basis Gram.
     """
     tol, n = DEFAULT_TOL, a.shape[1]
-    rank, kept, e = _squash(a, tol)
+    w, kept, e = _squash(a, tol)
     faulty, summed, _ = _effect_rules(e, tol)
     real, g = _gram_rules(e, tol)
     eigs, g_rank = _gram_rank(g, tol)
-    kept &= (rank == n) & (faulty == n) & summed & real & (g_rank == n)
+    kept &= (faulty == n) & summed & real & (g_rank == n)
     kept &= _negligible(np.trace(e, axis1=2, axis2=3).real, tol) == n
+    doubt = kept.copy()
+    if a.shape[-1] <= _SPECTRAL_CERTIFICATE_MAX_D and n ** 2.5 * _UNIT_ROUNDOFF <= tol.rank_tol:
+        # beta > 1e3 rank_tol, multiplied out
+        s = np.abs(eigs)
+        low, high = s.min(axis=-1) * w[:, 0] ** 2, s.max(axis=-1) * w[:, -1] ** 2
+        doubt &= ~(low > 1e3 * tol.rank_tol * high)
+    if doubt.any():
+        kept[doubt] = _basis_rank(_basis_gram(a[doubt]), tol) == n
     return eigs, kept
 
 

@@ -46,8 +46,9 @@ class ShapeMismatch(MicLabError):
 class NonFinite(MicLabError):
     """A NaN or infinite entry.
 
-    index names the first offending matrix of a stack, or the first
-    offending entry of a probability vector.
+    index names the first offending matrix of a stack, the first offending
+    entry of a probability vector, or the first offending row of a Gram
+    matrix.
     """
 
     def __init__(self, index: int):

@@ -147,9 +147,11 @@ class Mic(Povm):
 
 
 def _gram_condition(g: np.ndarray) -> float:
-    """cond(g), or IllConditionedGram if it is not finite or exceeds CONDITION_LIMIT.
+    """cond(g), or IllConditionedGram if it is not finite or exceeds
+    CONDITION_LIMIT; NonFinite names the first row of g with a NaN or an
+    infinity, which the SVD is not given.
 
-    The SVD runs only when g differs from the last Gram that passed:
+    The checks run only when g differs from the last Gram that passed:
     _condition remembers that one Gram by shape and bytes, so a Gram changed
     in place is checked again, and a refused one is checked, and refused, on
     every call.
@@ -161,7 +163,9 @@ def _gram_condition(g: np.ndarray) -> float:
 @functools.lru_cache(maxsize=1)
 def _condition(shape: tuple, data: bytes) -> float:
     # lru_cache keeps no exception, so only a passed Gram is remembered
-    cond = float(np.linalg.cond(np.frombuffer(data).reshape(shape)))
+    g = np.frombuffer(data).reshape(shape)
+    _check_finite(g)
+    cond = float(np.linalg.cond(g))
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise IllConditionedGram(cond)
     return cond
@@ -384,8 +388,12 @@ def _valid_states(rhos: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     return ok
 
 
-def _check_finite(p: np.ndarray) -> None:
-    finite = np.isfinite(p)
+def _check_finite(a: np.ndarray) -> None:
+    # NonFinite naming the first entry of a vector, or row of a matrix, that
+    # holds a NaN or an infinity
+    finite = np.isfinite(a)
+    if finite.ndim > 1:
+        finite = finite.all(axis=1)
     if not finite.all():
         raise NonFinite(int(np.argmin(finite)))
 
@@ -419,14 +427,15 @@ def purity_form(p, g) -> float:
 
     When p comes from measuring rho with the MIC whose Gram matrix is g this
     equals tr(rho^2), so it is 1 exactly for pure states and smaller for
-    mixed ones.  A NaN or infinite p_i raises NonFinite(i).  g passes the
-    condition gate of a MIC's inverse Gram matrix, whose SVD runs only when
-    g differs from the last Gram it passed (see _gram_condition); the solve
-    runs on every call.
+    mixed ones.  A NaN or infinite p_i raises NonFinite(i), and then one in
+    row i of g NonFinite(i); an empty or non-square g, or a p of another
+    length, raises ShapeMismatch.  g passes the condition gate of a MIC's
+    inverse Gram matrix, whose checks run only when g differs from the last
+    Gram it passed (see _gram_condition); the solve runs on every call.
     """
     p = np.asarray(p, dtype=float)
     g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1] or p.shape != (g.shape[0],):
+    if g.ndim != 2 or g.shape[0] != g.shape[1] or not len(g) or p.shape != (g.shape[0],):
         raise ShapeMismatch(f"probability shape {p.shape} vs Gram shape {g.shape}")
     _check_finite(p)
     _gram_condition(g)
@@ -462,12 +471,13 @@ def rescaled_vector_gram(vectors, weights, tol: ToleranceConfig = DEFAULT_TOL) -
     Hermitian and positive semidefinite; its entrywise product with its own
     conjugate reproduces the POVM Gram matrix when the effects are
     E_i = e_i |phi_i><phi_i|.  No vectors at all raise WrongCount, and
-    vectors of different lengths ShapeMismatch.
+    vectors of different lengths, or weights that are not one number per
+    vector, ShapeMismatch.
     """
     v = _vector_rows(vectors)
     ws = np.asarray(weights, dtype=float)
-    if len(v) != ws.shape[0]:
-        raise ShapeMismatch(f"{len(v)} vectors but {ws.shape[0]} weights")
+    if ws.shape != (len(v),):
+        raise ShapeMismatch(f"{len(v)} vectors but weights of shape {ws.shape}")
     if not ((ws >= 0) & (ws <= 1 + tol.zero_tol)).all():  # a NaN weight fails too
         raise ValueError("weights must lie in [0, 1]")
     for i, row in enumerate(v):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from miclab.analysis import (
+    OrthogonalityReport,
     cascaded_probability,
     dual_indefiniteness,
     frobenius_orthogonality_gap,
@@ -20,6 +21,7 @@ from miclab.analysis import (
     wigner_quasiprobs,
 )
 from miclab.constructions import (
+    appleby_mic,
     equiangular_mic,
     example_seven_orthogonal,
     mic_from_psd_basis,
@@ -166,19 +168,29 @@ def test_sic_fields_match_their_closed_forms(build):
 # alpha I + zeta J with alpha = beta^2/(d(d+1)) and alpha + d^2 zeta = 1/d,
 # so its Gram eigenvalues are alpha (d^2 - 1 times) and 1/d, and
 # cond(G) = (d+1)/beta^2.  Its duals are (E_i - d zeta I)/alpha, and
-# G^-1 has eigenvalues 1/alpha and d.  As for the SIC each field carries
-# about cond(G) eps of relative error per term, summed over d^2 terms, so
-# each is asserted to cond(G) eps d^2 times max(1, |field|): at beta = 0.1
-# the inverse-Gram distance reaches 2.9e3.  The largest deviation seen is
-# 0.24 of that.
-EQUIANGULAR = [pytest.param(d, beta, id=f"d{d}-{name}") for d in (2, 3, 4, 5)
+# G^-1 has eigenvalues 1/alpha and d.  Appleby's MIC in odd d has a Gram of
+# the same form with beta^2 = 1/(d+1): its effects (I + B_kl/sqrt(d+1))/d^2
+# have eigenvalues 2/(d(d+1)) ((d+1)/2 times) and 0, as B = (d P - I)/sqrt(d+1)
+# with P the parity operator.  As for the SIC each field carries about
+# cond(G) eps of relative error per term, summed over d^2 terms, so each is
+# asserted to cond(G) eps d^2 times max(1, |field|): at beta = 0.1 the
+# inverse-Gram distance reaches 2.9e3.  The largest deviation seen is 0.37
+# of that, at d = 2 and beta = -1/2.
+EQUIANGULAR = [pytest.param("equiangular", d, beta, id=f"d{d}-{name}") for d in (2, 3, 4, 5)
                for name, beta in (("half", 0.5), ("tenth", 0.1),
                                   ("neg-half-end", -1 / (2 * (d - 1))), ("neg-end", -1 / (d - 1)))]
+EQUIANGULAR += [pytest.param("appleby", d, (d + 1) ** -0.5, id=f"appleby{d}") for d in (3, 5)]
 
 
-@pytest.mark.parametrize("d, beta", EQUIANGULAR)
-def test_equiangular_fields_match_their_closed_forms(d, beta):
-    mic = equiangular_mic(sic_mic(d), beta)
+@pytest.mark.parametrize("build, d, beta", EQUIANGULAR)
+def test_equiangular_fields_match_their_closed_forms(build, d, beta):
+    # every field of the analyze report
+    if build == "appleby":
+        mic, effect_eigs = appleby_mic(d), np.array([0.0, 2 / (d * (d + 1))])
+    else:
+        # E_i has eigenvalues beta/d + (1 - beta)/d^2 and, d - 1 times, (1 - beta)/d^2
+        mic = equiangular_mic(sic_mic(d), beta)
+        effect_eigs = np.sort([beta / d + (1 - beta) / d ** 2, (1 - beta) / d ** 2])
     n = d * d
     alpha = beta ** 2 / (d * (d + 1))
     zeta = (1 / d - alpha) / n
@@ -191,17 +203,29 @@ def test_equiangular_fields_match_their_closed_forms(d, beta):
     expected = np.full(n, alpha)
     expected[-1] = 1 / d
     assert close(np.linalg.eigvalsh(mic.gram), expected)
-    # E_i has eigenvalues beta/d + (1 - beta)/d^2 and, d - 1 times, (1 - beta)/d^2
-    top = (d + 1) * (d + beta - 1) / (d * beta) - 1
-    rest = (beta - 1) * (d + 1) / (d * beta) - 1
-    _, ranges = dual_indefiniteness(mic)
-    assert close(ranges, np.array([min(top, rest), max(top, rest)]))
+    rep = unbiased_equivalence_report(mic)
+    assert rep.weights_uniform and rep.doubly_stochastic and rep.max_eigenvalue_pinned
+    assert close([rep.max_weight_deviation, rep.max_sum_deviation, rep.max_eigenvalue_gap], 0.0)
+    all_indefinite, ranges = dual_indefiniteness(mic)
+    assert all_indefinite
+    assert close(ranges, (effect_eigs - d * zeta) / alpha)
+    pairs = orthogonal_pairs(mic.gram)
+    assert pairs.count == 0 and close(pairs.min_offdiagonal, zeta)
     gap = n * (1 / d - alpha - zeta) ** 2 + n * (n - 1) * zeta ** 2
     assert close(frobenius_orthogonality_gap(mic), gap)
+    # the analyze report's saturates_bound: only a SIC, beta^2 = 1, saturates
+    # it (at d = 2, beta = -1 gives the opposite tetrahedron)
+    assert (abs(gap - (d - 1) / (d + 1)) <= 1e-9) == (beta ** 2 == 1)
     assert close(inv_gram_distance(mic), np.sqrt(n - 1) * abs(1 - 1 / (d * alpha)))
-    # with the trace-normalized effects as post-states, M = d G
+    assert group_covariance_check(mic.gram)
+    # with the trace-normalized effects as post-states, M = d G and
+    # Phi = G^-1 / d = (I - d zeta J) / (d alpha): columns summing to 1, and
+    # off-diagonal entries -zeta / alpha
     posts = mic.matrices() / mic.weights()[:, None, None]
-    assert close(phi_matrix(mic, posts).condition_number, cond)
+    phi = phi_matrix(mic, posts)
+    assert close(phi.condition_number, cond)
+    assert close(phi.matrix.sum(axis=0), 1.0)
+    assert close(phi.matrix.min(), -zeta / alpha)
 
 
 # The k-th tensor power of the SIC in dimension d is a MIC in dimension
@@ -311,6 +335,13 @@ def test_group_covariance_check():
         g = np.array(sic_mic(3).gram)
         g[i, j] += 1e-6
         assert not group_covariance_check(g), (i, j)
+
+
+def test_empty_gram_has_no_first_row_to_compare():
+    with pytest.raises(ShapeMismatch):
+        group_covariance_check(np.zeros((0, 0)))
+    # orthogonal_pairs has no pair to report
+    assert orthogonal_pairs(np.zeros((0, 0))) == OrthogonalityReport(0, (), float("inf"))
 
 
 @pytest.mark.parametrize("check", [group_covariance_check, orthogonal_pairs])

@@ -12,6 +12,7 @@ from miclab.analysis import group_covariance_check, orthogonal_pairs
 from miclab.config import DEFAULT_TOL, ToleranceConfig
 from miclab.constructions import (
     SicFiducial,
+    _basis_gram,
     _squash,
     appleby_mic,
     builtin_fiducial,
@@ -313,11 +314,12 @@ def test_squash_of_a_stack_maps_each_omega_to_the_identity():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((2, 3, 9, 3, 3)) + 1j * rng.standard_normal((2, 3, 9, 3, 3))
     a = a @ a.conj().swapaxes(-1, -2)
-    rank, safe, e = _squash(a, DEFAULT_TOL)
-    assert rank.tolist() == [[9] * 3] * 2 and safe.all()
+    w, safe, e = _squash(a, DEFAULT_TOL)
+    assert safe.all() and np.abs(w - np.linalg.eigvalsh(a.sum(axis=-3))).max() < 1e-10
+    assert constructions._basis_rank(_basis_gram(a), DEFAULT_TOL).tolist() == [[9] * 3] * 2
     assert np.abs(e.sum(axis=-3) - np.eye(3)).max() < 1e-10
     one = _squash(a[1, 2], DEFAULT_TOL)
-    assert one[0] == 9 and one[1] and np.array_equal(one[2], e[1, 2])
+    assert np.array_equal(one[0], w[1, 2]) and one[1] and np.array_equal(one[2], e[1, 2])
 
 
 def _with_singular_values(sigma, skew, rng):
@@ -391,8 +393,9 @@ def test_spanning_basis_with_a_singular_omega_is_refused():
     basis = [np.eye(2), x, y, np.diag([1.0, 0.0]) - np.eye(2) - x - y]
     with pytest.raises(SingularOperator, match=r"\[0\.000e\+00, 1\.000e\+00\]"):
         mic_from_psd_basis(basis)
-    rank, safe, _ = _squash(np.array(basis), DEFAULT_TOL)
-    assert rank == 4 and not safe
+    w, safe, _ = _squash(np.array(basis), DEFAULT_TOL)
+    assert constructions._basis_rank(_basis_gram(np.array(basis)), DEFAULT_TOL) == 4
+    assert not safe and w.tolist() == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("basis", [[], np.zeros((0, 2, 2))])

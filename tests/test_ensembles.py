@@ -23,12 +23,13 @@ from miclab.ensembles import (
     spectra_study,
 )
 from miclab.config import DEFAULT_TOL
-from miclab.constructions import mic_from_psd_basis, wh_mic
+from miclab.constructions import mic_from_psd_basis, sic_mic, sic_qubit, tensorhedron_mic, wh_mic
 from miclab.errors import (
     DegenerateFiducial,
     EnvelopeExceeded,
     InvalidState,
     LinearlyDependent,
+    MicLabError,
     NotHermitian,
     NotPsd,
     SamplingExhausted,
@@ -621,9 +622,9 @@ def test_gram_rank_near_the_threshold_is_decided_by_svd(kind, d, monkeypatch):
     # rank_tol.  Where min |eig| comes within 1e3 of the threshold, the
     # Gram's SVD decides, and the decision is the single build's.  The
     # oracle is numerical_rank on a basis Gram and a MIC Gram that the test
-    # squashes itself.  The basis Gram's SVD runs only where its Cholesky
-    # certificate does not pass: on a stack too small for it, or where
-    # S - tau I does not factor.
+    # squashes itself.  The basis Gram's SVD runs only where the spectral
+    # bound leaves the rank in doubt and the Cholesky certificate does not
+    # pass: on a stack too small for it, or where S - tau I does not factor.
     calls = []
 
     def rank(a, tol):
@@ -653,16 +654,32 @@ def test_gram_rank_near_the_threshold_is_decided_by_svd(kind, d, monkeypatch):
         e = r @ b @ r
         spans = [numerical_rank(np.einsum("iab,jba->ij", m, m).real) == d * d for m in (b, e)]
         assert kept == all(spans), eps
-        if kept:  # past the basis gate; the MIC Gram's rank went to the SVD
+        if kept:  # the MIC Gram's rank went to the SVD, and so did the basis Gram's
+            assert not _spectrally_certified(b[None])[0], eps
             basis_svd = [] if _basis_rank_certified(b[None]) else [1]
-            assert batch_calls == basis_svd + [1], eps
+            assert batch_calls == [1] + basis_svd, eps
         outcomes.add(bool(kept))
     assert outcomes == {True, False}
-    # far from the threshold the eigenvalues decide, with no second SVD
+    # far from the threshold the eigenvalues decide, with no second SVD; the
+    # basis Grams the spectral bound leaves in doubt take one SVD as a stack,
+    # unless their Cholesky certificate passes
     calls.clear()
     draws = np.array([ensembles._draw(kind, d, _substream(7, i)) for i in range(6)])
     assert ensembles._squash_spectra(draws)[1].all()
-    assert calls == ([] if _basis_rank_certified(draws) else [6])
+    doubt = ~_spectrally_certified(draws)
+    assert calls == ([] if not doubt.any() or _basis_rank_certified(draws[doubt])
+                     else [int(doubt.sum())])
+
+
+def _spectrally_certified(bases, tol=DEFAULT_TOL):
+    # ensembles._squash_spectra's certificate of each basis's rank, restated
+    # from a squash the test makes itself: the least |eigenvalue| of the MIC
+    # Gram over its largest, times (w_min / w_max)^2 of Omega, above 1e3 rank_tol
+    w, v = np.linalg.eigh(bases.sum(axis=1))
+    r = (v / np.sqrt(w)[:, None, :]) @ v.conj().mT
+    e = r[:, None] @ bases @ r[:, None]
+    s = np.abs(np.linalg.eigvalsh(np.einsum("...iab,...jba->...ij", e, e).real))
+    return s.min(axis=-1) / s.max(axis=-1) * (w[:, 0] / w[:, -1]) ** 2 > 1e3 * tol.rank_tol
 
 
 def _basis_rank_certified(bases, tol=DEFAULT_TOL):
@@ -677,6 +694,69 @@ def _basis_rank_certified(bases, tol=DEFAULT_TOL):
     except np.linalg.LinAlgError:
         return False
     return g.size >= _CERTIFY_MIN_ENTRIES
+
+
+@pytest.mark.parametrize("kind", GENERIC)
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_batch_keeps_what_the_build_keeps_where_the_spectral_bound_is_weak(kind, d):
+    # The bound on the basis Gram's rank pays for cond(Omega) squared, so
+    # past cond(Omega) = 10^3 it certifies nothing.  Three kinds of row
+    # stress it.  One element scaled by 10^k.  A congruence S A_i S, with S
+    # scaling one basis vector of C^d by 10^(k/2): it leaves the MIC as it
+    # is, up to a unitary, while cond(Omega) grows as 10^k and the basis
+    # Gram's condition as 10^(2k), so for large k the build refuses a basis
+    # whose MIC Gram is well conditioned; applied to a SIC (refused from
+    # k = 5 on) it comes within a factor 2 of the bound.  At d = 8, where no
+    # SIC fiducial is built in, the congruence is applied to the tensor cube
+    # of the qubit SIC.  And a last element a0 + a1 + eps x, which leaves the
+    # basis nearly dependent.  Per row, as one stack and alone, the batch
+    # keeps exactly what mic_from_psd_basis builds, and the rows cover
+    # certified, doubted and refused ones.
+    rng = np.random.default_rng(d)
+    frame = (sic_mic(d) if d <= 5 else tensorhedron_mic(sic_qubit(), 3)).matrices()
+    rows = []
+    for k in range(-8, 9):
+        b = ensembles._draw(kind, d, rng)
+        b[rng.integers(d * d)] *= 10.0 ** k
+        rows.append(b)
+        scale = np.ones(d)
+        scale[rng.integers(d)] = 10.0 ** (k / 2)
+        rows.append(scale[:, None] * ensembles._draw(kind, d, rng) * scale)
+        rows.append(scale[:, None] * frame * scale)
+    a, x = ensembles._draw(kind, d, rng), ensembles._draw(kind, d, rng)[0]
+    for eps in np.logspace(-1, -7, 13):
+        rows.append(np.concatenate([a[:-1], [a[0] + a[1] + eps * x]]))
+    rows = np.array(rows)
+    built = []
+    for b in rows:
+        try:
+            mic_from_psd_basis(b)
+            built.append(True)
+        except MicLabError:
+            built.append(False)
+    kept = ensembles._squash_spectra(rows)[1]
+    assert kept.tolist() == built
+    assert [ensembles._squash_spectra(b[None])[1][0] for b in rows] == built
+    certified = _spectrally_certified(rows)
+    assert (kept & certified).any() and (kept & ~certified).any() and not kept.all()
+
+
+@pytest.mark.parametrize("kind", GENERIC)
+def test_spectral_certificate_stops_past_the_dimensions_it_was_measured_at(kind, monkeypatch):
+    # the certificate's rounding constants were measured up to d = 8: there
+    # it spares some kept rows their basis Gram, and past it none
+    rows = []
+
+    def gram(a):
+        rows.append(len(a))
+        return constructions._basis_gram(a)
+
+    monkeypatch.setattr(ensembles, "_basis_gram", gram)
+    for d, seed in ((8, 3), (9, 3)):
+        rows.clear()
+        draws = np.array([ensembles._draw(kind, d, _substream(seed, i)) for i in range(6)])
+        kept = int(ensembles._squash_spectra(draws)[1].sum())
+        assert kept and (sum(rows) < kept if d == 8 else rows == [kept])
 
 
 @pytest.mark.parametrize("kind", GENERIC)

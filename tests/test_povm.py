@@ -616,6 +616,21 @@ def test_purity_form_rejects_non_finite_probabilities(bad):
     assert info.value.index == 1
 
 
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_purity_form_rejects_non_finite_gram_rows(bad):
+    # the condition gate names the first row holding one, before any SVD
+    g = np.array(sic_mic(2).gram)
+    g[2, 1] = g[3, 0] = bad
+    with pytest.raises(NonFinite) as info:
+        purity_form(np.full(4, 0.25), g)
+    assert info.value.index == 2
+
+
+def test_purity_form_rejects_an_empty_gram():
+    with pytest.raises(ShapeMismatch):
+        purity_form(np.zeros(0), np.zeros((0, 0)))
+
+
 # -------------------------------------------------------- rank-1 criterion
 
 def test_rank1_mic_check_accepts_sic():
@@ -656,6 +671,11 @@ def test_rank1_inputs_are_refused_with_typed_errors():
             check([], [])
         with pytest.raises(ShapeMismatch, match="vector 2 has length 3, expected 2"):
             check([[1, 0], [0, 1], [1, 0, 0]], [0.5, 0.5, 0.5])
+        # weights must be one number per vector: not a scalar, a 2-D array or
+        # a list of another length
+        for weights in (1.0, [[1.0]], [[1.0, 1.0]], [1.0, 1.0]):
+            with pytest.raises(ShapeMismatch, match="weights of shape"):
+                check([[1, 0]], weights)
 
 
 def test_unbiasedness_predicate():
