@@ -30,13 +30,14 @@ import numpy as np
 from .config import CONDITION_LIMIT, DEFAULT_TOL, ToleranceConfig
 from .errors import (
     BiasedMic,
+    NotHermitian,
     ShapeMismatch,
     SingularConditionalMatrix,
     WrongCount,
 )
 from .linalg import eigvalsh
-from .povm import (Mic, Povm, _check_finite, _check_state, _valid_states, born_probabilities,
-                   dual_basis, is_unbiased)
+from .povm import (Mic, Povm, _check_finite, _check_state, _real, _valid_states,
+                   born_probabilities, dual_basis, is_unbiased)
 
 
 @dataclass(frozen=True)
@@ -115,9 +116,10 @@ def dual_indefiniteness(mic: Mic, tol: ToleranceConfig = DEFAULT_TOL
 
 
 def _square_gram(g) -> np.ndarray:
-    # g as a square float matrix: ShapeMismatch otherwise, and NonFinite names
-    # its first row with a non-finite entry
-    g = np.asarray(g, dtype=float)
+    # g as a square float matrix: ShapeMismatch otherwise, NotHermitian for a
+    # nonzero imaginary part, and NonFinite names its first row with a
+    # non-finite entry
+    g = _real(g, "Gram matrix", NotHermitian)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ShapeMismatch(f"expected a square Gram matrix, got {g.shape}")
     _check_finite(g)

@@ -8,16 +8,10 @@ root of its sum, equiangular interpolations, a rank-(d+1)/2 covariant family
 for odd dimensions, tensor products, and a hand-built rank-1 unbiased MIC in
 dimension three with exactly seven orthogonal pairs of effects.
 
-mic_from_psd_basis checks the basis Gram's rank first, then squashes
-(_squash).  The basis-rank gate is certified by one Cholesky factorization
-of S - tau I, S = (G + G^T) / 2 the symmetrized basis Gram and tau =
-2 rank_tol ||G||_F + n max|G - G^T|, where 48 n^2 u (1 + rank_tol) <
-rank_tol (u = 2^-53; n up to 476 at the default rank_tol): a Gram that
-factors has full rank by numerical_rank's SVD too, and any other goes to
-that SVD, as does a stack of fewer than 128 entries (_basis_rank).  The
-generic spectra batch builds the basis Gram only for the rows whose
-squashed spectra do not already certify its full rank
-(ensembles._squash_spectra).
+mic_from_psd_basis checks the basis Gram's rank first, by numerical_rank's
+SVD, then squashes (_squash).  The generic spectra batch builds the basis
+Gram only for the rows whose squashed spectra do not already certify its
+full rank (ensembles._squash_spectra).
 """
 
 from __future__ import annotations
@@ -37,14 +31,14 @@ from .errors import (
     DegenerateFiducial,
     EnvelopeExceeded,
     EvenDimension,
+    InvalidState,
     LinearlyDependent,
     NotSic,
     SingularOperator,
     WrongCount,
     WrongDimension,
 )
-from .linalg import (_CERTIFY_MIN_ENTRIES, _factors, _lapack, _rounding, eigh,
-                     hermiticity_defect, numerical_rank)
+from .linalg import _lapack, eigh, hermiticity_defect, numerical_rank
 from .povm import Mic, _check_state, _check_unit, _frozen, mic_from_matrices, validate_povm
 
 
@@ -141,10 +135,13 @@ def wh_mic(rho, overlap_tol: float = 1e-8, tol: ToleranceConfig = DEFAULT_TOL) -
     The effects are E_kl = (1/d) D_kl rho D_kl^dagger, ordered row-major in
     (k, l).  The orbit spans operator space exactly when every displacement
     component tr(D_kl^dagger rho) is nonzero; components smaller in magnitude
-    than overlap_tol raise DegenerateFiducial.  The result is always
-    unbiased, and every row of its Gram matrix is a permutation of the first.
+    than overlap_tol raise DegenerateFiducial, and a rho that is no valid
+    state, a scalar included, InvalidState.  The result is always unbiased,
+    and every row of its Gram matrix is a permutation of the first.
     """
     rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2:
+        raise InvalidState(f"state has shape {rho.shape}, expected a square matrix")
     d = rho.shape[0]
     _check_dimension(d)
     rho = _check_state(rho, d, tol)
@@ -267,35 +264,6 @@ def orthocross_probability_bound(d: int) -> float:
 
 # ----------------------------------------------- generic squashed-basis MICs
 
-def _basis_rank(g: np.ndarray, tol: ToleranceConfig):
-    """numerical_rank(g, tol) of a real n x n matrix, or of each of a
-    (..., n, n) stack, with full rank certified by one Cholesky factorization.
-
-    For one matrix G, with N = ||G||_F, S = (G + G^T) / 2 and
-    tau = 2 rank_tol N + n max|G - G^T|: if S - tau I factors, S has least
-    eigenvalue at least tau - d_c, d_c = u (2 N + tau) for forming S - tau I
-    plus 8 (n + 1) u sqrt(n) N for the factorization.  G differs from S by
-    its skew part, of 2-norm at most (n / 2) max|G - G^T|, so
-    sigma_min(G) >= 2 rank_tol N - d_c.  svdvals then returns a least
-    singular value of at least that less d_s = 16 n^2 u N, and a largest of
-    at most N + d_s, and numerical_rank counts all n when the first exceeds
-    rank_tol times the second.  With tau <= (2 rank_tol + 2 n) N, all of it
-    holds where linalg._rounding(n) (1 + rank_tol) < rank_tol, a bound on n
-    and rank_tol alone (at the default rank_tol of 1e-9, n up to 476, so
-    d <= 21).  Where it fails, or a stack does not factor or is not finite,
-    numerical_rank decides, so every rank is its; it also decides a stack of
-    fewer than linalg._CERTIFY_MIN_ENTRIES entries, which it answers sooner.
-    """
-    n = g.shape[-1]
-    if g.size >= _CERTIFY_MIN_ENTRIES and _rounding(n) * (1 + tol.rank_tol) < tol.rank_tol:
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite tau steps aside
-            tau = 2 * tol.rank_tol * np.sqrt(np.einsum("...ij,...ij->...", g, g))
-            tau += n * np.abs(g - g.mT).max(axis=(-2, -1))
-        if np.isfinite(tau).all() and _factors((g + g.mT) / 2 - tau[..., None, None] * np.eye(n)):
-            return n if g.ndim == 2 else np.full(g.shape[:-2], n)
-    return numerical_rank(g, tol)
-
-
 def _basis_gram(a: np.ndarray) -> np.ndarray:
     # the real part of tr(A_i A_j) for each basis of a (..., n, d, d) stack
     return np.einsum("...iab,...jba->...ij", a, a).real
@@ -333,7 +301,7 @@ def mic_from_psd_basis(basis, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
     _check_dimension(d)
     if len(stack) != d * d:
         raise WrongCount(len(stack), d * d)
-    rank = _basis_rank(_basis_gram(stack), tol)
+    rank = numerical_rank(_basis_gram(stack), tol)
     if rank != d * d:
         raise LinearlyDependent(rank, d * d, "input basis")
     _, safe, effects = _squash(stack, tol)
@@ -409,11 +377,7 @@ def tensorhedron_mic(component: Mic, n: int, tol: ToleranceConfig = DEFAULT_TOL)
         raise EnvelopeExceeded(dim, MAX_DIMENSION)
     mats = effects = component.matrices()
     for _ in range(n - 1):
-        # one Kronecker factor more: with m component effects of size d, entry
-        # (k m + l, i d + p, j d + q) is effects[k, i, j] * mats[l, p, q], np.kron's product
-        size = effects.shape[1] * mats.shape[1]
-        effects = (effects[:, None, :, None, :, None] * mats[None, :, None, :, None, :]).reshape(
-            -1, size, size)
+        effects = np.kron(effects, mats)
     return mic_from_matrices(effects, tol)
 
 

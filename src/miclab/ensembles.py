@@ -54,13 +54,12 @@ gate functions, each written once for a stack of any leading shape; the
 MIC Gram's gives its eigenvalues and runs the rank SVD only near rank_tol.
 The basis-rank gate comes last, and only for the rows every other gate
 keeps whose full rank the MIC Gram's eigenvalues and Omega's do not
-certify (_squash_spectra): those rows alone build the basis Gram.  The
-PSD checks of fiducials and effects and the basis-rank gate are each one
-Cholesky certificate over its stack (povm._psd, with margin zero_tol / 2,
-and constructions._basis_rank, with margin 2 rank_tol ||G||_F).  It
-passes a stack only if every matrix factors and the margin covers
-LAPACK's rounding; any other stack goes whole to eigvalsh or the SVD, so
-every verdict is the single build's.
+certify (_squash_spectra): those rows alone build the basis Gram, and
+numerical_rank's SVD decides them as one stack.  The PSD checks of
+fiducials and effects are each one Cholesky certificate over its stack
+(povm._psd, with margin zero_tol / 2).  It passes a stack only if every
+matrix factors and the margin covers LAPACK's rounding; any other stack
+goes whole to eigvalsh, so every verdict is the single build's.
 
 Every draw is one standard_normal block: haar_pure_states reads n vectors
 from an (n, 2, d) block, real then imaginary parts, and gue_psd_samples n
@@ -83,7 +82,6 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .constructions import (
     _basis_gram,
-    _basis_rank,
     _check_dimension,
     _displacement_components,
     _squash,
@@ -96,7 +94,7 @@ from .errors import (
     SamplingExhausted,
     WrongDimension,
 )
-from .linalg import _UNIT_ROUNDOFF
+from .linalg import _UNIT_ROUNDOFF, numerical_rank
 from .povm import Mic, _effect_rules, _gram_rank, _gram_rules, _negligible, _valid_states
 
 MAX_DRAW_ATTEMPTS = 100
@@ -366,11 +364,11 @@ def _squash_spectra(a: np.ndarray):
     stack, one ascending row each, and the mask of the bases that build keeps.
 
     The stack goes once through the gate functions of mic_from_psd_basis
-    (_squash, and _basis_rank last), validate_povm (_effect_rules),
+    (_squash, and the basis rank last), validate_povm (_effect_rules),
     validate_mic (_negligible, _gram_rank) and gram (_gram_rules).  Only the
     rows every other gate keeps, and whose full rank the spectra at hand do
-    not certify, build their basis Gram tr(A_i A_j) for _basis_rank, as one
-    stack.  A refused row means nothing.
+    not certify, build their basis Gram tr(A_i A_j) for numerical_rank, as
+    one stack.  A refused row means nothing.
 
     The certificate.  For Hermitian A_i and any invertible Hermitian R, the
     map X -> R X R on C^(d x d) has singular values sigma_i(R) sigma_j(R),
@@ -381,7 +379,7 @@ def _squash_spectra(a: np.ndarray):
     is certified where beta = min|eig| / max|eig| (w_min / w_max)^2 exceeds
     1e3 rank_tol, _gram_rank's margin; at the default rank_tol, beta > 1e-6
     needs cond(Omega) < 10^3 and cond(G_E) < 10^6.  Every other kept row
-    takes _basis_rank, so every verdict is numerical_rank's.
+    takes numerical_rank's SVD, so every verdict is numerical_rank's.
 
     Rounding, with u = 2^-53 and n = d^2.  The bound holds for the computed
     R's Hermitian part R~, whose singular values are w^-1/2 within a factor
@@ -419,7 +417,7 @@ def _squash_spectra(a: np.ndarray):
         low, high = s.min(axis=-1) * w[:, 0] ** 2, s.max(axis=-1) * w[:, -1] ** 2
         doubt &= ~(low > 1e3 * tol.rank_tol * high)
     if doubt.any():
-        kept[doubt] = _basis_rank(_basis_gram(a[doubt]), tol) == n
+        kept[doubt] = numerical_rank(_basis_gram(a[doubt]), tol) == n
     return eigs, kept
 
 

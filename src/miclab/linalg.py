@@ -47,7 +47,8 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 def _rounding(n: int) -> float:
     """48 n^2 u, with u = 2^-53: the rounding allowance, relative to the
     Frobenius norm of an n x n matrix (or stack), that the Cholesky
-    certificates of povm._psd and constructions._basis_rank grant LAPACK.
+    certificate of povm._psd grants LAPACK; ensembles._squash_spectra's
+    rounding argument takes its eigvalsh and svdvals constants.
 
     It covers together, with the constants of Higham, Accuracy and
     Stability of Numerical Algorithms (2nd ed.), doubled for complex
@@ -63,10 +64,10 @@ def _rounding(n: int) -> float:
     return 48 * n * n * _UNIT_ROUNDOFF
 
 
-# The certificates run on stacks of at least this many entries.  Below it
-# eigvalsh or the SVD decides sooner than the certificate's fixed cost of
-# about 8 us; the measured crossovers are 80 to 100 complex entries for the
-# PSD rule and 130 to 250 real ones for the basis rank (one BLAS thread).
+# povm._psd's certificate runs on stacks of at least this many entries.
+# Below it eigvalsh decides sooner than the certificate's fixed cost of
+# about 8 us; the measured crossover is 80 to 100 complex entries (one BLAS
+# thread).
 _CERTIFY_MIN_ENTRIES = 128
 
 

@@ -180,6 +180,8 @@ def _stack(effects) -> tuple[np.ndarray, ShapeMismatch | None]:
             return mats, None
     except ValueError:  # ragged input does not stack
         pass
+    if not np.iterable(effects):
+        raise ShapeMismatch(f"expected a sequence of effects, got {type(effects).__name__}")
     rows = [np.asarray(e, dtype=complex) for e in effects]
     if not rows:
         raise WrongCount(0, 1)
@@ -244,7 +246,8 @@ def _effect_rules(e: np.ndarray, tol: ToleranceConfig):
 def validate_povm(effects, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
     """Check that effects, an (N, d, d) array or a sequence of d x d
     matrices, form a POVM, with the PSD rule decided for all effects at
-    once (see _psd).
+    once (see _psd).  Effects that are no sequence, such as a scalar or
+    None, raise ShapeMismatch.
 
     Of several faulty effects the lowest index raises: ShapeMismatch,
     NonFinite, NotHermitian, or NotPsd for an eigenvalue below -zero_tol.
@@ -388,6 +391,18 @@ def _valid_states(rhos: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     return ok
 
 
+def _real(a, what: str, error=ValueError) -> np.ndarray:
+    # a as a float array; error if a is complex with a nonzero (or NaN)
+    # imaginary part, which a cast to float would drop
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        residue = np.abs(a.imag).max(initial=0.0)
+        if residue:
+            raise error(f"{what} has imaginary part {residue:.3e}")
+        a = a.real
+    return a.astype(float, copy=False)
+
+
 def _check_finite(a: np.ndarray) -> None:
     # NonFinite naming the first entry of a vector, or row of a matrix, that
     # holds a NaN or an infinity
@@ -411,9 +426,10 @@ def reconstruct_state(p, mic: Mic, tol: ToleranceConfig = DEFAULT_TOL) -> np.nda
     For p produced by born_probabilities this inverts the measurement map.
     The result is always Hermitian with trace equal to sum(p); it need not be
     positive semidefinite for an arbitrary probability vector.  A NaN or
-    infinite p_i raises NonFinite(i).
+    infinite p_i raises NonFinite(i), and a complex p with a nonzero
+    imaginary part ValueError.
     """
-    p = np.asarray(p, dtype=float)
+    p = _real(p, "probability vector")
     n = mic.dim * mic.dim
     if p.shape != (n,):
         raise ShapeMismatch(f"expected {n} probabilities, got shape {p.shape}")
@@ -429,12 +445,14 @@ def purity_form(p, g) -> float:
     equals tr(rho^2), so it is 1 exactly for pure states and smaller for
     mixed ones.  A NaN or infinite p_i raises NonFinite(i), and then one in
     row i of g NonFinite(i); an empty or non-square g, or a p of another
-    length, raises ShapeMismatch.  g passes the condition gate of a MIC's
-    inverse Gram matrix, whose checks run only when g differs from the last
-    Gram it passed (see _gram_condition); the solve runs on every call.
+    length, raises ShapeMismatch.  A complex p with a nonzero imaginary part
+    raises ValueError, and such a g NotHermitian.  g passes the condition
+    gate of a MIC's inverse Gram matrix, whose checks run only when g
+    differs from the last Gram it passed (see _gram_condition); the solve
+    runs on every call.
     """
-    p = np.asarray(p, dtype=float)
-    g = np.asarray(g, dtype=float)
+    p = _real(p, "probability vector")
+    g = _real(g, "Gram matrix", NotHermitian)
     if g.ndim != 2 or g.shape[0] != g.shape[1] or not len(g) or p.shape != (g.shape[0],):
         raise ShapeMismatch(f"probability shape {p.shape} vs Gram shape {g.shape}")
     _check_finite(p)
@@ -452,7 +470,9 @@ def _check_unit(i: int, v: np.ndarray) -> None:
 def _vector_rows(vectors) -> np.ndarray:
     """The vectors as the rows of an (n, d) complex array, d from the first:
     WrongCount(0, 1) if there are none, and ShapeMismatch for the first
-    vector of another length."""
+    vector of another length, or if vectors is no sequence."""
+    if not np.iterable(vectors):
+        raise ShapeMismatch(f"expected a sequence of vectors, got {type(vectors).__name__}")
     vs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
     if not vs:
         raise WrongCount(0, 1)

@@ -32,8 +32,8 @@ from miclab.constructions import (
 )
 from miclab.config import DEFAULT_TOL
 from miclab.ensembles import MicKind, random_mic
-from miclab.errors import (BiasedMic, IllConditionedGram, InvalidState, NonFinite, ShapeMismatch,
-                           WrongCount)
+from miclab.errors import (BiasedMic, IllConditionedGram, InvalidState, NonFinite, NotHermitian,
+                           ShapeMismatch, WrongCount)
 from miclab.povm import (DualBasis, _check_state, born_probabilities, dual_basis, is_unbiased,
                          purity_form)
 
@@ -354,6 +354,14 @@ def test_gram_checks_refuse_non_finite_entries(check, bad):
     assert exc.value.index == 2  # the first row holding one
     with pytest.raises(ShapeMismatch):
         check(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("check", [group_covariance_check, orthogonal_pairs])
+def test_gram_checks_refuse_an_imaginary_part(check):
+    g = sic_mic(3).gram
+    with pytest.raises(NotHermitian, match="imaginary part"):
+        check(g + 1e-3j)
+    assert check(g.astype(complex)) == check(g)  # a zero imaginary part is no fault
 
 
 # -------------------------------------------------------------- Phi matrix

@@ -35,7 +35,7 @@ from miclab.errors import (
     SamplingExhausted,
     WrongDimension,
 )
-from miclab.linalg import _CERTIFY_MIN_ENTRIES, numerical_rank
+from miclab.linalg import numerical_rank
 from miclab.povm import is_unbiased, rank1_mic_check
 from miclab.serialize import histogram_to_table
 from wh_rank1_laws import d3_bin_probabilities, d3_cdf
@@ -623,8 +623,7 @@ def test_gram_rank_near_the_threshold_is_decided_by_svd(kind, d, monkeypatch):
     # Gram's SVD decides, and the decision is the single build's.  The
     # oracle is numerical_rank on a basis Gram and a MIC Gram that the test
     # squashes itself.  The basis Gram's SVD runs only where the spectral
-    # bound leaves the rank in doubt and the Cholesky certificate does not
-    # pass: on a stack too small for it, or where S - tau I does not factor.
+    # bound leaves the rank in doubt, once per stack of such rows.
     calls = []
 
     def rank(a, tol):
@@ -632,7 +631,7 @@ def test_gram_rank_near_the_threshold_is_decided_by_svd(kind, d, monkeypatch):
         return numerical_rank(a, tol)
 
     # the basis gate's rank and the MIC Gram's
-    monkeypatch.setattr(constructions, "numerical_rank", rank)
+    monkeypatch.setattr(ensembles, "numerical_rank", rank)
     monkeypatch.setattr(povm, "numerical_rank", rank)
     a = ensembles._draw(kind, d, np.random.default_rng(1))
     x = ensembles._draw(kind, d, np.random.default_rng(2))[0]
@@ -656,19 +655,16 @@ def test_gram_rank_near_the_threshold_is_decided_by_svd(kind, d, monkeypatch):
         assert kept == all(spans), eps
         if kept:  # the MIC Gram's rank went to the SVD, and so did the basis Gram's
             assert not _spectrally_certified(b[None])[0], eps
-            basis_svd = [] if _basis_rank_certified(b[None]) else [1]
-            assert batch_calls == [1] + basis_svd, eps
+            assert batch_calls == [1, 1], eps
         outcomes.add(bool(kept))
     assert outcomes == {True, False}
     # far from the threshold the eigenvalues decide, with no second SVD; the
-    # basis Grams the spectral bound leaves in doubt take one SVD as a stack,
-    # unless their Cholesky certificate passes
+    # basis Grams the spectral bound leaves in doubt take one SVD as a stack
     calls.clear()
     draws = np.array([ensembles._draw(kind, d, _substream(7, i)) for i in range(6)])
     assert ensembles._squash_spectra(draws)[1].all()
     doubt = ~_spectrally_certified(draws)
-    assert calls == ([] if not doubt.any() or _basis_rank_certified(draws[doubt])
-                     else [int(doubt.sum())])
+    assert calls == ([int(doubt.sum())] if doubt.any() else [])
 
 
 def _spectrally_certified(bases, tol=DEFAULT_TOL):
@@ -680,20 +676,6 @@ def _spectrally_certified(bases, tol=DEFAULT_TOL):
     e = r[:, None] @ bases @ r[:, None]
     s = np.abs(np.linalg.eigvalsh(np.einsum("...iab,...jba->...ij", e, e).real))
     return s.min(axis=-1) / s.max(axis=-1) * (w[:, 0] / w[:, -1]) ** 2 > 1e3 * tol.rank_tol
-
-
-def _basis_rank_certified(bases, tol=DEFAULT_TOL):
-    # constructions._basis_rank's certificate on the Grams of a stack of
-    # bases, restated: the stack is large enough, and S - tau I factors
-    g = np.einsum("...iab,...jba->...ij", bases, bases).real
-    n = g.shape[-1]
-    tau = 2 * tol.rank_tol * np.linalg.norm(g, axis=(-2, -1))
-    tau += n * np.abs(g - g.mT).max(axis=(-2, -1))
-    try:
-        np.linalg.cholesky((g + g.mT) / 2 - tau[:, None, None] * np.eye(n))
-    except np.linalg.LinAlgError:
-        return False
-    return g.size >= _CERTIFY_MIN_ENTRIES
 
 
 @pytest.mark.parametrize("kind", GENERIC)

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from miclab import povm
-from miclab.constructions import mic_from_psd_basis, orthocross_mic, sic_mic, sic_qubit
+from miclab.constructions import mic_from_psd_basis, orthocross_mic, sic_mic, sic_qubit, wh_mic
 from miclab.config import DEFAULT_TOL, ToleranceConfig
 from miclab.ensembles import MicKind, haar_pure_states, random_mic
 from miclab.errors import (
@@ -631,6 +631,26 @@ def test_purity_form_rejects_an_empty_gram():
         purity_form(np.zeros(0), np.zeros((0, 0)))
 
 
+def test_complex_inputs_with_an_imaginary_part_are_refused():
+    # a cast to float would drop the imaginary part with only a warning
+    mic = sic_mic(2)
+    p = born_probabilities(np.eye(2) / 2, mic)
+    with pytest.raises(NotHermitian, match="imaginary part 1.000e-03"):
+        purity_form(p, mic.gram + 1e-3j)
+    for bad in (1e-3j, complex(0, np.nan)):
+        with pytest.raises(ValueError, match="probability vector has imaginary part"):
+            purity_form(p + bad, mic.gram)
+        with pytest.raises(ValueError, match="probability vector has imaginary part"):
+            reconstruct_state(p + bad, mic)
+
+
+def test_complex_inputs_with_no_imaginary_part_keep_working():
+    mic = sic_mic(2)
+    p = born_probabilities(np.eye(2) / 2, mic)
+    assert purity_form(p.astype(complex), mic.gram.astype(complex)) == purity_form(p, mic.gram)
+    assert np.array_equal(reconstruct_state(p.astype(complex), mic), reconstruct_state(p, mic))
+
+
 # -------------------------------------------------------- rank-1 criterion
 
 def test_rank1_mic_check_accepts_sic():
@@ -676,6 +696,21 @@ def test_rank1_inputs_are_refused_with_typed_errors():
         for weights in (1.0, [[1.0]], [[1.0, 1.0]], [1.0, 1.0]):
             with pytest.raises(ShapeMismatch, match="weights of shape"):
                 check([[1, 0]], weights)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: validate_povm(1.0), ShapeMismatch),
+    (lambda: validate_povm(None), ShapeMismatch),
+    (lambda: mic_from_matrices(1.0), ShapeMismatch),
+    (lambda: rescaled_vector_gram(1.0, [1.0]), ShapeMismatch),
+    (lambda: rank1_mic_check(1.0, [1.0]), ShapeMismatch),
+    (lambda: wh_mic(np.nan), InvalidState),
+], ids=["validate_povm-float", "validate_povm-None", "mic_from_matrices-float",
+        "rescaled_vector_gram-float", "rank1_mic_check-float", "wh_mic-nan"])
+def test_scalar_inputs_are_refused_with_typed_errors(call, error):
+    # a scalar or None is no sequence of effects or vectors, and no state
+    with pytest.raises(error, match="expected a"):
+        call()
 
 
 def test_unbiasedness_predicate():
