@@ -30,7 +30,6 @@ from dataclasses import asdict
 from math import sqrt
 
 import numpy as np
-from numpy.random import SeedSequence, default_rng
 
 from .analysis import (
     dual_indefiniteness,
@@ -107,8 +106,9 @@ def _near_orthogonal_basis(d: int) -> np.ndarray:
 
 @functools.cache
 def _random(kind: MicKind):
-    """The builder of a random kind; wh and random:wh share one."""
-    return lambda a, tol: random_mic(kind, a.d, default_rng(SeedSequence(a.seed)), tol)
+    """The builder of a random kind; wh and random:wh share one.  It reads
+    np.random as it draws, so no other command loads numpy.random."""
+    return lambda a, tol: random_mic(kind, a.d, np.random.default_rng(a.seed), tol)
 
 
 # each gen kind's builder, called with the parsed arguments and tolerances

@@ -34,6 +34,7 @@ from .errors import (
     InvalidState,
     LinearlyDependent,
     NotSic,
+    ShapeMismatch,
     SingularOperator,
     WrongCount,
     WrongDimension,
@@ -291,10 +292,14 @@ def mic_from_psd_basis(basis, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
     With Omega the sum of the basis elements, the effects are
     E_i = Omega^{-1/2} A_i Omega^{-1/2}.  MICs themselves are fixed points
     of this map (their Omega is the identity), and rank-1 inputs give
-    rank-1 MICs.  Raises LinearlyDependent if the basis does not span,
-    NotPsd for a bad element, SingularOperator if Omega is singular.
+    rank-1 MICs.  Raises ShapeMismatch for a basis that is no stack of
+    square matrices (a scalar or None among them), LinearlyDependent if the
+    basis does not span, NotPsd for a bad element, SingularOperator if
+    Omega is singular.
     """
     stack = np.asarray(basis, dtype=complex)
+    if stack.shape != (0,) and (stack.ndim != 3 or stack.shape[1] != stack.shape[2]):
+        raise ShapeMismatch(f"expected a (d^2, d, d) basis, got shape {stack.shape}")
     if not len(stack):
         raise WrongCount(0, 1)
     d = stack.shape[1]
@@ -368,10 +373,11 @@ def tensorhedron_mic(component: Mic, n: int, tol: ToleranceConfig = DEFAULT_TOL)
     The effect at flat index (i_1, ..., i_n) is E_{i_1} x ... x E_{i_n},
     with the first factor varying slowest.  The Gram matrix is the n-fold
     Kronecker power of the component Gram matrix, so the spectrum consists
-    of all n-fold products of component eigenvalues.
+    of all n-fold products of component eigenvalues.  Raises ValueError
+    unless n is an integer of at least 1 (a bool is refused too).
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1 factors, got {n}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"need n >= 1 factors, got {n!r}")
     dim = component.dim ** n
     if dim > MAX_DIMENSION:
         raise EnvelopeExceeded(dim, MAX_DIMENSION)

@@ -65,12 +65,14 @@ Every draw is one standard_normal block: haar_pure_states reads n vectors
 from an (n, 2, d) block, real then imaginary parts, and gue_psd_samples n
 matrices from an (n, 2 d^2 + d) block, rows x | y | diagonal.  A block holds
 n single draws in stream order, so it matches them bit for bit, and so
-does a stack of blocks read from n streams.
+does a stack of blocks read from n streams.  Importing this module loads
+neither numpy.random nor multiprocessing: the hashed-word seed type is built
+on first use, and multiprocessing is imported by the first pool.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import functools
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -230,17 +232,21 @@ _HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)[:, None]
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
-class _HashedWords(np.random.bit_generator.ISeedSequence):
-    """One sample's hashed words, the answer to PCG64's only request,
-    generate_state(4, np.uint64); only PCG64 is seeded from it."""
+@functools.cache
+def _hashed_words_type() -> type:
+    class _HashedWords(np.random.bit_generator.ISeedSequence):
+        """One sample's hashed words, the answer to PCG64's only request,
+        generate_state(4, np.uint64); only PCG64 is seeded from it."""
 
-    __slots__ = ("words",)
+        __slots__ = ("words",)
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+        def __init__(self, words: np.ndarray):
+            self.words = words
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return _HashedWords
 
 
 def _substreams(seed: int, start: int, stop: int) -> list:
@@ -271,7 +277,7 @@ def _substreams(seed: int, start: int, stop: int) -> list:
     v = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _HASH_B[:8]) * _HASH_B[1:]
     v ^= v >> 16
     words = np.ascontiguousarray(v.T, dtype="<u4").view("<u8")
-    return [_HashedWords(w) for w in words.astype(np.uint64)]
+    return list(map(_hashed_words_type(), words.astype(np.uint64)))
 
 
 def _first_draws(kind: MicKind, d: int, seqs: list) -> np.ndarray:
@@ -482,6 +488,7 @@ def spectra_study(kind: MicKind, d: int, n_samples: int, bin_width,
         for lo in starts:
             counts += _count_block(lo, *args)
     else:
+        import multiprocessing  # by the first pool only: a serial study never loads it
         processes = min(workers, len(starts), os.cpu_count() or 1)
         # four blocks per process and call: starmap then hands them out one
         # at a time, and at most one round of counts is held at once

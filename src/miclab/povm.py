@@ -33,6 +33,7 @@ and NotPsd's value is still eigvalsh's least eigenvalue of that effect.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,7 +174,10 @@ def _condition(shape: tuple, data: bytes) -> float:
 
 def _stack(effects) -> tuple[np.ndarray, ShapeMismatch | None]:
     """The effects as a fresh complex (N, d, d) array, d from the first, cut
-    before the first effect of another shape, with the ShapeMismatch for it."""
+    before the first effect of another shape, with the ShapeMismatch for it.
+    An iterator of effects is read once, as the list of its effects."""
+    if isinstance(effects, Iterator):
+        effects = list(effects)
     try:
         mats = np.array(effects, dtype=complex, order="C")
         if mats.ndim == 3 and len(mats) and mats.shape[1] == mats.shape[2] > 0:
@@ -244,8 +248,8 @@ def _effect_rules(e: np.ndarray, tol: ToleranceConfig):
 
 
 def validate_povm(effects, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
-    """Check that effects, an (N, d, d) array or a sequence of d x d
-    matrices, form a POVM, with the PSD rule decided for all effects at
+    """Check that effects, an (N, d, d) array or a sequence or iterator of
+    d x d matrices, form a POVM, with the PSD rule decided for all effects at
     once (see _psd).  Effects that are no sequence, such as a scalar or
     None, raise ShapeMismatch.
 

@@ -64,6 +64,12 @@ def test_gen_appleby_even_dimension_usage_error():
     assert "odd dimension required" in res.stderr
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_gen_tensorhedron_power_below_one_usage_error(n, capsys):
+    assert cli.main(["gen", "tensorhedron", "--n", n]) == 2
+    assert capsys.readouterr().err == f"error: need n >= 1 factors, got {n}\n"
+
+
 def test_gen_equiangular_requires_beta():
     res = run_cli("gen", "equiangular", "--d", "2")
     assert res.returncode == 2
@@ -335,6 +341,31 @@ def test_verify_conjectures_always_exit_zero():
 def test_no_subcommand_is_usage_error():
     res = run_cli()
     assert res.returncode == 2
+
+
+# a fresh process imports these only when it draws or runs a worker pool
+LAZY_MODULES = ("numpy.random", "multiprocessing")
+_FRESH_RUNS = """\
+import json, sys
+import miclab, miclab.cli
+for argv in json.loads(sys.argv[1]):
+    assert miclab.cli.main(argv) == 0, argv
+print(json.dumps([m for m in json.loads(sys.argv[2]) if m in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("kind, extra, loaded", [
+    ("sic", [], []),
+    ("random:wh-rank1", ["--seed", "7"], ["numpy.random"]),
+])
+def test_fresh_process_loads_numpy_random_only_to_draw(kind, extra, loaded, tmp_path):
+    doc, report = tmp_path / "mic.json", tmp_path / "report.json"
+    runs = [["gen", kind, "--d", "3", *extra, "--out", str(doc)],
+            ["analyze", str(doc), "--out", str(report)]]
+    res = subprocess.run([sys.executable, "-c", _FRESH_RUNS, json.dumps(runs),
+                          json.dumps(LAZY_MODULES)], capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == loaded
 
 
 # main builds its parser once per process; these run several commands in one

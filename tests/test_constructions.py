@@ -38,6 +38,7 @@ from miclab.errors import (
     LinearlyDependent,
     NotNormalized,
     NotSic,
+    ShapeMismatch,
     SingularOperator,
     WrongCount,
 )
@@ -207,6 +208,17 @@ def test_tensorhedron_effects_are_the_kron_chain_bytewise(component, n):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [0, -1, 2.5, None, True], ids=repr)
+def test_tensorhedron_refuses_a_power_that_is_no_positive_integer(n):
+    with pytest.raises(ValueError, match="need n >= 1 factors"):
+        tensorhedron_mic(sic_qubit(), n)
+
+
+def test_tensorhedron_takes_a_numpy_integer_power():
+    q = sic_qubit()
+    assert tensorhedron_mic(q, np.int64(2)).gram.tobytes() == tensorhedron_mic(q, 2).gram.tobytes()
+
+
 def test_tensorhedron_respects_dimension_envelope():
     with pytest.raises(EnvelopeExceeded):
         tensorhedron_mic(sic_mic(3), 4)  # 3^4 = 81 > 32
@@ -334,6 +346,13 @@ def test_spanning_basis_with_a_singular_omega_is_refused():
 @pytest.mark.parametrize("basis", [[], np.zeros((0, 2, 2))])
 def test_mic_from_psd_basis_rejects_an_empty_basis(basis):
     with pytest.raises(WrongCount):
+        mic_from_psd_basis(basis)
+
+
+@pytest.mark.parametrize("basis", [1.0, None, np.zeros((4, 2)), np.zeros((4, 2, 3))],
+                         ids=["float", "None", "(4, 2)", "(4, 2, 3)"])
+def test_mic_from_psd_basis_refuses_a_basis_of_no_square_stack(basis):
+    with pytest.raises(ShapeMismatch):
         mic_from_psd_basis(basis)
 
 

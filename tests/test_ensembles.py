@@ -354,7 +354,7 @@ def test_worker_pool_is_capped_by_cpu_count(monkeypatch):
         def starmap(self, fn, chunks):
             return [fn(*chunk) for chunk in chunks]
 
-    monkeypatch.setattr("miclab.ensembles.multiprocessing.Pool", InlinePool)
+    monkeypatch.setattr("multiprocessing.Pool", InlinePool)
     kwargs = dict(n_samples=40, bin_width=Fraction(1, 200), seed=5)
     wide = spectra_study(MicKind.WH_GENERIC, 2, workers=10_000, **kwargs)
     assert sizes and sizes[0] <= (os.cpu_count() or 1)

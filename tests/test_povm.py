@@ -119,6 +119,21 @@ def test_array_and_list_input_give_identical_bytes():
     assert from_array.gram.tobytes() == from_list.gram.tobytes()
 
 
+@pytest.mark.parametrize("one_pass", [iter, lambda s: (m for m in s)], ids=["iter", "generator"])
+def test_an_iterator_of_effects_is_read_as_its_list(one_pass):
+    stack = sic_qubit().matrices()
+    from_list = mic_from_matrices(list(stack))
+    povm = validate_povm(one_pass(stack))
+    assert povm.matrices().tobytes() == validate_povm(list(stack)).matrices().tobytes()
+    assert povm.weights().tobytes() == from_list.weights().tobytes()
+    mic = mic_from_matrices(one_pass(stack))
+    assert mic.matrices().tobytes() == from_list.matrices().tobytes()
+    assert mic.gram.tobytes() == from_list.gram.tobytes()
+    # a ragged iterator is cut where a list is
+    with pytest.raises(ShapeMismatch, match="effect 1 "):
+        validate_povm(one_pass([stack[0], np.eye(3)]))
+
+
 def test_stored_arrays_are_read_only_and_not_copied():
     mic = random_mic_fixture(2, 6)
     assert mic.matrices() is mic.matrices()
