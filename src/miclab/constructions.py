@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
 
@@ -33,6 +34,7 @@ from .errors import (
     EvenDimension,
     InvalidState,
     LinearlyDependent,
+    NonFinite,
     NotSic,
     ShapeMismatch,
     SingularOperator,
@@ -57,7 +59,14 @@ class SicFiducial:
         return SicFiducial(dim=v.shape[0], vector=_frozen(v))
 
 
+def _is_integer(x) -> bool:
+    # a Python or numpy integer, and not a bool
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_dimension(d: int, least: int = 1) -> None:
+    if not _is_integer(d):
+        raise ValueError(f"dimension must be an integer, got {d!r}")
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     if d > MAX_DIMENSION:
@@ -283,7 +292,16 @@ def _squash(a: np.ndarray, tol: ToleranceConfig):
     safe &= (w[..., -1] > 0) & (w[..., 0] > tol.rank_tol * w[..., -1])
     w = np.where(safe[..., None], w, 1.0)
     r = (v / np.sqrt(w)[..., None, :]) @ v.conj().mT
-    return w, safe, np.einsum("...ab,...kbc,...cd->...kad", r, a, r)
+    # The operands are copied with their contracted axes outermost in memory
+    # (A's b, c and R's column, row), so numpy's iterator makes b and c the
+    # outer loops and its inner loop runs over the whole batch.  Each entry
+    # still adds its d^2 terms in (b, c) order: the same bits, in one half to
+    # two thirds of the time at d = 5.  An out= array would set the iteration
+    # order by its own layout and change the bits; a result left in this
+    # layout slows every later gate, hence the C-ordered copy.
+    a = np.moveaxis(np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1))), (0, 1), (-2, -1))
+    r = np.moveaxis(np.ascontiguousarray(np.moveaxis(r, (-1, -2), (0, 1))), (0, 1), (-1, -2))
+    return w, safe, np.ascontiguousarray(np.einsum("...ab,...kbc,...cd->...kad", r, a, r))
 
 
 def mic_from_psd_basis(basis, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
@@ -292,12 +310,19 @@ def mic_from_psd_basis(basis, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
     With Omega the sum of the basis elements, the effects are
     E_i = Omega^{-1/2} A_i Omega^{-1/2}.  MICs themselves are fixed points
     of this map (their Omega is the identity), and rank-1 inputs give
-    rank-1 MICs.  Raises ShapeMismatch for a basis that is no stack of
-    square matrices (a scalar or None among them), LinearlyDependent if the
-    basis does not span, NotPsd for a bad element, SingularOperator if
-    Omega is singular.
+    rank-1 MICs.  An iterator of elements is read once, as their list.
+    Raises ShapeMismatch for a basis that is no stack of square matrices of
+    numbers (a scalar, None, a ragged list or a string among them),
+    NonFinite(i) for the first element with a NaN or infinite entry,
+    LinearlyDependent if the basis does not span, NotPsd for a bad element,
+    SingularOperator if Omega is singular.
     """
-    stack = np.asarray(basis, dtype=complex)
+    if isinstance(basis, Iterator):
+        basis = list(basis)
+    try:
+        stack = np.asarray(basis, dtype=complex)
+    except (TypeError, ValueError) as exc:  # ragged, or not numbers
+        raise ShapeMismatch(f"expected a (d^2, d, d) basis of numbers: {exc}") from exc
     if stack.shape != (0,) and (stack.ndim != 3 or stack.shape[1] != stack.shape[2]):
         raise ShapeMismatch(f"expected a (d^2, d, d) basis, got shape {stack.shape}")
     if not len(stack):
@@ -306,6 +331,9 @@ def mic_from_psd_basis(basis, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
     _check_dimension(d)
     if len(stack) != d * d:
         raise WrongCount(len(stack), d * d)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise NonFinite(int(np.argmin(finite)))
     rank = numerical_rank(_basis_gram(stack), tol)
     if rank != d * d:
         raise LinearlyDependent(rank, d * d, "input basis")
@@ -376,7 +404,7 @@ def tensorhedron_mic(component: Mic, n: int, tol: ToleranceConfig = DEFAULT_TOL)
     of all n-fold products of component eigenvalues.  Raises ValueError
     unless n is an integer of at least 1 (a bool is refused too).
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_integer(n) or n < 1:
         raise ValueError(f"need n >= 1 factors, got {n!r}")
     dim = component.dim ** n
     if dim > MAX_DIMENSION:

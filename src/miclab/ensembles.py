@@ -86,6 +86,7 @@ from .constructions import (
     _basis_gram,
     _check_dimension,
     _displacement_components,
+    _is_integer,
     _squash,
     mic_from_psd_basis,
     wh_mic,
@@ -471,16 +472,21 @@ def spectra_study(kind: MicKind, d: int, n_samples: int, bin_width,
     that many processes, and at most os.cpu_count().
     bin_width must be an exact rational (Fraction or a string like
     "1/198") dividing (0, 1/d] into whole bins; floats are snapped to the
-    nearest small fraction first.  Any other bin_width raises ValueError.
+    nearest small fraction first.  Any other bin_width raises ValueError,
+    as do a d, n_samples, seed or workers that is no integer (a bool is
+    refused too; numpy integers are taken).
     """
     kind = MicKind(kind)
+    for name, value in (("n_samples", n_samples), ("seed", seed), ("workers", workers)):
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    w = _as_bin_width(bin_width, d)
-    n_bins = int(Fraction(1, d) / w)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     _check_dimension(d, 2)
+    w = _as_bin_width(bin_width, d)
+    n_bins = int(Fraction(1, d) / w)
     starts = range(0, n_samples, BLOCK_SIZE)
     args = (kind.value, d, seed, n_samples, n_bins)
     counts = np.zeros(n_bins, dtype=np.int64)

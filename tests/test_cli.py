@@ -549,6 +549,23 @@ def test_analyze_reports_are_byte_stable(tmp_path):
                      for f in (doc, report)) == digests, (kind, d)
 
 
+# sha256 of the gen document of the generic kinds at seed 0 past the d <= 5 pins
+# above: the squash's unbatched path at a d the spectra batch never meets
+WIDE_GENERIC_DOCUMENT_DIGESTS = {
+    ("random:generic", 6): "ed80fa55d861724edccc1bb7783d9e1980aaf149832690f6386e30d6058bbd27",
+    ("random:generic", 8): "028bf2556152cf6f7d6498c78d639bcfa9ed4912fe8ca21ea8bceafb877971af",
+    ("random:generic-rank1", 6): "ddaab426c4f6f6edf39b099a46a1dbb483910c13134862667bc72d24a748731a",
+    ("random:generic-rank1", 8): "a109879efcd73e0342df051740661c33eb58a2a16613b37cc03b94a18946abcd",
+}
+
+
+@pytest.mark.parametrize("kind, d", list(WIDE_GENERIC_DOCUMENT_DIGESTS))
+def test_wide_generic_documents_are_byte_stable(kind, d, tmp_path):
+    doc = tmp_path / "mic.json"
+    assert cli.main(["gen", kind, "--d", str(d), "--seed", "0", "--out", str(doc)]) == 0
+    assert hashlib.sha256(doc.read_bytes()).hexdigest() == WIDE_GENERIC_DOCUMENT_DIGESTS[kind, d]
+
+
 def test_verify_conjectures_stdout_is_byte_stable(capsys):
     assert cli.main(["verify", "conjectures"]) == 0
     stdout = capsys.readouterr().out.encode()

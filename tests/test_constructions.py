@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from miclab import constructions
 from miclab.analysis import group_covariance_check, orthogonal_pairs
 from miclab.config import DEFAULT_TOL
 from miclab.constructions import (
@@ -36,6 +37,7 @@ from miclab.errors import (
     EnvelopeExceeded,
     EvenDimension,
     LinearlyDependent,
+    NonFinite,
     NotNormalized,
     NotSic,
     ShapeMismatch,
@@ -349,11 +351,67 @@ def test_mic_from_psd_basis_rejects_an_empty_basis(basis):
         mic_from_psd_basis(basis)
 
 
-@pytest.mark.parametrize("basis", [1.0, None, np.zeros((4, 2)), np.zeros((4, 2, 3))],
-                         ids=["float", "None", "(4, 2)", "(4, 2, 3)"])
+@pytest.mark.parametrize("basis", [
+    1.0, None, np.zeros((4, 2)), np.zeros((4, 2, 3)), [np.eye(2)] * 3 + [np.eye(3)],
+    {"a": 1}, [object()] * 4, "abc", [[["x", "y"]] * 2] * 4],
+    ids=["float", "None", "(4, 2)", "(4, 2, 3)", "ragged", "dict", "objects", "string",
+         "strings"])
 def test_mic_from_psd_basis_refuses_a_basis_of_no_square_stack(basis):
     with pytest.raises(ShapeMismatch):
         mic_from_psd_basis(basis)
+
+
+def _spanning_psd_basis():
+    # |0><0|, |1><1|, |+><+| and |+i><+i|: four PSD operators that span 2 x 2 matrices
+    plus, plus_i = np.array([1, 1]) / np.sqrt(2), np.array([1, 1j]) / np.sqrt(2)
+    return [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
+            np.outer(plus, plus.conj()), np.outer(plus_i, plus_i.conj())]
+
+
+def test_mic_from_psd_basis_reads_an_iterator_as_its_list():
+    basis = _spanning_psd_basis()
+    got = mic_from_psd_basis(iter(basis)).matrices()
+    assert got.tobytes() == mic_from_psd_basis(basis).matrices().tobytes()
+    gen = mic_from_psd_basis(b for b in basis).matrices()
+    assert gen.tobytes() == got.tobytes()
+
+
+def _with_entry(value, i):
+    # the spanning basis with value at (0, 1) of element i and of element 3
+    basis = np.array(_spanning_psd_basis(), dtype=complex)
+    basis[i, 0, 1] = basis[3, 1, 1] = value
+    return basis
+
+
+@pytest.mark.parametrize("value", [np.nan, complex(0, np.nan)])
+@pytest.mark.parametrize("i", [0, 2])
+def test_mic_from_psd_basis_refuses_a_nan_element_before_the_svd(value, i, capfd, monkeypatch):
+    # LAPACK's SVD of a NaN Gram complains on stderr and does not converge
+    monkeypatch.setattr(constructions, "numerical_rank",
+                        lambda *args: pytest.fail("the SVD was reached"))
+    with pytest.raises(NonFinite) as info:
+        mic_from_psd_basis(_with_entry(value, i))
+    assert info.value.index == i
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+@pytest.mark.parametrize("i", [0, 2])
+def test_mic_from_psd_basis_refuses_an_infinite_element(value, i):
+    # not as a basis that does not span
+    with pytest.raises(NonFinite) as info:
+        mic_from_psd_basis(_with_entry(value, i))
+    assert info.value.index == i
+
+
+@pytest.mark.parametrize("d", [2.0, True, "2", None])
+def test_a_dimension_that_is_no_integer_is_refused(d):
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        sic_gram_matrix(d)
+
+
+def test_a_numpy_integer_dimension_is_taken():
+    assert sic_gram_matrix(np.int64(3)).tobytes() == sic_gram_matrix(3).tobytes()
 
 
 @pytest.mark.parametrize("n", [3, 5])

@@ -322,6 +322,30 @@ def test_spectra_study_refuses_dimension_one(kind, monkeypatch):
         spectra_study(kind, 1, 3, Fraction(1, 10), seed=0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("d", 2.0), ("d", True), ("n_samples", 2.5), ("n_samples", True), ("seed", None),
+    ("seed", 1.0), ("seed", True), ("workers", 1.5), ("workers", True)])
+def test_spectra_study_refuses_an_argument_that_is_no_integer(name, value, monkeypatch):
+    monkeypatch.setattr(ensembles, "_count_block", lambda *args: pytest.fail("sampled"))
+    args = {"kind": MicKind.WH_RANK1, "d": 2, "n_samples": 3, "bin_width": "1/200",
+            "seed": 0, "workers": 1, name: value}
+    with pytest.raises(ValueError, match=" must be an integer, got "):
+        spectra_study(**args)
+
+
+def test_random_mic_refuses_a_dimension_that_is_no_integer():
+    with pytest.raises(ValueError, match="dimension must be an integer, got 2.0"):
+        random_mic(MicKind.GENERIC_PSD, 2.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("seed", [5, 2 ** 32, 2 ** 40])
+def test_spectra_study_takes_numpy_integers_and_wide_seeds(seed):
+    plain = spectra_study(MicKind.GENERIC_PSD, 2, 5, "1/200", seed)
+    typed = spectra_study(MicKind.GENERIC_PSD, np.int64(2), np.int32(5), "1/200",
+                          np.uint64(seed), workers=np.int8(1))
+    assert typed.counts.tobytes() == plain.counts.tobytes()
+
+
 def test_unbiased_kind_tops_the_last_bin():
     n = 40
     h = spectra_study(MicKind.WH_RANK1, 2, n, Fraction(1, 200), seed=1)
@@ -422,6 +446,32 @@ def test_generic_spectra_match_the_dense_path_bitwise(kind, d, n, monkeypatch):
     assert fast.tobytes() == dense.tobytes()
     assert sorted(fast_gens) == [i for i in NATURAL_REFUSALS.get((kind, d), []) if i < n]
     assert [g.bytes(8) for g in fast_gens.values()] == [dense_gens[k].bytes(8) for k in fast_gens]
+
+
+@pytest.mark.parametrize("kind", GENERIC)
+def test_squash_effects_are_the_plain_einsum_bitwise(kind):
+    # _squash copies its einsum operands into another memory layout before
+    # the product.  That the bits stay those of the plain einsum is a
+    # property of numpy's iterator, not of the algebra, so it is checked
+    # byte for byte: at d = 2..8 on the batch sizes 1, 2, step - 1 and step
+    # of _block_spectra, at every batch size at d = 5, and on
+    # mic_from_psd_basis's unbatched (d^2, d, d) path at d = 2..12
+    rng = np.random.default_rng(24)
+    cases = [(d, None) for d in range(2, 13)]
+    for d in range(2, 9):
+        step = max(1, ensembles.BATCH_ENTRIES // d ** 4)
+        sizes = range(1, step + 1) if d == 5 else {1, 2, step - 1, step} - {0}
+        cases += [(d, s) for s in sorted(sizes)]
+    for d, s in cases:
+        z = rng.standard_normal((s or 1, *ensembles._normals_shape(kind, d)))
+        a = ensembles._draws(kind, d, z)
+        a = a if s else a[0]
+        w, safe, e = constructions._squash(a, DEFAULT_TOL)
+        v = np.linalg.eigh(a.sum(axis=-3))[1]
+        r = (v / np.sqrt(w)[..., None, :]) @ v.conj().mT
+        plain = np.einsum("...ab,...kbc,...cd->...kad", r, a, r)
+        assert np.all(safe) and e.flags.c_contiguous, (d, s)
+        assert e.tobytes() == plain.tobytes(), (d, s)
 
 
 def _refusing_draw(monkeypatch, refuse, seed, n):
