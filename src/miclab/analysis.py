@@ -35,9 +35,9 @@ from .errors import (
     SingularConditionalMatrix,
     WrongCount,
 )
-from .linalg import eigvalsh
-from .povm import (Mic, Povm, _check_finite, _check_state, _real, _valid_states,
-                   born_probabilities, dual_basis, is_unbiased)
+from .linalg import _as_array, eigvalsh
+from .povm import (Mic, Povm, _check_finite, _check_state, _real, _stack, _valid_states,
+                   born_probabilities, dual_basis, is_unbiased, validate_povm)
 
 
 @dataclass(frozen=True)
@@ -185,17 +185,14 @@ def phi_matrix(mic: Mic, post_states, tol: ToleranceConfig = DEFAULT_TOL) -> Phi
     """
     d = mic.dim
     n = d * d
-    post_states = list(post_states)
-    try:
-        states = np.asarray(post_states, dtype=complex)
-    except (TypeError, ValueError):  # ragged, or not numbers
-        states = None
-    if states is None or states.shape != (n, d, d) or not _valid_states(states, tol).all():
+    post_states = list(post_states) if np.iterable(post_states) else post_states  # read twice
+    states, ragged = _stack(post_states, "post-state")
+    if ragged is not None or states.shape != (n, d, d) or not _valid_states(states, tol).all():
         # one state at a time, so the lowest bad index raises its own error
-        states = [_check_state(s, d, tol) for s in post_states]
+        states = np.array([_check_state(s, d, tol) for s in post_states])
         if len(states) != n:
             raise WrongCount(len(states), n)
-    m = np.einsum("iab,jba->ij", mic.matrices(), np.asarray(states)).real
+    m = np.einsum("iab,jba->ij", mic.matrices(), states).real
     cond = float(np.linalg.cond(m))
     if not np.isfinite(cond) or cond >= CONDITION_LIMIT:
         raise SingularConditionalMatrix(cond)
@@ -211,16 +208,19 @@ def cascaded_probability(rho, mic: Mic, post_states, second_povm,
     second POVM: Q_j = sum_ik tr(sigma_i D_j) [Phi]_ik tr(rho H_k).  The
     result reproduces the direct Born probabilities tr(rho D_j) of the
     second POVM exactly, which is the consistency condition the Phi matrix
-    encodes.  second_povm may be a Povm or a plain sequence of effects, and
-    post_states any iterable of states.
+    encodes.  second_povm may be a Povm or a plain sequence of effects,
+    which validate_povm checks (NonFinite(i) names the first effect with a
+    NaN or infinite entry); effects of another dimension than the MIC's
+    raise ShapeMismatch.  post_states may be any iterable of states.
     """
-    post_states = list(post_states)  # read twice: by phi_matrix and below
+    post_states = list(post_states) if np.iterable(post_states) else post_states  # read twice
     phi = phi_matrix(mic, post_states, tol)
     p_first = born_probabilities(rho, mic, tol)
-    second = (second_povm.matrices() if isinstance(second_povm, Povm)
-              else np.array([np.asarray(b, dtype=complex) for b in second_povm]))
-    cond_second = np.einsum("jab,iba->ji", second,
-                            np.array([np.asarray(s, dtype=complex) for s in post_states])).real
+    second = second_povm if isinstance(second_povm, Povm) else validate_povm(second_povm, tol)
+    if second.dim != mic.dim:
+        raise ShapeMismatch(f"second POVM has dimension {second.dim}, expected {mic.dim}")
+    states = _as_array(post_states, "post-states")  # phi_matrix has checked them
+    cond_second = np.einsum("jab,iba->ji", second.matrices(), states).real
     return cond_second @ phi.matrix @ p_first
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from collections.abc import Iterator
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 
@@ -34,15 +34,15 @@ from .errors import (
     EvenDimension,
     InvalidState,
     LinearlyDependent,
-    NonFinite,
     NotSic,
     ShapeMismatch,
     SingularOperator,
     WrongCount,
     WrongDimension,
 )
-from .linalg import _lapack, eigh, hermiticity_defect, numerical_rank
-from .povm import Mic, _check_state, _check_unit, _frozen, mic_from_matrices, validate_povm
+from .linalg import _as_array, _as_square, _lapack, eigh, hermiticity_defect, numerical_rank
+from .povm import (Mic, _check_finite, _check_state, _check_unit, _frozen, _stack,
+                   mic_from_matrices, validate_povm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +54,7 @@ class SicFiducial:
 
     @staticmethod
     def from_vector(v) -> "SicFiducial":
-        v = np.asarray(v, dtype=complex).ravel()
+        v = _as_array(v, "fiducial vector").ravel()
         _check_unit(0, v)
         return SicFiducial(dim=v.shape[0], vector=_frozen(v))
 
@@ -113,9 +113,11 @@ def wh_displacement(d: int, k: int, l: int) -> np.ndarray:
     X is the cyclic shift |j> -> |j+1 mod d> and Z the modulation
     |j> -> e^{2 pi i j / d} |j>.  Indices are reduced mod d; for odd d the
     operators are strictly periodic in both indices, for even d the
-    reduction fixes a canonical sign.
+    reduction fixes a canonical sign.  k and l must be integers (ValueError).
     """
     _check_dimension(d)
+    if not (_is_integer(k) and _is_integer(l)):
+        raise ValueError(f"displacement indices must be integers, got ({k!r}, {l!r})")
     k = k % d
     l = l % d
     tau = -np.exp(1j * np.pi / d)
@@ -149,8 +151,8 @@ def wh_mic(rho, overlap_tol: float = 1e-8, tol: ToleranceConfig = DEFAULT_TOL) -
     state, a scalar included, InvalidState.  The result is always unbiased,
     and every row of its Gram matrix is a permutation of the first.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2:
+    rho = _as_array(rho, "state", InvalidState)
+    if rho.ndim != 2 or not rho.size:
         raise InvalidState(f"state has shape {rho.shape}, expected a square matrix")
     d = rho.shape[0]
     _check_dimension(d)
@@ -310,30 +312,21 @@ def mic_from_psd_basis(basis, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
     With Omega the sum of the basis elements, the effects are
     E_i = Omega^{-1/2} A_i Omega^{-1/2}.  MICs themselves are fixed points
     of this map (their Omega is the identity), and rank-1 inputs give
-    rank-1 MICs.  An iterator of elements is read once, as their list.
-    Raises ShapeMismatch for a basis that is no stack of square matrices of
-    numbers (a scalar, None, a ragged list or a string among them),
-    NonFinite(i) for the first element with a NaN or infinite entry,
-    LinearlyDependent if the basis does not span, NotPsd for a bad element,
-    SingularOperator if Omega is singular.
+    rank-1 MICs.  The basis is read as validate_povm reads effects (an
+    iterator once; ShapeMismatch if no stack of square matrices of numbers),
+    then it raises WrongCount for another number than d^2, NonFinite(i) for
+    the first element with a NaN or infinite entry, LinearlyDependent if the
+    basis does not span, NotPsd for a bad element, SingularOperator if Omega
+    is singular.
     """
-    if isinstance(basis, Iterator):
-        basis = list(basis)
-    try:
-        stack = np.asarray(basis, dtype=complex)
-    except (TypeError, ValueError) as exc:  # ragged, or not numbers
-        raise ShapeMismatch(f"expected a (d^2, d, d) basis of numbers: {exc}") from exc
-    if stack.shape != (0,) and (stack.ndim != 3 or stack.shape[1] != stack.shape[2]):
-        raise ShapeMismatch(f"expected a (d^2, d, d) basis, got shape {stack.shape}")
-    if not len(stack):
-        raise WrongCount(0, 1)
+    stack, ragged = _stack(basis, "basis element")
+    if ragged is not None:
+        raise ragged
     d = stack.shape[1]
     _check_dimension(d)
     if len(stack) != d * d:
         raise WrongCount(len(stack), d * d)
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    if not finite.all():
-        raise NonFinite(int(np.argmin(finite)))
+    _check_finite(stack.reshape(len(stack), -1))
     rank = numerical_rank(_basis_gram(stack), tol)
     if rank != d * d:
         raise LinearlyDependent(rank, d * d, "input basis")
@@ -349,21 +342,21 @@ def mic_from_psd_basis(basis, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
 def equiangular_mic(sic: Mic, beta: float, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
     """Depolarized SIC: E_i = (beta/d) P_i + (1-beta)/d^2 I.
 
-    P_i are the SIC projectors (d times the SIC effects).  beta must be
-    nonzero and lie in [-1/(d-1), 1]; the endpoints keep every effect
-    positive semidefinite.  The Gram matrix keeps the equiangular form
-    alpha delta_ij + zeta with alpha = 1/d - d^2 zeta and
-    1/(d^2 (d+1)) <= zeta < 1/d^3.
+    P_i are the SIC projectors (d times the SIC effects).  beta must be a
+    real number in [-1/(d-1), 1] (BetaOutOfRange otherwise) and nonzero
+    (BetaZero); the endpoints keep every effect positive semidefinite.  The
+    Gram matrix keeps the equiangular form alpha delta_ij + zeta with
+    alpha = 1/d - d^2 zeta and 1/(d^2 (d+1)) <= zeta < 1/d^3.
     """
     d = sic.dim
     deviation = float(np.abs(sic.gram - sic_gram_matrix(d)).max())
     if deviation > 1e-8:
         raise NotSic(deviation)
+    lo = -1.0 / (d - 1) if d > 1 else -1.0
+    if not (isinstance(beta, numbers.Real) and lo - 1e-12 <= beta <= 1 + 1e-12):
+        raise BetaOutOfRange(f"beta={beta!r} outside [{lo!r}, 1]")
     if beta == 0:
         raise BetaZero("beta must be nonzero")
-    lo = -1.0 / (d - 1) if d > 1 else -1.0
-    if not (lo - 1e-12 <= beta <= 1 + 1e-12):
-        raise BetaOutOfRange(f"beta={beta!r} outside [{lo!r}, 1]")
     effects = (beta / d) * (d * sic.matrices()) + (1 - beta) / (d * d) * np.eye(d)
     return mic_from_matrices(effects, tol)
 
@@ -402,13 +395,20 @@ def tensorhedron_mic(component: Mic, n: int, tol: ToleranceConfig = DEFAULT_TOL)
     with the first factor varying slowest.  The Gram matrix is the n-fold
     Kronecker power of the component Gram matrix, so the spectrum consists
     of all n-fold products of component eigenvalues.  Raises ValueError
-    unless n is an integer of at least 1 (a bool is refused too).
+    unless n is an integer of at least 1 (a bool is refused too) and the
+    component's dimension at least 2, and EnvelopeExceeded if d^n exceeds
+    MAX_DIMENSION.
     """
     if not _is_integer(n) or n < 1:
         raise ValueError(f"need n >= 1 factors, got {n!r}")
-    dim = component.dim ** n
-    if dim > MAX_DIMENSION:
-        raise EnvelopeExceeded(dim, MAX_DIMENSION)
+    d = component.dim
+    _check_dimension(d, 2)
+    # d^n > MAX_DIMENSION once n reaches its bit length, so no larger power is
+    # taken: neither the power nor its message grows with n
+    if n >= MAX_DIMENSION.bit_length():
+        raise EnvelopeExceeded(f"{d}**{n}", MAX_DIMENSION)
+    if d ** n > MAX_DIMENSION:
+        raise EnvelopeExceeded(d ** n, MAX_DIMENSION)
     mats = effects = component.matrices()
     for _ in range(n - 1):
         effects = np.kron(effects, mats)
@@ -449,9 +449,12 @@ def eigenprojector_basis(h, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
     The projectors sum to the identity, so placed among d^2 - d zero
     matrices they form a valid POVM (of deficient operator span) suitable
-    as the orthogonal end of near_orthogonal_family.
+    as the orthogonal end of near_orthogonal_family.  h must be one
+    nonempty square matrix of numbers (ShapeMismatch otherwise).
     """
-    h = np.asarray(h, dtype=complex)
+    h = _as_square(h)
+    if h.ndim != 2 or not h.size:
+        raise ShapeMismatch(f"expected one nonempty square matrix, got shape {h.shape}")
     _check_dimension(h.shape[0])
     v = eigh(h, tol)[1].T
     return v[:, :, None] * v.conj()[:, None, :]

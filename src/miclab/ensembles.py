@@ -130,8 +130,7 @@ def haar_pure_states(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     Standard complex Gaussian vectors, normalized: the Gaussian is invariant
     under every unitary, so the direction is Haar uniform on the sphere.
     """
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
+    _check_dimension(d, 2)
     return _haar_from_normals(rng.standard_normal((n, 2, d)))
 
 
@@ -153,8 +152,7 @@ def gue_psd_samples(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     The overall scale is irrelevant downstream: both MIC constructions
     that consume these samples are invariant under rho -> c rho.
     """
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
+    _check_dimension(d, 2)
     return _gue_from_normals(rng.standard_normal((n, 2 * d * d + d)), d)
 
 

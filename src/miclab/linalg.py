@@ -8,6 +8,8 @@ decisions are made relative to the largest singular value.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
@@ -19,11 +21,26 @@ from .errors import (
 )
 
 
+def _as_array(x, what: str, error=ShapeMismatch, dtype=complex) -> np.ndarray:
+    """The one reader of array arguments: x as an ndarray of dtype (numpy's
+    choice for None), an iterator read once as its list.  What numpy cannot
+    read (ragged, a dict, a string, an object) or reads as no numbers raises error."""
+    if type(x) is np.ndarray and (x.dtype == dtype or dtype is None and x.dtype.kind in "biufc"):
+        return x
+    try:
+        a = np.asarray(list(x) if isinstance(x, Iterator) else x, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{what} is no array of numbers: {exc}") from exc
+    if a.dtype.kind not in "biufc":
+        raise error(f"{what} holds {a.dtype} entries, not numbers")
+    return a
+
+
 def _as_square(a) -> np.ndarray:
-    a = np.asarray(a)
+    a = _as_array(a, "matrix")
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ShapeMismatch(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    return a.astype(complex, copy=False)
+    return a
 
 
 def hermiticity_defect(a):
@@ -97,7 +114,7 @@ def eigh(h, tol: ToleranceConfig = DEFAULT_TOL):
     (in C order of the leading axes) that has a non-finite entry raises
     NonFinite, or that deviates from its own adjoint by more than
     hermitian_tol NotHermitian, either naming its index; LAPACK not
-    converging raises ConvergenceFailure.
+    converging raises ConvergenceFailure, and no square matrix ShapeMismatch.
     """
     h = _as_square(h)
     defect = np.ravel(hermiticity_defect(h))
@@ -117,8 +134,8 @@ def eigvalsh(h, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL):
     """Number of singular values above rank_tol times the largest; an array
-    of one per matrix for a (..., m, n) stack."""
-    a = np.asarray(a)
+    of one per matrix for a (..., m, n) stack; a real matrix stays real."""
+    a = _as_array(a, "matrix", dtype=None)
     if a.ndim < 2:
         raise ShapeMismatch(f"expected a matrix or a stack of them, got shape {a.shape}")
     s = _lapack(np.linalg.svdvals, a)

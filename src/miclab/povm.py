@@ -33,7 +33,6 @@ and NotPsd's value is still eigvalsh's least eigenvalue of that effect.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +50,8 @@ from .errors import (
     SumNotIdentity,
     WrongCount,
 )
-from .linalg import (_CERTIFY_MIN_ENTRIES, _factors, _lapack, _rounding, eigh, eigvalsh,
-                     hermiticity_defect, numerical_rank)
+from .linalg import (_CERTIFY_MIN_ENTRIES, _as_array, _factors, _lapack, _rounding, eigh,
+                     eigvalsh, hermiticity_defect, numerical_rank)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -172,26 +171,25 @@ def _condition(shape: tuple, data: bytes) -> float:
     return cond
 
 
-def _stack(effects) -> tuple[np.ndarray, ShapeMismatch | None]:
-    """The effects as a fresh complex (N, d, d) array, d from the first, cut
-    before the first effect of another shape, with the ShapeMismatch for it.
-    An iterator of effects is read once, as the list of its effects."""
-    if isinstance(effects, Iterator):
-        effects = list(effects)
+def _stack(effects, what: str = "effect") -> tuple[np.ndarray, ShapeMismatch | None]:
+    """The effects (an iterator is read once) as a fresh complex (N, d, d)
+    array, d from the first, cut before the first effect of another shape,
+    with the ShapeMismatch for it, which a cut at 0 raises at once."""
+    if not np.iterable(effects):
+        raise ShapeMismatch(f"expected a sequence of {what}s, got {type(effects).__name__}")
+    effects = effects if type(effects) is np.ndarray else list(effects)
     try:
-        mats = np.array(effects, dtype=complex, order="C")
+        mats = np.array(_as_array(effects, f"the {what}s"), order="C")
         if mats.ndim == 3 and len(mats) and mats.shape[1] == mats.shape[2] > 0:
             return mats, None
-    except ValueError:  # ragged input does not stack
+    except ShapeMismatch:  # ragged, or not numbers: read one effect at a time
         pass
-    if not np.iterable(effects):
-        raise ShapeMismatch(f"expected a sequence of effects, got {type(effects).__name__}")
-    rows = [np.asarray(e, dtype=complex) for e in effects]
+    rows = [_as_array(e, f"{what} {i}") for i, e in enumerate(effects)]
     if not rows:
         raise WrongCount(0, 1)
     d = rows[0].shape[0] if rows[0].ndim else 0
     i = next(i for i, e in enumerate(rows) if e.shape != (d, d) or d == 0)
-    error = ShapeMismatch(f"effect {i} has shape {rows[i].shape}, expected {(d, d)}")
+    error = ShapeMismatch(f"{what} {i} has shape {rows[i].shape}, expected {(d, d)}")
     if i == 0:
         raise error
     return np.array(rows[:i]), error
@@ -251,7 +249,7 @@ def validate_povm(effects, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
     """Check that effects, an (N, d, d) array or a sequence or iterator of
     d x d matrices, form a POVM, with the PSD rule decided for all effects at
     once (see _psd).  Effects that are no sequence, such as a scalar or
-    None, raise ShapeMismatch.
+    None, or an effect that is no array of numbers raise ShapeMismatch.
 
     Of several faulty effects the lowest index raises: ShapeMismatch,
     NonFinite, NotHermitian, or NotPsd for an eigenvalue below -zero_tol.
@@ -364,7 +362,7 @@ def dual_basis(mic: Mic, tol: ToleranceConfig = DEFAULT_TOL) -> DualBasis:
 
 
 def _check_state(rho, d: int, tol: ToleranceConfig) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
+    rho = _as_array(rho, "state", InvalidState)
     if rho.shape != (d, d):
         raise InvalidState(f"state has shape {rho.shape}, expected {(d, d)}")
     # a non-finite entry makes the defect NaN or inf, and an overflow makes it inf
@@ -396,9 +394,8 @@ def _valid_states(rhos: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
 
 
 def _real(a, what: str, error=ValueError) -> np.ndarray:
-    # a as a float array; error if a is complex with a nonzero (or NaN)
-    # imaginary part, which a cast to float would drop
-    a = np.asarray(a)
+    # a as floats; error if complex with a nonzero (or NaN) imaginary part
+    a = _as_array(a, what, dtype=None)
     if a.dtype.kind == "c":
         residue = np.abs(a.imag).max(initial=0.0)
         if residue:
@@ -465,8 +462,10 @@ def purity_form(p, g) -> float:
 
 
 def _check_unit(i: int, v: np.ndarray) -> None:
-    # NotNormalized(i, |v|) unless |v| is 1 within 1e-10; a non-finite norm fails too
-    norm = float(np.linalg.norm(v))
+    # NotNormalized(i, |v|) unless |v| is 1 within 1e-10; a non-finite norm,
+    # or one that overflows, fails too
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(v))
     if not abs(norm - 1.0) <= 1e-10:
         raise NotNormalized(i, norm)
 
@@ -474,10 +473,10 @@ def _check_unit(i: int, v: np.ndarray) -> None:
 def _vector_rows(vectors) -> np.ndarray:
     """The vectors as the rows of an (n, d) complex array, d from the first:
     WrongCount(0, 1) if there are none, and ShapeMismatch for the first
-    vector of another length, or if vectors is no sequence."""
+    vector of another length or of no numbers, or if vectors is no sequence."""
     if not np.iterable(vectors):
         raise ShapeMismatch(f"expected a sequence of vectors, got {type(vectors).__name__}")
-    vs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
+    vs = [_as_array(v, f"vector {i}").ravel() for i, v in enumerate(vectors)]
     if not vs:
         raise WrongCount(0, 1)
     d = len(vs[0])
@@ -496,10 +495,10 @@ def rescaled_vector_gram(vectors, weights, tol: ToleranceConfig = DEFAULT_TOL) -
     conjugate reproduces the POVM Gram matrix when the effects are
     E_i = e_i |phi_i><phi_i|.  No vectors at all raise WrongCount, and
     vectors of different lengths, or weights that are not one number per
-    vector, ShapeMismatch.
+    vector, ShapeMismatch, and complex weights ValueError.
     """
     v = _vector_rows(vectors)
-    ws = np.asarray(weights, dtype=float)
+    ws = _real(weights, "weights")
     if ws.shape != (len(v),):
         raise ShapeMismatch(f"{len(v)} vectors but weights of shape {ws.shape}")
     if not ((ws >= 0) & (ws <= 1 + tol.zero_tol)).all():  # a NaN weight fails too
@@ -518,7 +517,7 @@ def rank1_mic_check(vectors, weights, tol: ToleranceConfig = DEFAULT_TOL) -> tup
     projector (g @ g = g entrywise within zero_tol), which is equivalent to
     the effects summing to the identity.  The second additionally requires
     d^2 vectors and full rank of the entrywise product of g with its
-    conjugate, which is the POVM Gram matrix.
+    conjugate, the POVM Gram matrix.  Raises as rescaled_vector_gram does.
     """
     v = _vector_rows(vectors)
     g = rescaled_vector_gram(v, weights, tol)

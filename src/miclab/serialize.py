@@ -29,6 +29,7 @@ from itertools import chain
 import numpy as np
 
 from .config import DEFAULT_TOL, MAX_DIMENSION, ToleranceConfig
+from .linalg import _as_array
 from .povm import Mic, mic_from_matrices
 
 # The float format and its two rules.  format_float applies the rules to
@@ -159,11 +160,8 @@ def mic_from_document(doc: dict, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
         raise ValueError(f"malformed MIC document: {exc}") from exc
     if type(d) is not int or not 2 <= d <= MAX_DIMENSION:  # bool and float fail too
         raise ValueError(f"dimension must be an integer in 2..{MAX_DIMENSION}, got {d!r}")
-    try:
-        a = np.asarray(effects)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"malformed MIC document: {exc}") from exc
-    if a.dtype.kind not in "iuf":  # strings, bools, nulls and objects are not numbers
+    a = _as_array(effects, "malformed MIC document: effects", ValueError, dtype=None)
+    if a.dtype.kind in "bc":  # the reader passes bools and complex numbers
         raise ValueError(f"malformed MIC document: effects hold {a.dtype} entries, not numbers")
     if a.ndim != 4 or a.shape[1:] != (d, d, 2):
         raise ValueError(f"effects have shape {a.shape}, expected (N, {d}, {d}, 2)")

@@ -70,6 +70,13 @@ def test_gen_tensorhedron_power_below_one_usage_error(n, capsys):
     assert capsys.readouterr().err == f"error: need n >= 1 factors, got {n}\n"
 
 
+@pytest.mark.parametrize("n", [str(10 ** 5), str(2 ** 64)])
+def test_gen_tensorhedron_refuses_a_huge_power_before_taking_it(n, capsys):
+    # a readable message, and no power of 2 with n digits is ever computed
+    assert cli.main(["gen", "tensorhedron", "--d", "2", "--n", n]) == 2
+    assert capsys.readouterr().err == f"error: dimension 2**{n} exceeds supported limit 32\n"
+
+
 def test_gen_equiangular_requires_beta():
     res = run_cli("gen", "equiangular", "--d", "2")
     assert res.returncode == 2

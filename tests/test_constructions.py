@@ -45,7 +45,7 @@ from miclab.errors import (
     WrongCount,
 )
 from miclab.linalg import numerical_rank
-from miclab.povm import born_probabilities, is_unbiased
+from miclab.povm import born_probabilities, is_unbiased, mic_from_matrices
 
 
 # ------------------------------------------------------------------- SICs
@@ -88,6 +88,12 @@ def test_builtin_fiducial_is_unit_and_reproducible():
 
 
 # ------------------------------------------------------------ WH covariance
+
+@pytest.mark.parametrize("k, l", [(0.5, 1), (1, 0.5), (True, 1), (1, None)])
+def test_wh_displacement_requires_integer_indices(k, l):
+    with pytest.raises(ValueError, match="displacement indices must be integers"):
+        wh_displacement(2, k, l)
+
 
 def test_wh_displacements_unitary_and_traceless():
     d = 3
@@ -155,6 +161,9 @@ def test_equiangular_beta_validation():
         equiangular_mic(sic_qubit(), 0.0)
     with pytest.raises(BetaOutOfRange):
         equiangular_mic(sic_qubit(), 2.5)
+    for beta in ("x", None, 0.5j, [0.5]):  # no real number
+        with pytest.raises(BetaOutOfRange):
+            equiangular_mic(sic_qubit(), beta)
 
 
 def test_equiangular_beta_one_is_the_sic():
@@ -224,6 +233,13 @@ def test_tensorhedron_takes_a_numpy_integer_power():
 def test_tensorhedron_respects_dimension_envelope():
     with pytest.raises(EnvelopeExceeded):
         tensorhedron_mic(sic_mic(3), 4)  # 3^4 = 81 > 32
+    # refused before the power is taken, with a readable message
+    for n in (10 ** 5, 2 ** 64):
+        with pytest.raises(EnvelopeExceeded, match=f"^dimension 2\\*\\*{n} exceeds supported limit 32$"):
+            tensorhedron_mic(sic_qubit(), n)
+    # a one-dimensional component, whose power would never leave the envelope
+    with pytest.raises(ValueError, match="d must be at least 2, got 1"):
+        tensorhedron_mic(mic_from_matrices([[[1.0]]]), 10 ** 5)
 
 
 # ----------------------------------------------------- seven-pair example

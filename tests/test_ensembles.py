@@ -79,6 +79,9 @@ def test_samplers_reject_dimension_below_two():
     for sampler in (haar_pure_states, gue_psd_samples):
         with pytest.raises(ValueError):
             sampler(3, 1, rng)
+        for d in (2.0, True):  # d is checked as every construction checks it
+            with pytest.raises(ValueError, match=f"dimension must be an integer, got {d!r}"):
+                sampler(3, d, rng)
 
 
 # Reference samplers: one standard_normal call per vector or matrix part.
