@@ -181,7 +181,8 @@ def phi_matrix(mic: Mic, post_states, tol: ToleranceConfig = DEFAULT_TOL) -> Phi
     Phi = M^{-1} rewrites cascaded probabilities in terms of first-stage
     MIC probabilities (see cascaded_probability).  Its columns always sum
     to 1, and for quantum inputs it always contains a negative entry.
-    Raises SingularConditionalMatrix when cond(M) reaches 1e12.
+    Raises SingularConditionalMatrix when cond(M) reaches 1e12, InvalidState
+    for the lowest bad post-state and WrongCount for other than d^2 of them.
     """
     d = mic.dim
     n = d * d

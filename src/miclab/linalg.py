@@ -21,11 +21,15 @@ from .errors import (
 )
 
 
-def _as_array(x, what: str, error=ShapeMismatch, dtype=complex) -> np.ndarray:
+_COMPLEX, _FLOAT = np.dtype(complex), np.dtype(float)
+
+
+def _as_array(x, what: str, error=ShapeMismatch, dtype=_COMPLEX) -> np.ndarray:
     """The one reader of array arguments: x as an ndarray of dtype (numpy's
     choice for None), an iterator read once as its list.  What numpy cannot
     read (ragged, a dict, a string, an object) or reads as no numbers raises error."""
-    if type(x) is np.ndarray and (x.dtype == dtype or dtype is None and x.dtype.kind in "biufc"):
+    # the hot path: one identity test passes a complex, or for None a float, array
+    if type(x) is np.ndarray and x.dtype is (_FLOAT if dtype is None else dtype):
         return x
     try:
         a = np.asarray(list(x) if isinstance(x, Iterator) else x, dtype=dtype)
