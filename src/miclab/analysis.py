@@ -220,8 +220,8 @@ def cascaded_probability(rho, mic: Mic, post_states, second_povm,
     second = second_povm if isinstance(second_povm, Povm) else validate_povm(second_povm, tol)
     if second.dim != mic.dim:
         raise ShapeMismatch(f"second POVM has dimension {second.dim}, expected {mic.dim}")
-    states = _as_array(post_states, "post-states")  # phi_matrix has checked them
-    cond_second = np.einsum("jab,iba->ji", second.matrices(), states).real
+    cond_second = np.einsum("jab,iba->ji", second.matrices(),
+                            _as_array(post_states, "post-states")).real
     return cond_second @ phi.matrix @ p_first
 
 

@@ -25,10 +25,8 @@ _COMPLEX, _FLOAT = np.dtype(complex), np.dtype(float)
 
 
 def _as_array(x, what: str, error=ShapeMismatch, dtype=_COMPLEX) -> np.ndarray:
-    """The one reader of array arguments: x as an ndarray of dtype (numpy's
-    choice for None), an iterator read once as its list.  What numpy cannot
-    read (ragged, a dict, a string, an object) or reads as no numbers raises error."""
-    # the hot path: one identity test passes a complex, or for None a float, array
+    """The one reader of array arguments: x as an ndarray of dtype (numpy's choice
+    for None), an iterator read once; error for what numpy cannot read as numbers."""
     if type(x) is np.ndarray and x.dtype is (_FLOAT if dtype is None else dtype):
         return x
     try:

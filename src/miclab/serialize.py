@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, MAX_DIMENSION, ToleranceConfig
 from .linalg import _as_array
-from .povm import Mic, mic_from_matrices
+from .povm import Mic, _real, mic_from_matrices
 
 # The float format and its two rules.  format_float applies the rules to
 # one number; _floats_text applies them to the text of many, and relies on
@@ -161,16 +161,14 @@ def mic_from_document(doc: dict, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
     if type(d) is not int or not 2 <= d <= MAX_DIMENSION:  # bool and float fail too
         raise ValueError(f"dimension must be an integer in 2..{MAX_DIMENSION}, got {d!r}")
     a = _as_array(effects, "malformed MIC document: effects", ValueError, dtype=None)
-    if a.dtype.kind in "bc":  # the reader passes bools and complex numbers
-        raise ValueError(f"malformed MIC document: effects hold {a.dtype} entries, not numbers")
     if a.ndim != 4 or a.shape[1:] != (d, d, 2):
         raise ValueError(f"effects have shape {a.shape}, expected (N, {d}, {d}, 2)")
     # numpy reads a bool among numbers as 0 or 1; JSON arrays are lists, and
     # the (N, d, d, 2) shape above makes three flattenings reach every leaf
-    if isinstance(effects, list) and bool in set(map(type, chain.from_iterable(
-            chain.from_iterable(chain.from_iterable(effects))))):
+    if a.dtype.kind == "b" or isinstance(effects, list) and bool in set(map(
+            type, chain.from_iterable(chain.from_iterable(chain.from_iterable(effects))))):
         raise ValueError("malformed MIC document: effects hold bool entries, not numbers")
-    a = a.astype(float)
+    a = _real(a, "malformed MIC document: effects")
     # each [re, im] pair is read as the bytes of one complex number
     return mic_from_matrices(a.view(complex)[..., 0], tol)
 
