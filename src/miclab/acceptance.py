@@ -16,11 +16,9 @@ from fractions import Fraction
 import numpy as np
 
 from .analysis import (
+    CLAIMS,
     cascaded_probability,
-    dual_indefiniteness,
-    frobenius_orthogonality_gap,
     group_covariance_check,
-    inv_gram_distance,
     orthocross_half_int_probe,
     orthocross_min_gram_probe,
     orthogonal_pairs,
@@ -29,6 +27,7 @@ from .analysis import (
     unbiased_equivalence_report,
     wigner_quasiprobs,
 )
+from .config import DEFAULT_TOL
 from .constructions import (
     appleby_mic,
     equiangular_mic,
@@ -190,17 +189,17 @@ def criterion_04(key=(400,), scale=1) -> CriterionResult:
 def criterion_05(key=(500,), scale=1) -> CriterionResult:
     """Orthogonality-gap lower bound: SICs saturate, covariant MICs exceed."""
     per_kind = round(500 * scale)
+    claim = CLAIMS["frobenius-gap"]
     sat_dev = 0.0
     short_margins = 0
     for d in (2, 3):
-        bound = (d - 1) / (d + 1)
-        gap = frobenius_orthogonality_gap(sic_mic(d))
-        sat_dev = max(sat_dev, abs(gap - bound))
+        sic = claim(sic_mic(d), DEFAULT_TOL)[0]
+        sat_dev = max(sat_dev, abs(sic["gap"] - sic["bound"]))
         for ki, kind in enumerate((MicKind.WH_GENERIC, MicKind.WH_RANK1)):
             rng = _rng(*key, d, ki)
             for _ in range(per_kind):
-                mic = random_mic(kind, d, rng)
-                if frobenius_orthogonality_gap(mic) - bound <= 1e-6:
+                entry = claim(random_mic(kind, d, rng), DEFAULT_TOL)[0]
+                if entry["gap"] - entry["bound"] <= 1e-6:
                     short_margins += 1
     ok = sat_dev <= 1e-9 and short_margins == 0
     return CriterionResult(
@@ -212,14 +211,14 @@ def criterion_05(key=(500,), scale=1) -> CriterionResult:
 def criterion_06(key=(600,), scale=1) -> CriterionResult:
     """Inverse-Gram distance of the qubit SIC: value and minimality."""
     per_kind = round(500 * scale)
-    sic_value = inv_gram_distance(sic_mic(2))
-    dev = abs(sic_value - 2 * np.sqrt(3))
+    claim = CLAIMS["inv-gram-distance"]
+    sic = claim(sic_mic(2), DEFAULT_TOL)[0]
+    dev = abs(sic["distance"] - sic["sic_value"])
     not_smaller = 0
     for ki, kind in enumerate((MicKind.WH_GENERIC, MicKind.WH_RANK1)):
         rng = _rng(*key, ki)
         for _ in range(per_kind):
-            mic = random_mic(kind, 2, rng)
-            if inv_gram_distance(mic) <= sic_value:
+            if claim(random_mic(kind, 2, rng), DEFAULT_TOL)[0]["distance"] <= sic["distance"]:
                 not_smaller += 1
     ok = dev <= 1e-9 and not_smaller == 0
     return CriterionResult(
@@ -335,13 +334,12 @@ def criterion_11(key=(1100,), scale=1) -> CriterionResult:
             rng = _rng(*key, ki, d)
             for _ in range(per_kind):
                 mic = random_mic(kind, d, rng)
-                all_indefinite, _ = dual_indefiniteness(mic)
-                if not all_indefinite:
+                if not CLAIMS["dual-indefiniteness"](mic, DEFAULT_TOL)[1]:
                     definite_duals += 1
                 top = max(hi for _, hi in effect_eigenvalue_ranges(mic))
                 if top >= 1 - 1e-9:
                     projector_effects += 1
-                if d == 2 and orthogonal_pairs(mic.gram).count != 0:
+                if d == 2 and not CLAIMS["ortho-pairs"](mic, DEFAULT_TOL)[1]:
                     d2_orthogonal += 1
     ok = definite_duals == 0 and projector_effects == 0 and d2_orthogonal == 0
     return CriterionResult(

@@ -19,11 +19,16 @@ Implements the numerical checks behind the library's structural claims:
 * numerical probes of three open conjectures, one function each
   (orthocross_min_gram_probe, orthocross_half_int_probe and
   rank1_pair_search_probe), reported and never asserted.
+
+CLAIMS maps each claim `miclab analyze` reports, in report order, to its
+evaluator (mic, tol) -> (report entry, verdict), which alone holds the
+claim's constants; the acceptance criteria read the same entries and verdicts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from math import sqrt
 
 import numpy as np
 
@@ -247,6 +252,66 @@ def group_covariance_check(g) -> bool:
     if not len(rows):
         raise ShapeMismatch("expected a nonempty Gram matrix, got (0, 0)")
     return bool(np.abs(rows - rows[0]).max() <= 1e-9)
+
+
+# ------------------------------------------------------------------ claims
+# evaluators call the functions above by their module names, so a wrapper set
+# on this module sees every call; the gap and the distance raise BiasedMic
+
+def _claim_unbiased_equivalence(mic: Mic, tol: ToleranceConfig):
+    rep = unbiased_equivalence_report(mic, tol)
+    # the three predicates are provably equivalent; disagreement is failure
+    return asdict(rep), rep.consistent
+
+
+def _claim_dual_indefiniteness(mic: Mic, tol: ToleranceConfig):
+    all_indefinite, ranges = dual_indefiniteness(mic, tol)
+    low, high = zip(*ranges)
+    return {"all_indefinite": all_indefinite, "min_eigenvalue": min(low),
+            "max_eigenvalue": max(high)}, all_indefinite
+
+
+def _claim_ortho_pairs(mic: Mic, tol: ToleranceConfig):
+    rep = orthogonal_pairs(mic.gram)
+    # d = 2 rules out orthogonal pairs entirely; higher d only reports
+    return asdict(rep), mic.dim != 2 or rep.count == 0
+
+
+def _claim_frobenius_gap(mic: Mic, tol: ToleranceConfig):
+    gap = frobenius_orthogonality_gap(mic)
+    bound = (mic.dim - 1) / (mic.dim + 1)
+    entry = {"gap": gap, "bound": bound, "saturates_bound": abs(gap - bound) <= 1e-9}
+    return entry, gap >= bound - 1e-9
+
+
+def _claim_inv_gram_distance(mic: Mic, tol: ToleranceConfig):
+    d = mic.dim
+    return {"distance": inv_gram_distance(mic), "sic_value": d * sqrt(d * d - 1.0)}, True
+
+
+def _claim_covariance(mic: Mic, tol: ToleranceConfig):
+    return {"group_covariant": group_covariance_check(mic.gram)}, True
+
+
+def _claim_phi(mic: Mic, tol: ToleranceConfig):
+    # conditional states: the MIC's own effects, trace-normalized
+    posts = mic.matrices() / mic.weights()[:, None, None]
+    rep = phi_matrix(mic, posts, tol)
+    col_dev = float(np.abs(rep.matrix.sum(axis=0) - 1.0).max())
+    min_entry = float(rep.matrix.min())
+    return {"condition_number": rep.condition_number, "column_sum_deviation": col_dev,
+            "min_entry": min_entry}, col_dev <= 1e-8 and min_entry < 0.0
+
+
+CLAIMS = {
+    "unbiased-equivalence": _claim_unbiased_equivalence,
+    "dual-indefiniteness": _claim_dual_indefiniteness,
+    "ortho-pairs": _claim_ortho_pairs,
+    "frobenius-gap": _claim_frobenius_gap,
+    "inv-gram-distance": _claim_inv_gram_distance,
+    "covariance": _claim_covariance,
+    "phi": _claim_phi,
+}
 
 
 # ------------------------------------------------------------ conjecture probes

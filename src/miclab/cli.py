@@ -4,7 +4,7 @@ Four subcommands: gen constructs a MIC and writes its document, analyze
 re-reads a document and runs invariant checks, spectra runs the randomized
 Gram-spectra study, verify drives the theorem / conjecture / acceptance
 suites.  `example` is shorthand for `gen example7`.  gen looks each kind up
-in one table of builders, as analyze does each check.
+in one table of builders, as analyze does each check in analysis.CLAIMS.
 
 Exit codes are a stable contract: 0 success, 1 invariant failure,
 2 usage or parse error, 3 construction or sampling failure.  A document
@@ -26,20 +26,10 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import asdict
-from math import sqrt
 
 import numpy as np
 
-from .analysis import (
-    dual_indefiniteness,
-    frobenius_orthogonality_gap,
-    group_covariance_check,
-    inv_gram_distance,
-    orthogonal_pairs,
-    phi_matrix,
-    unbiased_equivalence_report,
-)
+from .analysis import CLAIMS
 from .config import ToleranceConfig, tolerances_from_env
 from .constructions import (
     appleby_mic,
@@ -61,7 +51,6 @@ from .errors import (
     MicLabError,
     WrongDimension,
 )
-from .povm import Mic
 from .serialize import (
     dumps,
     histogram_to_table,
@@ -150,79 +139,13 @@ def cmd_gen(args, tol: ToleranceConfig) -> int:
 
 # ------------------------------------------------------------- analyze
 
-def _check_unbiased_equivalence(mic: Mic, tol):
-    rep = unbiased_equivalence_report(mic, tol)
-    # the three predicates are provably equivalent; disagreement is failure
-    return asdict(rep), rep.consistent
-
-
-def _check_dual_indefiniteness(mic: Mic, tol):
-    all_indefinite, ranges = dual_indefiniteness(mic, tol)
-    entry = {
-        "all_indefinite": all_indefinite,
-        "min_eigenvalue": min(r[0] for r in ranges),
-        "max_eigenvalue": max(r[1] for r in ranges),
-    }
-    return entry, all_indefinite
-
-
-def _check_ortho_pairs(mic: Mic, tol):
-    rep = orthogonal_pairs(mic.gram)
-    # d = 2 rules out orthogonal pairs entirely; higher d only reports
-    return asdict(rep), mic.dim != 2 or rep.count == 0
-
-
-def _check_frobenius_gap(mic: Mic, tol):
-    gap = frobenius_orthogonality_gap(mic)
-    bound = (mic.dim - 1) / (mic.dim + 1)
-    entry = {"gap": gap, "bound": bound, "saturates_bound": abs(gap - bound) <= 1e-9}
-    return entry, gap >= bound - 1e-9
-
-
-def _check_inv_gram_distance(mic: Mic, tol):
-    d = mic.dim
-    return {"distance": inv_gram_distance(mic), "sic_value": d * sqrt(d * d - 1.0)}, True
-
-
-def _check_covariance(mic: Mic, tol):
-    return {"group_covariant": group_covariance_check(mic.gram)}, True
-
-
-def _check_phi(mic: Mic, tol):
-    # conditional states: the MIC's own effects, trace-normalized
-    posts = mic.matrices() / mic.weights()[:, None, None]
-    rep = phi_matrix(mic, posts, tol)
-    col_dev = float(np.abs(rep.matrix.sum(axis=0) - 1.0).max())
-    min_entry = float(rep.matrix.min())
-    entry = {
-        "condition_number": rep.condition_number,
-        "column_sum_deviation": col_dev,
-        "min_entry": min_entry,
-    }
-    return entry, col_dev <= 1e-8 and min_entry < 0.0
-
-
-_ANALYZE_DISPATCH = {
-    "unbiased-equivalence": _check_unbiased_equivalence,
-    "dual-indefiniteness": _check_dual_indefiniteness,
-    "ortho-pairs": _check_ortho_pairs,
-    "frobenius-gap": _check_frobenius_gap,
-    "inv-gram-distance": _check_inv_gram_distance,
-    "covariance": _check_covariance,
-    "phi": _check_phi,
-}
-ANALYZE_CHECKS = tuple(_ANALYZE_DISPATCH)
-
-
 def cmd_analyze(args, tol: ToleranceConfig) -> int:
-    if args.checks:
-        requested = [c.strip() for c in args.checks.split(",") if c.strip()]
-        unknown = [c for c in requested if c not in _ANALYZE_DISPATCH]
-        if unknown:
-            _fail(f"unknown checks {unknown}; valid: {', '.join(ANALYZE_CHECKS)}")
-            return 2
-    else:
-        requested = list(ANALYZE_CHECKS)
+    requested = ([c.strip() for c in args.checks.split(",") if c.strip()] if args.checks
+                 else list(CLAIMS))
+    unknown = [c for c in requested if c not in CLAIMS]
+    if unknown:
+        _fail(f"unknown checks {unknown}; valid: {', '.join(CLAIMS)}")
+        return 2
     try:
         mic = mic_from_document(read_document(args.path), tol)
     except (OSError, ValueError) as exc:
@@ -235,7 +158,7 @@ def cmd_analyze(args, tol: ToleranceConfig) -> int:
     failures = []
     for name in requested:
         try:
-            entry, ok = _ANALYZE_DISPATCH[name](mic, tol)
+            entry, ok = CLAIMS[name](mic, tol)
             entry["status"] = "ok" if ok else "failed"
         except BiasedMic:  # the gap and the distance are defined for unbiased MICs
             entry, ok = {"status": "not-applicable", "reason": "biased MIC"}, True
@@ -334,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="run invariant checks on a MIC document")
     p_an.add_argument("path", help="MIC document to analyze")
     p_an.add_argument("--checks", default=None,
-                      help=f"comma-separated subset of {', '.join(ANALYZE_CHECKS)}")
+                      help=f"comma-separated subset of {', '.join(CLAIMS)}")
     p_an.add_argument("--out", default=None, help="report path (default stdout)")
     p_an.set_defaults(func=cmd_analyze)
 

@@ -148,9 +148,12 @@ def wh_mic(rho, overlap_tol: float = 1e-8, tol: ToleranceConfig = DEFAULT_TOL) -
     (k, l).  The orbit spans operator space exactly when every displacement
     component tr(D_kl^dagger rho) is nonzero; components smaller in magnitude
     than overlap_tol raise DegenerateFiducial, and a rho that is no valid
-    state, a scalar included, InvalidState.  The result is always unbiased,
-    and every row of its Gram matrix is a permutation of the first.
+    state, a scalar included, InvalidState.  An overlap_tol that is no
+    finite number at least 0 raises ValueError.  The result is always
+    unbiased, and every row of its Gram matrix is a permutation of the first.
     """
+    if not (isinstance(overlap_tol, numbers.Real) and 0 <= overlap_tol < np.inf):
+        raise ValueError(f"overlap_tol must be a finite number at least 0, got {overlap_tol!r}")
     rho = _as_array(rho, "state", InvalidState)
     if rho.ndim != 2 or not rho.size:
         raise InvalidState(f"state has shape {rho.shape}, expected a square matrix")
@@ -470,9 +473,10 @@ def near_orthogonal_family(a_basis, b: Mic, t: float,
     interpolated effects stay linearly independent, so the Gram matrix can
     be pushed arbitrarily close to the diagonal matrix of weights while
     informational completeness survives.  Raises LinearlyDependent at
-    parameter values where the span collapses.
+    parameter values where the span collapses, and ValueError for a t that
+    is no real number strictly between 0 and 1.
     """
-    if not (0 < t < 1):
+    if not (isinstance(t, numbers.Real) and 0 < t < 1):
         raise ValueError(f"t must lie strictly between 0 and 1, got {t!r}")
     a_povm = validate_povm(a_basis, tol)
     if a_povm.dim != b.dim:

@@ -124,12 +124,19 @@ _GENERIC = (MicKind.GENERIC_PSD, MicKind.GENERIC_RANK1)
 _GAUSSIAN = (MicKind.GENERIC_PSD, MicKind.WH_GENERIC)  # drawn by gue_psd_samples
 
 
+def _check_count(n) -> None:
+    if not _is_integer(n) or n < 0:
+        raise ValueError(f"n must be an integer at least 0, got {n!r}")
+
+
 def haar_pure_states(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """n Haar-random unit vectors in C^d, as an (n, d) array.
 
     Standard complex Gaussian vectors, normalized: the Gaussian is invariant
     under every unitary, so the direction is Haar uniform on the sphere.
+    An n that is no integer at least 0, a bool included, raises ValueError.
     """
+    _check_count(n)
     _check_dimension(d, 2)
     return _haar_from_normals(rng.standard_normal((n, 2, d)))
 
@@ -150,8 +157,10 @@ def gue_psd_samples(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     standard normal (so E|A_jk|^2 = 1) and real standard-normal diagonal
     entries; M = (A + A')/2.  Under this scaling E[tr M'M] = d(d+1)/2.
     The overall scale is irrelevant downstream: both MIC constructions
-    that consume these samples are invariant under rho -> c rho.
+    that consume these samples are invariant under rho -> c rho.  n is
+    checked as haar_pure_states checks it.
     """
+    _check_count(n)
     _check_dimension(d, 2)
     return _gue_from_normals(rng.standard_normal((n, 2 * d * d + d)), d)
 

@@ -5,8 +5,11 @@ import functools
 import numpy as np
 import pytest
 
+from miclab import analysis
 from miclab.analysis import (
+    CLAIMS,
     OrthogonalityReport,
+    PhiMatrix,
     cascaded_probability,
     dual_indefiniteness,
     frobenius_orthogonality_gap,
@@ -34,8 +37,8 @@ from miclab.config import DEFAULT_TOL
 from miclab.ensembles import MicKind, random_mic
 from miclab.errors import (BiasedMic, IllConditionedGram, InvalidState, NonFinite, NotHermitian,
                            ShapeMismatch, WrongCount)
-from miclab.povm import (DualBasis, _check_state, born_probabilities, dual_basis, is_unbiased,
-                         purity_form)
+from miclab.povm import (DualBasis, Mic, _check_state, born_probabilities, dual_basis,
+                         is_unbiased, purity_form)
 
 
 def random_psd(d, rng):
@@ -449,6 +452,56 @@ def test_cascaded_probability_reads_a_generator_of_post_states_once():
     rho = random_state(2, np.random.default_rng(5))
     q = cascaded_probability(rho, mic, list(posts), mic)
     assert np.array_equal(cascaded_probability(rho, mic, (s for s in posts), mic), q)
+
+
+# ------------------------------------------------------------------ claims
+
+def _planted_gram(g):
+    # the qubit SIC's effects under a planted Gram matrix
+    sic = sic_qubit()
+    return Mic(dim=2, stack=sic.stack, traces=sic.traces, gram=np.asarray(g, dtype=float))
+
+
+def _planted_psd_duals(monkeypatch):
+    # no valid MIC has a semidefinite dual, so PSD duals are planted in the cache
+    mic = sic_qubit()
+    mic.__dict__["duals"] = DualBasis(dim=2, stack=np.array([np.eye(2)] * 4, dtype=complex))
+    return mic
+
+
+def _planted_nonnegative_phi(monkeypatch):
+    # planted under the module name the claim calls phi_matrix by
+    monkeypatch.setattr(analysis, "phi_matrix",
+                        lambda mic, posts, tol: PhiMatrix(np.eye(4), condition_number=1.0))
+    return sic_qubit()
+
+
+def _with_orthogonal_pair():
+    g = sic_qubit().gram.copy()
+    g[0, 1] = g[1, 0] = 0.0
+    return g
+
+
+# an input on which each claim's verdict is False, except the two claims that
+# only report and so hold on any MIC (here one that is neither a SIC nor covariant)
+PLANTED = {
+    # uniform weights, but d G is not doubly stochastic
+    "unbiased-equivalence": lambda mp: _planted_gram(1.5 * sic_qubit().gram),
+    "dual-indefiniteness": _planted_psd_duals,
+    "ortho-pairs": lambda mp: _planted_gram(_with_orthogonal_pair()),
+    # the orthogonal ideal itself: gap 0, below the bound 1/3
+    "frobenius-gap": lambda mp: _planted_gram(np.eye(4) / 2),
+    "inv-gram-distance": lambda mp: example_seven_orthogonal(),
+    "covariance": lambda mp: example_seven_orthogonal(),
+    "phi": _planted_nonnegative_phi,
+}
+HOLD_ON_ANY_MIC = {"inv-gram-distance", "covariance"}
+
+
+@pytest.mark.parametrize("name", CLAIMS)
+def test_each_claim_decides_false_on_its_planted_input(name, monkeypatch):
+    _, ok = CLAIMS[name](PLANTED[name](monkeypatch), DEFAULT_TOL)
+    assert ok is (name in HOLD_ON_ANY_MIC)
 
 
 # ------------------------------------------------------------------ Wigner

@@ -20,9 +20,11 @@ from miclab.constructions import (
     builtin_fiducial,
     eigenprojector_basis,
     mic_from_psd_basis,
+    near_orthogonal_family,
     sic_qubit,
     wh_mic,
 )
+from miclab.ensembles import gue_psd_samples, haar_pure_states
 from miclab.errors import (
     InvalidState,
     MicLabError,
@@ -100,6 +102,40 @@ def test_the_reader_refuses_an_array_of_no_numbers(x):
 def test_bad_arrays_are_refused_with_typed_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+# a NaN overlap_tol would turn the overlap gate off: this state's zero
+# overlaps would then end in LinearlyDependent, not DegenerateFiducial
+DIAGONAL = np.diag([0.7, 0.3])
+RNG = np.random.default_rng(0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: near_orthogonal_family(MIC.matrices(), MIC, "x"), "^t must lie"),
+    (lambda: near_orthogonal_family(MIC.matrices(), MIC, None), "^t must lie"),
+    (lambda: wh_mic(RHO, overlap_tol="x"), "^overlap_tol must be"),
+    (lambda: wh_mic(DIAGONAL, overlap_tol=np.nan), "^overlap_tol must be"),
+    (lambda: wh_mic(RHO, overlap_tol=np.inf), "^overlap_tol must be"),
+    (lambda: wh_mic(RHO, overlap_tol=-1e-8), "^overlap_tol must be"),
+    (lambda: haar_pure_states(2.0, 2, RNG), "^n must be"),
+    (lambda: haar_pure_states(-1, 2, RNG), "^n must be"),
+    (lambda: haar_pure_states(True, 2, RNG), "^n must be"),
+    (lambda: gue_psd_samples(2.0, 2, RNG), "^n must be"),
+    (lambda: gue_psd_samples(-1, 2, RNG), "^n must be"),
+    (lambda: gue_psd_samples(False, 2, RNG), "^n must be"),
+], ids=["near_orthogonal_family-string", "near_orthogonal_family-None", "wh_mic-string",
+        "wh_mic-nan", "wh_mic-inf", "wh_mic-negative", "haar_pure_states-float",
+        "haar_pure_states-negative", "haar_pure_states-bool", "gue_psd_samples-float",
+        "gue_psd_samples-negative", "gue_psd_samples-bool"])
+def test_bad_scalars_are_refused_with_value_error(call, message):
+    with pytest.raises(ValueError, match=message) as info:
+        call()
+    assert info.type is ValueError
+
+
+def test_the_samplers_take_zero_draws():
+    assert haar_pure_states(0, 2, RNG).shape == (0, 2)
+    assert gue_psd_samples(np.int64(0), 2, RNG).shape == (0, 2, 2)
 
 
 def test_cascaded_probability_checks_the_second_povm_against_the_dimension():

@@ -43,6 +43,7 @@ from miclab.errors import (
     ShapeMismatch,
     SingularOperator,
     WrongCount,
+    WrongDimension,
 )
 from miclab.linalg import numerical_rank
 from miclab.povm import born_probabilities, is_unbiased, mic_from_matrices
@@ -85,6 +86,16 @@ def test_builtin_fiducial_is_unit_and_reproducible():
     f = builtin_fiducial(4)
     assert np.linalg.norm(f.vector) == pytest.approx(1.0, abs=1e-12)
     assert np.array_equal(f.vector, builtin_fiducial(4).vector)
+
+
+def test_builtin_fiducials_stop_at_d5():
+    with pytest.raises(WrongDimension, match="supported: 2..5"):
+        builtin_fiducial(6)
+
+
+def test_sic_from_fiducial_takes_a_raw_vector():
+    mic = sic_from_fiducial(builtin_fiducial(3).vector)
+    assert np.abs(mic.gram - sic_gram_matrix(3)).max() < 1e-8
 
 
 # ------------------------------------------------------------ WH covariance
@@ -164,6 +175,11 @@ def test_equiangular_beta_validation():
     for beta in ("x", None, 0.5j, [0.5]):  # no real number
         with pytest.raises(BetaOutOfRange):
             equiangular_mic(sic_qubit(), beta)
+
+
+def test_equiangular_mic_needs_a_sic():
+    with pytest.raises(NotSic):
+        equiangular_mic(orthocross_mic(2), 0.5)
 
 
 def test_equiangular_beta_one_is_the_sic():
@@ -302,6 +318,13 @@ def test_near_orthogonal_rejects_t_outside_unit_interval():
         near_orthogonal_family(padded_basis(2), sic_qubit(), 1.5)
     with pytest.raises(ValueError):
         near_orthogonal_family(padded_basis(2), sic_qubit(), 0.0)
+
+
+def test_near_orthogonal_basis_must_match_the_mic():
+    with pytest.raises(WrongDimension):
+        near_orthogonal_family(padded_basis(3), sic_qubit(), 0.5)
+    with pytest.raises(WrongCount):
+        near_orthogonal_family(padded_basis(2)[:2], sic_qubit(), 0.5)
 
 
 def test_near_orthogonal_degenerate_pairing_raises():

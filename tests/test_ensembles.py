@@ -215,9 +215,15 @@ def test_histogram_counts_preserved_and_edges():
 
 
 def test_histogram_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="count total"):
         SpectraHistogram(kind=MicKind.GENERIC_PSD, d=2, bin_width=Fraction(1, 100),
                          counts=np.ones(50, dtype=np.int64), n_samples=2, seed=0)
+    with pytest.raises(ValueError, match="bin_width must be positive"):
+        SpectraHistogram(kind=MicKind.GENERIC_PSD, d=2, bin_width=Fraction(0),
+                         counts=np.full(50, 4), n_samples=50, seed=0)
+    with pytest.raises(ValueError, match="negative bin count"):
+        SpectraHistogram(kind=MicKind.GENERIC_PSD, d=2, bin_width=Fraction(1, 2),
+                         counts=[-4, 8], n_samples=1, seed=0)
 
 
 def test_default_bin_width_tiles_every_dimension():
@@ -871,6 +877,14 @@ def test_plateau_metric_uniform_histogram_is_one():
 def test_plateau_metric_requires_d3():
     h = spectra_study(MicKind.WH_RANK1, 2, 10, Fraction(1, 200), seed=2)
     with pytest.raises(WrongDimension):
+        plateau_metric(h)
+
+
+def test_plateau_metric_needs_a_whole_bin_below_one_twelfth():
+    # bins of width 1/6 put 1/12 inside the first bin
+    h = SpectraHistogram(kind=MicKind.WH_RANK1, d=3, bin_width=Fraction(1, 6),
+                         counts=[0, 9], n_samples=1, seed=0)
+    with pytest.raises(ValueError, match="no whole bin on one side of 1/12"):
         plateau_metric(h)
 
 

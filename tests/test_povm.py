@@ -232,6 +232,12 @@ def test_validate_mic_linearly_dependent():
         validate_mic(povm)
 
 
+def test_validate_mic_refuses_an_effect_of_negligible_weight():
+    povm = validate_povm([np.eye(2, dtype=complex) / 2] * 2 + [np.zeros((2, 2))] * 2)
+    with pytest.raises(LinearlyDependent, match="effect 2 has negligible weight"):
+        validate_mic(povm)
+
+
 @pytest.mark.parametrize("side", [1.01, 0.99])
 def test_validate_mic_decides_on_each_side_of_rank_tol(side):
     # The depolarized qubit SIC E_i = beta S_i + (1 - beta) I/4 has Gram
@@ -289,6 +295,14 @@ def test_gram_rejects_finite_effects_whose_products_overflow():
     with pytest.raises(NonFinite) as info:
         gram(Povm(dim=2, stack=stack, traces=np.ones(4)))
     assert info.value.index == 3
+
+
+def test_gram_refuses_an_imaginary_residue():
+    # tr(E_0 E_1) = 1 + 1j for the non-Hermitian E_0 = diag(1, 1j), E_1 = I,
+    # which only a hand-built Povm can hold
+    stack = np.array([np.diag([1.0, 1j]), np.eye(2)])
+    with pytest.raises(NotHermitian, match="imaginary residue 1.000e"):
+        gram(Povm(dim=2, stack=stack, traces=np.ones(2)))
 
 
 def test_weights_are_traces():

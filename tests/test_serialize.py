@@ -127,6 +127,14 @@ def test_dumps_writes_every_leaf_type_byte_for_byte():
     assert dumps(PINNED_DOC) == PINNED_TEXT
 
 
+def test_dumps_writes_a_str_subclass_as_a_string():
+    class Name(str):
+        pass
+
+    assert dumps(Name('a"b')) == '"a\\"b"'
+    assert dumps({"k": [Name("v")]}) == '{\n  "k": ["v"]\n}'
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 @pytest.mark.parametrize("place", [
     lambda x: x,
