@@ -51,6 +51,7 @@ from .errors import (
     MicLabError,
     WrongDimension,
 )
+from .linalg import _one_blas_thread
 from .serialize import (
     dumps,
     histogram_to_table,
@@ -140,33 +141,36 @@ def cmd_gen(args, tol: ToleranceConfig) -> int:
 # ------------------------------------------------------------- analyze
 
 def cmd_analyze(args, tol: ToleranceConfig) -> int:
-    requested = ([c.strip() for c in args.checks.split(",") if c.strip()] if args.checks
-                 else list(CLAIMS))
+    # each named check once, in first-named order
+    requested = (list(dict.fromkeys(c.strip() for c in args.checks.split(",") if c.strip()))
+                 if args.checks else list(CLAIMS))
     unknown = [c for c in requested if c not in CLAIMS]
     if unknown:
         _fail(f"unknown checks {unknown}; valid: {', '.join(CLAIMS)}")
         return 2
-    try:
-        mic = mic_from_document(read_document(args.path), tol)
-    except (OSError, ValueError) as exc:
-        _fail(f"cannot load MIC document: {exc}")
-        return 2
-    except MicLabError as exc:
-        _fail(f"document does not describe a valid MIC: {exc}")
-        return 2
-    report: dict = {"dimension": mic.dim, "checks": {}}
-    failures = []
-    for name in requested:
+    # one BLAS thread, so that the report does not depend on the thread count
+    with _one_blas_thread():
         try:
-            entry, ok = CLAIMS[name](mic, tol)
-            entry["status"] = "ok" if ok else "failed"
-        except BiasedMic:  # the gap and the distance are defined for unbiased MICs
-            entry, ok = {"status": "not-applicable", "reason": "biased MIC"}, True
+            mic = mic_from_document(read_document(args.path), tol)
+        except (OSError, ValueError) as exc:
+            _fail(f"cannot load MIC document: {exc}")
+            return 2
         except MicLabError as exc:
-            entry, ok = {"status": "failed", "message": str(exc)}, False
-        report["checks"][name] = entry
-        if not ok:
-            failures.append(name)
+            _fail(f"document does not describe a valid MIC: {exc}")
+            return 2
+        report: dict = {"dimension": mic.dim, "checks": {}}
+        failures = []
+        for name in requested:
+            try:
+                entry, ok = CLAIMS[name](mic, tol)
+                entry["status"] = "ok" if ok else "failed"
+            except BiasedMic:  # the gap and the distance are defined for unbiased MICs
+                entry, ok = {"status": "not-applicable", "reason": "biased MIC"}, True
+            except MicLabError as exc:
+                entry, ok = {"status": "failed", "message": str(exc)}, False
+            report["checks"][name] = entry
+            if not ok:
+                failures.append(name)
     report["failures"] = failures
     _emit(report, args.out)
     if failures:

@@ -28,14 +28,28 @@ restated from numpy, frozen by NEP 19's stream policy, as six passes over
 one (4, n) uint32 pool: the entropy words (seed, i, 0, 0), one per source
 word, and the 8 output words.  A source word's three mixes are one (3, n)
 step: each reads only the source word, which its round leaves as it is, and
-writes another word.  Each sample's hashed words are handed to
-PCG64 as a bit_generator.ISeedSequence, so PCG64 seeds itself from them,
-and a test compares the seeded states with numpy's.  A larger seed or index
-is several entropy words, and a negative seed numpy refuses, so those
-substreams get numpy's own SeedSequence.  Each sample's Generator reads
-only its standard_normal block; the rest of the draw math runs once per
-batch.  A batch holds at most BATCH_ENTRIES draw entries: BATCH_ENTRIES // d^4
-generic samples, or BATCH_ENTRIES // d^2 covariant ones.
+writes another word.  A larger seed or index is several entropy words, and
+a negative seed numpy refuses, so those rows are numpy's own
+SeedSequence.generate_state(4, uint64).  Either way _substreams returns the
+block's seed words as one (n, 4) uint64 array, and a test compares them with
+numpy's.
+
+A batch's standard normals are read from the words in one array pass where
+the batch has at least KERNEL_MIN_ROWS rows of at most KERNEL_MAX_NORMALS
+normals each (measured crossovers; elsewhere the kernel is slower than one
+Generator per row).  PCG64 is a 128-bit LCG with XSL-RR output (O'Neill
+2014), so a row's k-th raw output is a fixed linear function of its seed
+words: two 128-bit products with jump-ahead constants, done in 64-bit words.
+Generator.standard_normal is a 256-layer ziggurat (Marsaglia and Tsang
+2000) whose fast path takes one raw output; its ki_double and wi_double
+tables are restated from numpy 2.4.6 in data/ziggurat_normal.json.  A row
+with any normal off the fast path (tail or wedge) is read again by numpy's
+own Generator, so no exp or log1p is restated.  NEP 19 covers SeedSequence
+but not Generator's normal stream, so a test probes every layer of the
+ziggurat against numpy, and another compares 10^5 normals bit for bit.
+Elsewhere each row gets its own Generator, as does every sample whose first
+draw the batch refuses.  A batch holds at most BATCH_ENTRIES draw entries:
+BATCH_ENTRIES // d^4 generic samples, or BATCH_ENTRIES // d^2 covariant ones.
 
 The batch keeps only first draws that random_mic builds as they stand.
 Every other sample is random_mic's own answer on its substream: redrawn,
@@ -66,18 +80,20 @@ from an (n, 2, d) block, real then imaginary parts, and gue_psd_samples n
 matrices from an (n, 2 d^2 + d) block, rows x | y | diagonal.  A block holds
 n single draws in stream order, so it matches them bit for bit, and so
 does a stack of blocks read from n streams.  Importing this module loads
-neither numpy.random nor multiprocessing: the hashed-word seed type is built
-on first use, and multiprocessing is imported by the first pool.
+neither numpy.random nor multiprocessing: the seed-word type is built on
+first use, and multiprocessing is imported by the first pool.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import ceil, floor, sqrt
+from importlib import resources
+from math import ceil, floor, prod, sqrt
 
 import numpy as np
 
@@ -109,6 +125,10 @@ BLOCK_SIZE = 256
 # draw entries per batch of a block: max(1, BATCH_ENTRIES // d^4) generic samples,
 # max(1, BATCH_ENTRIES // d^2) covariant ones
 BATCH_ENTRIES = 4096
+# _first_draws reads a batch's normals with one array kernel where it has at
+# least KERNEL_MIN_ROWS rows of at most KERNEL_MAX_NORMALS normals each
+KERNEL_MIN_ROWS = 32
+KERNEL_MAX_NORMALS = 16
 
 
 class MicKind(Enum):
@@ -243,7 +263,7 @@ _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 @functools.cache
 def _hashed_words_type() -> type:
     class _HashedWords(np.random.bit_generator.ISeedSequence):
-        """One sample's hashed words, the answer to PCG64's only request,
+        """One sample's seed words, the answer to PCG64's only request,
         generate_state(4, np.uint64); only PCG64 is seeded from it."""
 
         __slots__ = ("words",)
@@ -257,8 +277,14 @@ def _hashed_words_type() -> type:
     return _HashedWords
 
 
-def _substreams(seed: int, start: int, stop: int) -> list:
-    """Seed sequences that seed PCG64 as SeedSequence([seed, i]) does, for i in start..stop-1.
+def _generator(words: np.ndarray) -> np.random.Generator:
+    # numpy's Generator on the PCG64 stream one row of seed words seeds
+    return np.random.Generator(np.random.PCG64(_hashed_words_type()(words)))
+
+
+def _substreams(seed: int, start: int, stop: int) -> np.ndarray:
+    """The (stop - start, 4) uint64 words SeedSequence([seed, i]) seeds PCG64
+    with, generate_state(4, np.uint64), for i in start..stop-1.
 
     With seed and every i below 2^32, each is one entropy word, and the
     whole range is hashed at once as uint32 arrays, by numpy's rules.  Any
@@ -266,7 +292,8 @@ def _substreams(seed: int, start: int, stop: int) -> list:
     numpy itself.
     """
     if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 32 and stop <= 2 ** 32):
-        return [np.random.SeedSequence([seed, i]) for i in range(start, stop)]
+        return np.array([np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)
+                         for i in range(start, stop)], dtype=np.uint64).reshape(-1, 4)
     pool = np.zeros((4, stop - start), dtype=np.uint32)
     pool[0], pool[1] = seed, np.arange(start, stop, dtype=np.uint32)
     # mix_entropy: hashmix the entropy (seed, i, 0, 0), calls 0..3
@@ -284,17 +311,111 @@ def _substreams(seed: int, start: int, stop: int) -> list:
     # generate_state(4, np.uint64): 8 words cycled from the pool, paired low | high
     v = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _HASH_B[:8]) * _HASH_B[1:]
     v ^= v >> 16
-    words = np.ascontiguousarray(v.T, dtype="<u4").view("<u8")
-    return list(map(_hashed_words_type(), words.astype(np.uint64)))
+    return np.ascontiguousarray(v.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
-def _first_draws(kind: MicKind, d: int, seqs: list) -> np.ndarray:
-    """The first draws of the given seed sequences' substreams, as one stack: each
-    generator reads its standard_normal block, then the draw math runs once."""
-    z = np.empty((len(seqs), *_normals_shape(kind, d)))
-    for j, seq in enumerate(seqs):
-        np.random.Generator(np.random.PCG64(seq)).standard_normal(out=z[j])
-    return _draws(kind, d, z)
+# PCG64's multiplier (numpy/random/src/pcg64/pcg64.h, PCG_DEFAULT_MULTIPLIER_128)
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+@functools.cache
+def _pcg64_jumps(m: int) -> tuple:
+    """The constants of the first m raw outputs of a seeded PCG64, as
+    (m, 2, 1) uint64 arrays: low words, their 32-bit halves, high words.
+
+    PCG64 seeded with init and inc = 2 initseq + 1 is at A (init + inc) + inc,
+    and steps s -> A s + inc before each output, so output k reads the state
+    P_k init + Q_k inc mod 2^128, with P_k = A^(k+1) and Q_k = 1 + A + ... +
+    A^(k+1); row k - 1 of the arrays holds (P_k, Q_k).
+    """
+    a, mask = _PCG64_MULTIPLIER, (1 << 128) - 1
+    p, q, jumps = a * a & mask, 1 + a + a * a & mask, []
+    for _ in range(m):
+        jumps.append((p, q))
+        p = p * a & mask
+        q = q + p & mask
+    c = np.array(jumps, dtype=object)[:, :, None]
+    low = (c & 0xFFFFFFFFFFFFFFFF).astype(np.uint64)
+    return low, low & 0xFFFFFFFF, low >> 32, (c >> 64).astype(np.uint64)
+
+
+def _pcg64_outputs(words: np.ndarray, m: int) -> np.ndarray:
+    """The first m raw outputs of PCG64 seeded from each row of an (n, 4) seed
+    word array, as an (m, n) uint64 array, bit for bit numpy's next_uint64.
+
+    The words are (init high, init low, initseq high, initseq low).  Each
+    state is two 128-bit products with constants of _pcg64_jumps, in 64-bit
+    words: a product's low word is the wrapped product of the low words, and
+    its high word adds the cross terms to the high half of that product,
+    which is taken from 32-bit halves.  The output is PCG64's XSL-RR: the
+    xor of the state's halves, rotated right by its top 6 bits.
+    """
+    low, low0, low1, high = _pcg64_jumps(m)
+    w = words.T
+    # (init, inc) as their low and high words, (2, n) each
+    x_lo = np.stack([w[1], w[3] << 1 | 1])
+    x_hi = np.stack([w[0], w[2] << 1 | w[3] >> 63])
+    b0, b1 = x_lo & 0xFFFFFFFF, x_lo >> 32
+    u = low1 * b0 + (low0 * b0 >> 32)
+    v = low0 * b1 + (u & 0xFFFFFFFF)
+    hi = low1 * b1 + (u >> 32) + (v >> 32) + low * x_hi + high * x_lo
+    lo = low * x_lo
+    s_lo = lo[:, 0] + lo[:, 1]
+    s_hi = hi[:, 0] + hi[:, 1] + (s_lo < lo[:, 0])
+    x, rot = s_hi ^ s_lo, s_hi >> 58
+    return x >> rot | x << (-rot & 63)
+
+
+@functools.cache
+def _ziggurat_tables() -> tuple:
+    # numpy's ki_double (uint64) and wi_double (float64), as restated in data/
+    tables = json.loads(resources.files("miclab").joinpath("data/ziggurat_normal.json").read_text())
+    return np.array(tables["ki"], dtype=np.uint64), np.array(tables["wi"])
+
+
+def _pcg64_normals(words: np.ndarray, m: int):
+    """The first m standard normals of numpy's Generator on each row's PCG64
+    stream, as an (n, m) array, and the mask of the rows it leaves to numpy.
+
+    Generator.standard_normal is a 256-layer ziggurat: a raw output r picks
+    layer i = r & 0xFF, sign bit 8 and rabs = r >> 9 (52 bits), and returns
+    rabs wi[i], negated by the sign, when rabs < ki[i]; otherwise it takes the
+    tail or wedge path, which reads further outputs.  A row in which any
+    normal leaves this fast path is masked: its values mean nothing.
+    """
+    ki, wi = _ziggurat_tables()
+    r = _pcg64_outputs(words, m)
+    layer = (r & 0xFF).astype(np.intp)
+    rabs = r >> 9 & 0xFFFFFFFFFFFFF
+    slow = (rabs >= ki[layer]).any(axis=0)
+    z = rabs * wi[layer]
+    z.view(np.uint64)[...] |= (r & 0x100) << 55  # the sign bit
+    return np.ascontiguousarray(z.T), slow
+
+
+def _normals(words: np.ndarray, shape: tuple) -> np.ndarray:
+    """The first standard_normal(shape) block of the substream each row of an
+    (n, 4) seed word array seeds, as one (n, *shape) stack.
+
+    Where there are at least KERNEL_MIN_ROWS rows of at most
+    KERNEL_MAX_NORMALS normals each, _pcg64_normals reads them all at once,
+    and numpy's Generator reads again only the rows it masks; elsewhere
+    numpy's Generator reads every row.
+    """
+    n, m = len(words), prod(shape)
+    if n >= KERNEL_MIN_ROWS and m <= KERNEL_MAX_NORMALS:
+        z, slow = _pcg64_normals(words, m)
+        rows = np.flatnonzero(slow)
+    else:
+        z, rows = np.empty((n, m)), range(n)
+    for j in rows:
+        _generator(words[j]).standard_normal(out=z[j])
+    return z.reshape(n, *shape)
+
+
+def _first_draws(kind: MicKind, d: int, words: np.ndarray) -> np.ndarray:
+    # the first draws of the substreams an (n, 4) seed word array seeds, as one stack
+    return _draws(kind, d, _normals(words, _normals_shape(kind, d)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,7 +438,12 @@ class SpectraHistogram:
     def __post_init__(self):
         if self.bin_width <= 0:
             raise ValueError("bin_width must be positive")
-        counts = np.ascontiguousarray(self.counts, dtype=np.int64)
+        counts = np.asarray(self.counts)
+        if counts.ndim != 1 or counts.size == 0:
+            raise ValueError(f"counts must be a non-empty 1-D array, got shape {counts.shape}")
+        if counts.dtype.kind not in "iu":
+            raise ValueError(f"counts must be integers, got {counts.dtype} entries")
+        counts = np.ascontiguousarray(counts, dtype=np.int64)
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
         if counts.min() < 0:
@@ -442,16 +568,16 @@ def _block_spectra(kind: MicKind, d: int, start: int, stop: int, seed: int) -> n
     and checked in batches of at most BATCH_ENTRIES draw entries.  A sample
     whose first draw the batch refuses is random_mic's on its substream.
     """
-    seqs = _substreams(seed, start, stop)
+    words = _substreams(seed, start, stop)
     spectra = _squash_spectra if kind in _GENERIC else _orbit_spectrum
     step = max(1, BATCH_ENTRIES // (_normals_shape(kind, d)[0] * d * d))
     eigs = np.empty((stop - start, d * d))
     for lo in range(0, stop - start, step):
-        eigs[lo:lo + step], kept = spectra(_first_draws(kind, d, seqs[lo:lo + step]))
+        eigs[lo:lo + step], kept = spectra(_first_draws(kind, d, words[lo:lo + step]))
         for j in np.flatnonzero(~kept):
             i = start + lo + j
             try:
-                mic = random_mic(kind, d, np.random.Generator(np.random.PCG64(seqs[lo + j])))
+                mic = random_mic(kind, d, _generator(words[lo + j]))
             except SamplingExhausted as exc:
                 raise SamplingExhausted(exc.kind, exc.d, exc.attempts, sample_index=i)
             eigs[lo + j] = np.linalg.eigvalsh(mic.gram)

@@ -8,7 +8,10 @@ decisions are made relative to the largest singular value.
 
 from __future__ import annotations
 
+import functools
+import pathlib
 from collections.abc import Iterator
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -22,6 +25,43 @@ from .errors import (
 
 
 _COMPLEX, _FLOAT = np.dtype(complex), np.dtype(float)
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, through
+    ctypes, or None where numpy has none (system OpenBLAS, MKL, Accelerate)."""
+    import ctypes
+    root = pathlib.Path(np.__file__).resolve().parent
+    for lib in sorted([*(root.parent / "numpy.libs").glob("libscipy_openblas*"),
+                       *(root / ".dylibs").glob("libscipy_openblas*")]):
+        try:
+            blas = ctypes.CDLL(str(lib))
+            get, put = blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, put.argtypes = ctypes.c_int, (ctypes.c_int,)
+        return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """numpy's bundled OpenBLAS on one thread inside the block, and back on its
+    old count after it.  LAPACK's sums then run in one order whatever the
+    thread count; where numpy has no bundled OpenBLAS, nothing is pinned.
+    The count is the whole process's, so two threads must not be inside at once."""
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    old = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(old)
 
 
 def _as_array(x, what: str, error=ShapeMismatch, dtype=_COMPLEX) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.random import SeedSequence, default_rng
 
-from miclab import analysis, cli
+from miclab import analysis, cli, linalg
 from miclab.ensembles import MicKind, SpectraHistogram, random_mic
 from miclab.serialize import histogram_to_table
 
@@ -402,6 +402,39 @@ def test_shared_parser_forgets_checks_between_calls(tmp_path, capsys):
     assert tuple(json.loads(out)["checks"]) == tuple(analysis.CLAIMS)
 
 
+def test_a_check_named_twice_runs_once(tmp_path, capsys, monkeypatch):
+    doc = tmp_path / "sic2.json"
+    assert _call(capsys, "gen", "sic", "--d", "2", "--out", str(doc))[0] == 0
+    calls = []
+    monkeypatch.setitem(analysis.CLAIMS, "phi", lambda mic, tol: calls.append(1) or ({}, False))
+    code, out, err = _call(capsys, "analyze", str(doc), "--checks", "phi,ortho-pairs,phi")
+    assert code == 1 and calls == [1]
+    report = json.loads(out)
+    assert list(report["checks"]) == ["phi", "ortho-pairs"]
+    assert report["failures"] == ["phi"]
+    assert "checks failed: phi\n" in err
+
+
+def test_analyze_runs_on_one_blas_thread_and_restores_the_count(tmp_path, capsys, monkeypatch):
+    if linalg._openblas_threads() is None:
+        pytest.skip("numpy has no bundled scipy-openblas: analyze does not pin")
+    get, put = linalg._openblas_threads()
+    doc = tmp_path / "sic2.json"
+    assert _call(capsys, "gen", "sic", "--d", "2", "--out", str(doc))[0] == 0
+    seen = []
+    real = analysis.CLAIMS["phi"]
+    monkeypatch.setitem(analysis.CLAIMS, "phi", lambda mic, tol: seen.append(get()) or real(mic, tol))
+    old = get()
+    try:
+        for count in (2, 1):
+            put(count)
+            assert _call(capsys, "analyze", str(doc), "--checks", "phi")[0] == 0
+            assert get() == count
+    finally:
+        put(old)
+    assert seen == [1, 1]
+
+
 def test_shared_parser_recovers_from_help_and_usage_errors(capsys):
     gen = ("gen", "sic", "--d", "3")
     first = _call(capsys, *gen)
@@ -506,7 +539,7 @@ DOCUMENT_AND_REPORT_DIGESTS = {
     ("equiangular", 4): ("a318c7806f02a7759adcf8efe5d244dd9e6296d088763270758488ade078c574",
         "3002e5e58a3e6f8d8d0b5ca9e47a9e160a1bec3d262b8482a1b2a6dfda15fe87"),
     ("tensorhedron", 4): ("6efdcfde285367831707d4abd5d4bfd96ee2dff5bb9fae4a1852821678690263",
-        "691631b2b8498493c13f03a29a25a7da439cfa4ee9ce27d46a16e664f487f4ef"),
+        "9184a122ce103b66f7531e2605b4756b1b1c15e967f54acb85090450e84f2e95"),
     ("near-orthogonal", 4): ("7943ce106bf09b5c820880e86749247aa706b6930f0f6c2619d08302f602e6a7",
         "75aa8379a7cef9d591e98e5ab385dc0cc0d8db0e30d126422afc82300fc45d8c"),
     ("random:generic", 4): ("a5ac685de1533ad82edba1e18e2b650d13da1fbff4605883878c0c2860a30100",

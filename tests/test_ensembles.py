@@ -226,6 +226,24 @@ def test_histogram_validation():
                          counts=[-4, 8], n_samples=1, seed=0)
 
 
+@pytest.mark.parametrize("counts, fault", [
+    ([2.5, 2.5], "integers"),  # once truncated to [2, 2]
+    (np.array([2.0, 2.0]), "integers"),
+    ([True, True, True, True], "integers"),
+    ([[1, 1], [1, 1]], "1-D"),  # once kept, as its total fits
+    (np.int64(4), "1-D"),
+    ([], "non-empty"),  # once numpy's zero-size reduction error
+    (np.zeros((0, 2), dtype=np.int64), "non-empty"),
+])
+def test_histogram_counts_are_a_non_empty_row_of_integers(counts, fault):
+    with pytest.raises(ValueError, match=fault):
+        SpectraHistogram(kind=MicKind.GENERIC_PSD, d=2, bin_width=Fraction(1, 4),
+                         counts=counts, n_samples=1, seed=0)
+    h = SpectraHistogram(kind=MicKind.GENERIC_PSD, d=2, bin_width=Fraction(1, 4),
+                         counts=np.array([1, 3], dtype=np.uint8), n_samples=1, seed=0)
+    assert h.counts.dtype == np.int64 and h.counts.tolist() == [1, 3]
+
+
 def test_default_bin_width_tiles_every_dimension():
     assert [default_bin_width(d) for d in range(2, 9)] == [
         Fraction(1, 200), Fraction(1, 198), Fraction(1, 200), Fraction(1, 200),
@@ -498,12 +516,14 @@ def _refusing_draw(monkeypatch, refuse, seed, n):
     the second, K = |0><1| + |1><0|: Omega stays Hermitian, and those two
     effects are not.
     Both seams are patched: _first_draws, which reads a block's first draws
-    from the PCG64 states their seed sequences seed, and _draw, which reads
-    one draw from a generator.  A sample is told by its substream's initial
-    state, where both a block's first draw and random_mic's generator start.
-    The patch returns the generators _draw meets, by sample."""
+    from the rows of its seed word array, and _draw, which reads one draw
+    from a generator.  A sample is told by its seed words in the first, and
+    by its generator's initial PCG64 state in the second, where random_mic's
+    generator starts.  The patch returns the generators _draw meets, by
+    sample."""
     real_draw, real_first = ensembles._draw, ensembles._first_draws
     gens, index, draws = {}, {}, {}
+    by_words = {tuple(w): k for k, w in enumerate(_numpy_words(seed, 0, n))}
     at = {st: k for k, st in enumerate(_numpy_states(seed, 0, n))}  # (state, inc) -> sample
 
     def fault(k, attempt, out, d):
@@ -522,9 +542,9 @@ def _refusing_draw(monkeypatch, refuse, seed, n):
             out = out + np.array([1j * kk, -1j * kk] + [0 * kk] * (len(out) - 2))
         return 2 * out if gate == "trace" else out
 
-    def first_draws(kind, d, seqs):
-        return np.array([fault(at[st], 0, out, d)
-                         for st, out in zip(_seeded_states(seqs), real_first(kind, d, seqs))])
+    def first_draws(kind, d, words):
+        return np.array([fault(by_words[tuple(w)], 0, out, d)
+                         for w, out in zip(words, real_first(kind, d, words))])
 
     def draw(kind, d, rng):
         if id(rng) not in index:  # gens keeps every id unique
@@ -632,40 +652,124 @@ def test_exhausted_sample_is_named(kind, monkeypatch):
     assert fast_gens[270].bytes(8) == dense_gens[270].bytes(8)
 
 
-def _seeded_states(seqs):
-    # the PCG64 (state, inc) each seed sequence seeds
+def _numpy_words(seed, start, stop):
+    # the words numpy's SeedSequence([seed, i]) seeds PCG64 with
+    return np.array([np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)
+                     for i in range(start, stop)])
+
+
+def _numpy_states(seed, start, stop):
+    # the PCG64 (state, inc) of numpy's substreams
     out = []
-    for seq in seqs:
-        st = np.random.PCG64(seq).state["state"]
+    for i in range(start, stop):
+        st = np.random.PCG64(np.random.SeedSequence([seed, i])).state["state"]
         out.append((st["state"], st["inc"]))
     return out
 
 
-def _numpy_states(seed, start, stop):
-    return _seeded_states([np.random.SeedSequence([seed, i]) for i in range(start, stop)])
-
-
 def test_block_seeding_matches_numpy(monkeypatch):
-    # the restated SeedSequence hash must seed PCG64 to numpy's own states;
-    # if numpy ever changes its seeding, this fails
+    # the restated SeedSequence hash must give numpy's own seed words, and
+    # a generator on them numpy's PCG64 state; if numpy ever changes its
+    # seeding, this fails
     rs = np.random.default_rng(2024)
     seeds = [0, 1, 7, 2 ** 32 - 1, *rs.integers(0, 2 ** 32, 4).tolist()]
     ranges = [(0, 64), (0, 256), (256, 512), (2 ** 32 - 64, 2 ** 32)]
     ranges += [(i, i + 1) for i in rs.integers(0, 2 ** 32, 40).tolist()]
     for seed in seeds:
         for start, stop in ranges:
-            want = _numpy_states(seed, start, stop)
+            want = _numpy_words(seed, start, stop)
             with monkeypatch.context() as m:
                 m.setattr(np.random, "SeedSequence", None)  # no numpy seeding on this path
-                got = _seeded_states(ensembles._substreams(seed, start, stop))
-                assert got == want, (seed, start)
+                got = ensembles._substreams(seed, start, stop)
+            assert got.dtype == np.uint64 and got.flags.c_contiguous
+            assert np.array_equal(got, want), (seed, start)
+    for k, st in enumerate(_numpy_states(7, 250, 256)):
+        rng = ensembles._generator(ensembles._substreams(7, 250, 256)[k])
+        assert (rng.bit_generator.state["state"]["state"], rng.bit_generator.state["state"]["inc"]) == st
 
 
 def test_seeds_beyond_one_word_are_left_to_numpy():
     # a seed or index of 2^32 or more is more than one entropy word
     for seed, start, stop in ((2 ** 32, 0, 3), (2 ** 40, 5, 8), (7, 2 ** 32 - 2, 2 ** 32 + 2)):
-        got = _seeded_states(ensembles._substreams(seed, start, stop))
-        assert got == _numpy_states(seed, start, stop)
+        got = ensembles._substreams(seed, start, stop)
+        assert got.dtype == np.uint64 and got.shape == (stop - start, 4)
+        assert np.array_equal(got, _numpy_words(seed, start, stop))
+
+
+def _normal_from_raw(bg, r):
+    """numpy's standard_normal on bg set so that its next raw output is r, and
+    the number of raw outputs it reads.  XSL-RR of a state whose high word is
+    0 is its low word, so the state before is A^-1 (r - inc) mod 2^128."""
+    a, inc, mask = ensembles._PCG64_MULTIPLIER, 1, (1 << 128) - 1
+    before = pow(a, -1, 1 << 128) * (r - inc) & mask
+    bg.state = {"bit_generator": "PCG64", "state": {"state": before, "inc": inc},
+                "has_uint32": 0, "uinteger": 0}
+    x = np.random.Generator(bg).standard_normal()
+    after, state, reads = bg.state["state"]["state"], r, 1
+    while state != after and reads < 100:
+        state, reads = a * state + inc & mask, reads + 1
+    assert state == after
+    return x, reads
+
+
+def test_every_ziggurat_layer_is_numpys():
+    # Generator.standard_normal is not under NEP 19's stream policy, so the
+    # restated tables and fast-path rule are probed against numpy itself, per
+    # layer i: a raw output with rabs = 1 returns exactly +-wi[i], rabs =
+    # ki[i] - 1 is accepted in one read, and rabs = ki[i] reads more than
+    # one output.  Layer 1 has ki = 0: the fast path never accepts it.
+    ki, wi = ensembles._ziggurat_tables()
+    bg, probes = np.random.PCG64(0), 0
+    for layer in range(256):
+        k = int(ki[layer])
+        if k > 1:
+            for sign in (0, 1):
+                x, reads = _normal_from_raw(bg, layer | sign << 8 | 1 << 9)
+                assert reads == 1 and x == (-wi[layer] if sign else wi[layer]), layer
+                assert np.signbit(x) == sign
+                probes += 1
+        if k > 0:
+            x, reads = _normal_from_raw(bg, layer | (k - 1) << 9)
+            assert reads == 1 and x == (k - 1) * wi[layer], layer
+            probes += 1
+        x, reads = _normal_from_raw(bg, layer | 1 << 8 | k << 9)
+        assert reads > 1, layer
+        probes += 1
+    assert ki[1] == 0 and probes == 2 * 255 + 255 + 256
+
+
+@pytest.mark.parametrize("seed, start, stop", [(7, 0, 2200), (2 ** 32 - 1, 2 ** 32 - 1100, 2 ** 32 + 1100),
+                                               (2 ** 40 + 3, 0, 2200)])
+def test_kernel_normals_are_numpys_bitwise(seed, start, stop, monkeypatch):
+    # 2200 rows of 16 normals per case, over 10^5 in all: one entropy word,
+    # across the 2^32 boundary, and beyond one word.  About 1 in 5 rows
+    # leaves the ziggurat's fast path and is read again by numpy.
+    monkeypatch.setattr(ensembles, "KERNEL_MIN_ROWS", 1)
+    words = ensembles._substreams(seed, start, stop)
+    z = ensembles._normals(words, (2, 8))
+    want = [np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i]))).standard_normal((2, 8))
+            for i in range(start, stop)]
+    assert z.tobytes() == np.array(want).tobytes()
+    slow = ensembles._pcg64_normals(words, 16)[1]
+    assert 0.1 < slow.mean() < 0.3
+    raw = ensembles._pcg64_outputs(words[:50], 3)
+    for j in range(50):
+        bg = np.random.PCG64(np.random.SeedSequence([seed, start + j]))
+        assert raw[:, j].tolist() == [bg.random_raw() for _ in range(3)]
+
+
+def test_kernel_runs_only_on_batches_it_is_faster_on(monkeypatch):
+    # at least KERNEL_MIN_ROWS rows of at most KERNEL_MAX_NORMALS normals
+    calls = []
+    real = ensembles._pcg64_normals
+    monkeypatch.setattr(ensembles, "_pcg64_normals", lambda w, m: calls.append((len(w), m)) or real(w, m))
+    words = ensembles._substreams(3, 0, 64)
+    rows, most = ensembles.KERNEL_MIN_ROWS, ensembles.KERNEL_MAX_NORMALS
+    for n, shape in ((rows, (most,)), (rows - 1, (most,)), (rows, (most + 1,)), (64, (2, 5))):
+        z = ensembles._normals(words[:n], shape)
+        want = [ensembles._generator(w).standard_normal(shape) for w in words[:n]]
+        assert z.shape == (n, *shape) and z.tobytes() == np.array(want).tobytes()
+    assert calls == [(rows, most), (64, 10)]
 
 
 def test_negative_seed_is_refused_as_numpy_refuses_it():
