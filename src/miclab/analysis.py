@@ -40,7 +40,7 @@ from .errors import (
     SingularConditionalMatrix,
     WrongCount,
 )
-from .linalg import _as_array, eigvalsh
+from .linalg import _as_array, _cond, _lapack, eigvalsh
 from .povm import (Mic, Povm, _check_finite, _check_state, _real, _stack, _valid_states,
                    born_probabilities, dual_basis, is_unbiased, validate_povm)
 
@@ -175,7 +175,7 @@ def inv_gram_distance(mic: Mic) -> float:
     g_inv = mic._inverse_gram
     a = np.eye(len(g_inv)) - g_inv / mic.dim
     a = (a + a.T) / 2
-    w = np.linalg.eigvalsh(a)
+    w = _lapack("eigvalsh", a)
     return float(np.sqrt((w ** 2).sum()))
 
 
@@ -199,10 +199,10 @@ def phi_matrix(mic: Mic, post_states, tol: ToleranceConfig = DEFAULT_TOL) -> Phi
         if len(states) != n:
             raise WrongCount(len(states), n)
     m = np.einsum("iab,jba->ij", mic.matrices(), states).real
-    cond = float(np.linalg.cond(m))
+    cond = _cond(m)
     if not np.isfinite(cond) or cond >= CONDITION_LIMIT:
         raise SingularConditionalMatrix(cond)
-    phi = np.linalg.inv(m)
+    phi = _lapack("inv", m)
     return PhiMatrix(matrix=phi, condition_number=cond)
 
 

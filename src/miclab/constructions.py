@@ -293,7 +293,7 @@ def _squash(a: np.ndarray, tol: ToleranceConfig):
     omega = a.sum(axis=-3)
     safe = np.asarray(hermiticity_defect(omega) <= tol.hermitian_tol)
     # only finite Hermitian Omegas reach LAPACK
-    w, v = _lapack(np.linalg.eigh, np.where(safe[..., None, None], omega, np.eye(a.shape[-1])))
+    w, v = _lapack("eigh", np.where(safe[..., None, None], omega, np.eye(a.shape[-1])))
     safe &= (w[..., -1] > 0) & (w[..., 0] > tol.rank_tol * w[..., -1])
     w = np.where(safe[..., None], w, 1.0)
     r = (v / np.sqrt(w)[..., None, :]) @ v.conj().mT

@@ -113,7 +113,7 @@ from .errors import (
     SamplingExhausted,
     WrongDimension,
 )
-from .linalg import _UNIT_ROUNDOFF, numerical_rank
+from .linalg import _UNIT_ROUNDOFF, _lapack, numerical_rank
 from .povm import Mic, _effect_rules, _gram_rank, _gram_rules, _negligible, _valid_states
 
 MAX_DRAW_ATTEMPTS = 100
@@ -580,7 +580,7 @@ def _block_spectra(kind: MicKind, d: int, start: int, stop: int, seed: int) -> n
                 mic = random_mic(kind, d, _generator(words[lo + j]))
             except SamplingExhausted as exc:
                 raise SamplingExhausted(exc.kind, exc.d, exc.attempts, sample_index=i)
-            eigs[lo + j] = np.linalg.eigvalsh(mic.gram)
+            eigs[lo + j] = _lapack("eigvalsh", mic.gram)
     return eigs
 
 

@@ -32,7 +32,8 @@ class NotHermitian(MicLabError):
 
 
 class ConvergenceFailure(MicLabError):
-    """An iterative eigensolver failed to converge."""
+    """LAPACK failed: an eigensolver or SVD did not converge, or a
+    factorization, solve or inverse met a singular matrix."""
 
 
 class SingularOperator(MicLabError):

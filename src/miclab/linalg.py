@@ -4,6 +4,15 @@ Thin wrappers around numpy's LAPACK bindings that enforce the library's
 tolerance conventions: eigenvalues always come back in ascending order,
 Hermiticity is checked before any eigendecomposition, and rank/singularity
 decisions are made relative to the largest singular value.
+
+_lapack is the library's one way into LAPACK.  It calls the compiled
+routine (gufunc) that numpy.linalg's public function calls, from the
+private numpy.linalg._umath_linalg: eigvalsh_lo, eigh_lo, svd, cholesky_lo,
+solve1 and inv, with numpy's signature strings, casting and errstate, but
+without the public function's Python around it (2-3 us a call).  The same
+routine on the same input gives the same bits, so every result, and every
+pinned output, is what the public function gives.  A numpy that renames a
+gufunc fails at import, and so in tier-1: there is no fallback path.
 """
 
 from __future__ import annotations
@@ -14,14 +23,10 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import (
-    ConvergenceFailure,
-    NonFinite,
-    NotHermitian,
-    ShapeMismatch,
-)
+from .errors import ConvergenceFailure, NonFinite, NotHermitian, ShapeMismatch
 
 
 _COMPLEX, _FLOAT = np.dtype(complex), np.dtype(float)
@@ -130,22 +135,59 @@ def _rounding(n: int) -> float:
 _CERTIFY_MIN_ENTRIES = 128
 
 
+def _routine(gufunc, real: str, complex_: str, message: str):
+    """(gufunc under numpy.linalg's errstate, its signature for real input,
+    for complex input).  The gufunc reports LAPACK failing as an invalid
+    operation, which raises ConvergenceFailure(message), numpy's message."""
+    def fail(err, flag):
+        raise ConvergenceFailure(message)
+    return (np.errstate(call=fail, invalid="call", over="ignore", divide="ignore",
+                        under="ignore")(gufunc), real, complex_)
+
+
+_ROUTINES = {
+    "eigvalsh": _routine(_umath_linalg.eigvalsh_lo, "d->d", "D->d", "Eigenvalues did not converge"),
+    "eigh": _routine(_umath_linalg.eigh_lo, "d->dd", "D->dD", "Eigenvalues did not converge"),
+    "svdvals": _routine(_umath_linalg.svd, "d->d", "D->d", "SVD did not converge"),
+    "cholesky": _routine(_umath_linalg.cholesky_lo, "d->d", "D->D", "Matrix is not positive definite"),
+    "solve1": _routine(_umath_linalg.solve1, "dd->d", "DD->D", "Singular matrix"),
+    "inv": _routine(_umath_linalg.inv, "d->d", "D->D", "Singular matrix"),
+}
+_SINGLE = {"d": np.float32, "D": np.complex64}
+
+
+def _lapack(name: str, a: np.ndarray, *b: np.ndarray):
+    """np.linalg.name(a, *b) of an (..., n, n) stack a (svdvals: (..., m, n)),
+    by the same gufunc (solve1 is solve with a vector b of a's dtype), so
+    with the same bits; LAPACK failing raises ConvergenceFailure.  Integers
+    and bools are read as float64 and single precision comes back single,
+    as numpy casts them."""
+    call, real, complex_ = _ROUTINES[name]
+    t = a.dtype
+    if t.char in "egG":
+        raise TypeError(f"array type {t.name} is unsupported in linalg")
+    out = call(a, *b, signature=complex_ if t.kind == "c" else real)
+    if t.char in "fF":  # one output: numerical_rank's svdvals is the only single-precision call
+        return out.astype(_SINGLE[out.dtype.char])
+    return out
+
+
 def _factors(a: np.ndarray) -> bool:
-    """Whether np.linalg.cholesky factors every matrix of the stack a."""
+    """Whether numpy's Cholesky factorization factors every matrix of the stack a."""
     try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
+        _lapack("cholesky", a)
+    except ConvergenceFailure:
         return False
     return True
 
 
-def _lapack(f, a):
-    """f(a) for a numpy.linalg routine f, with LAPACK not converging raised
-    as ConvergenceFailure."""
-    try:
-        return f(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
+def _cond(a: np.ndarray) -> float:
+    """np.linalg.cond(a) of one non-empty matrix: its largest over its least
+    singular value, inf where that is NaN and a holds no NaN."""
+    s = _lapack("svdvals", a)
+    with np.errstate(all="ignore"):
+        cond = float(s[0] / s[-1])
+    return np.inf if cond != cond and not np.isnan(a).any() else cond
 
 
 def eigh(h, tol: ToleranceConfig = DEFAULT_TOL):
@@ -166,7 +208,7 @@ def eigh(h, tol: ToleranceConfig = DEFAULT_TOL):
             raise NonFinite(i)
         raise NotHermitian(f"hermiticity defect {defect[i]:.3e} exceeds "
                            f"{tol.hermitian_tol:.1e}", index=i)
-    return tuple(_lapack(np.linalg.eigh, h))
+    return _lapack("eigh", h)
 
 
 def eigvalsh(h, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -180,7 +222,7 @@ def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL):
     a = _as_array(a, "matrix", dtype=None)
     if a.ndim < 2:
         raise ShapeMismatch(f"expected a matrix or a stack of them, got shape {a.shape}")
-    s = _lapack(np.linalg.svdvals, a)
+    s = _lapack("svdvals", a)
     # s is non-negative and descending, so a zero matrix has rank 0
     rank = np.count_nonzero(s > tol.rank_tol * s[..., :1], axis=-1)
     return int(rank) if a.ndim == 2 else rank

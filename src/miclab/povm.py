@@ -11,28 +11,26 @@ entries sum to d.  The dual basis {E~_i}, defined by tr(E_i E~_j) = delta_ij,
 is obtained by applying the inverse Gram matrix to the effects and is what
 turns measured probabilities back into operators.  A validated POVM holds
 its N effects as one read-only (N, d, d) array beside their weights tr E_i.
-A MIC solves for its inverse Gram matrix once, on first use and behind the
-condition gate cond(G) <= 1e12, and keeps it; its dual basis (checked for
-biorthogonality and kept as one read-only (d^2, d, d) array), the
-inverse-Gram distance and the half-integer probe all read that one inverse.
-The purity form passes the same gate, which remembers the last Gram matrix
-it passed, by content.
+A MIC inverts its Gram matrix once, on first use and behind the
+condition gate cond(G) <= 1e12, and keeps the inverse; its dual basis
+(checked for biorthogonality and kept as one read-only (d^2, d, d) array),
+the inverse-Gram distance and the half-integer probe all read that one
+inverse.  The purity form passes the same gate, which remembers the last
+Gram matrix it passed by comparing bytes, and solves on every call.  A
+finite p whose reconstruction or purity form overflows float64 raises
+ValueError.  All LAPACK calls go through linalg._lapack.
 
-The PSD rule, least eigenvalue at least -zero_tol, is certified for a whole
+The PSD rule, least eigenvalue at least -zero_tol, is decided for a whole
 stack (the effects of validate_povm and of the generic spectra batch, the
-states of the covariant batch and of phi_matrix) by one Cholesky
-factorization of H + (zero_tol / 2) I.  It runs only where 48 n^2 u (F +
-zero_tol / 2) <= zero_tol / 2, F the stack's largest Frobenius norm and u =
-2^-53, which covers the rounding of the factorization and of eigvalsh
-(_psd).  A stack that factors there has every verdict eigvalsh would give;
-any other stack goes to eigvalsh whole, and so does one of fewer than 128
-entries, which eigvalsh answers sooner.  So every verdict is eigvalsh's,
-and NotPsd's value is still eigvalsh's least eigenvalue of that effect.
+states of the covariant batch and of phi_matrix) by _psd: one Cholesky
+certificate where its rounding allows, eigvalsh otherwise, so every verdict
+is eigvalsh's, and NotPsd's value is eigvalsh's least eigenvalue.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +48,8 @@ from .errors import (
     SumNotIdentity,
     WrongCount,
 )
-from .linalg import (_CERTIFY_MIN_ENTRIES, _as_array, _factors, _lapack, _rounding, eigh,
-                     eigvalsh, hermiticity_defect, numerical_rank)
+from .linalg import (_CERTIFY_MIN_ENTRIES, _as_array, _cond, _factors, _lapack, _rounding,
+                     eigh, eigvalsh, hermiticity_defect, numerical_rank)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -122,10 +120,9 @@ class Mic(Povm):
 
     @functools.cached_property
     def _inverse_gram(self) -> np.ndarray:
-        # G^-1 behind the condition gate, solved once per MIC
-        g = self.gram
-        _gram_condition(g)
-        return _frozen(np.linalg.solve(g, np.eye(len(g))))
+        # G^-1 behind the condition gate, once per MIC
+        _gram_condition(self.gram)
+        return _frozen(_lapack("inv", self.gram))
 
     @functools.cached_property
     def duals(self) -> DualBasis:
@@ -146,28 +143,28 @@ class Mic(Povm):
         return DualBasis(dim=self.dim, stack=_frozen(duals))
 
 
+# ((shape, bytes), cond) of the last Gram matrix that passed the gate
+_PASSED = [(None, 0.0)]
+
+
 def _gram_condition(g: np.ndarray) -> float:
     """cond(g), or IllConditionedGram if it is not finite or exceeds
     CONDITION_LIMIT; NonFinite names the first row of g with a NaN or an
     infinity, which the SVD is not given.
 
-    The checks run only when g differs from the last Gram that passed:
-    _condition remembers that one Gram by shape and bytes, so a Gram changed
-    in place is checked again, and a refused one is checked, and refused, on
-    every call.
+    The checks run only when g differs from the last Gram that passed, by
+    shape and bytes, so a Gram changed in place is checked again, and a
+    refused one is checked, and refused, on every call.
     """
     a = np.ascontiguousarray(g, dtype=float)
-    return _condition(a.shape, a.tobytes())
-
-
-@functools.lru_cache(maxsize=1)
-def _condition(shape: tuple, data: bytes) -> float:
-    # lru_cache keeps no exception, so only a passed Gram is remembered
-    g = np.frombuffer(data).reshape(shape)
-    _check_finite(g)
-    cond = float(np.linalg.cond(g))
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise IllConditionedGram(cond)
+    key = a.shape, a.tobytes()
+    passed, cond = _PASSED[0]
+    if key != passed:
+        _check_finite(a)
+        cond = _cond(a)
+        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+            raise IllConditionedGram(cond)
+        _PASSED[0] = key, cond
     return cond
 
 
@@ -227,7 +224,7 @@ def _psd(h: np.ndarray, zero_tol: float) -> np.ndarray:
             f = float(np.sqrt(np.vecdot(flat, flat).real.max()))
             if _rounding(n) * (f + s) <= s and _factors(h + s * np.eye(n)):
                 return np.ones(h.shape[:-2], dtype=bool)
-    return _lapack(np.linalg.eigvalsh, h)[..., 0] >= -zero_tol
+    return _lapack("eigvalsh", h)[..., 0] >= -zero_tol
 
 
 def _effect_rules(e: np.ndarray, tol: ToleranceConfig):
@@ -260,7 +257,7 @@ def validate_povm(effects, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
     first, summed, deficit = _effect_rules(mats, tol)
     if first < len(mats):
         eigh(mats[:first + 1], tol)  # raises NonFinite or NotHermitian for a non-Hermitian one
-        raise NotPsd(int(first), float(_lapack(np.linalg.eigvalsh, mats[first])[0]))
+        raise NotPsd(int(first), float(_lapack("eigvalsh", mats[first])[0]))
     if ragged is not None:
         raise ragged
     if not summed:
@@ -292,7 +289,7 @@ def _gram_rank(g: np.ndarray, tol: ToleranceConfig):
     its rank is n wherever the least clears rank_tol times the largest by a
     factor of 1e3, far beyond any rounding between the two; numerical_rank's
     SVD decides the rest."""
-    eigs = _lapack(np.linalg.eigvalsh, g)
+    eigs = _lapack("eigvalsh", g)
     s = np.abs(eigs)
     rank = np.full(eigs.shape[:-1], eigs.shape[-1])
     near = ~(s.min(axis=-1) > 1e3 * tol.rank_tol * s.max(axis=-1))
@@ -376,7 +373,7 @@ def _check_state(rho, d: int, tol: ToleranceConfig) -> np.ndarray:
     if not abs(tr - 1.0) <= 1e-10:
         raise InvalidState(f"state has trace {tr!r}, expected 1")
     half = rho / 2  # a sum of two halves cannot overflow
-    w = np.linalg.eigvalsh(half + half.conj().T)
+    w = _lapack("eigvalsh", half + half.conj().T)
     if w[0] < -tol.zero_tol:
         raise InvalidState(f"state has negative eigenvalue {w[0]:.3e}")
     return rho
@@ -428,7 +425,7 @@ def reconstruct_state(p, mic: Mic, tol: ToleranceConfig = DEFAULT_TOL) -> np.nda
     The result is always Hermitian with trace equal to sum(p); it need not be
     positive semidefinite for an arbitrary probability vector.  A NaN or
     infinite p_i raises NonFinite(i), and a complex p with a nonzero
-    imaginary part ValueError.
+    imaginary part, or a finite p whose operator overflows, ValueError.
     """
     p = _real(p, "probability vector")
     n = mic.dim * mic.dim
@@ -436,6 +433,12 @@ def reconstruct_state(p, mic: Mic, tol: ToleranceConfig = DEFAULT_TOL) -> np.nda
         raise ShapeMismatch(f"expected {n} probabilities, got shape {p.shape}")
     _check_finite(p)
     out = np.einsum("i,iab->ab", p, dual_basis(mic, tol).stack)
+    # einsum flags no overflow, and the sum below can overflow only where an
+    # entry exceeds about 1e154, as the sum of squares then does
+    if not math.isfinite(np.vdot(out, out).real):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(out + out.conj().T).all():
+                raise ValueError("the reconstructed operator overflows float64")
     return _frozen((out + out.conj().T) / 2)
 
 
@@ -447,9 +450,10 @@ def purity_form(p, g) -> float:
     mixed ones.  A NaN or infinite p_i raises NonFinite(i), and then one in
     row i of g NonFinite(i); an empty or non-square g, or a p of another
     length, raises ShapeMismatch.  A complex p with a nonzero imaginary part
-    raises ValueError, and such a g NotHermitian.  g passes the condition
-    gate of a MIC's inverse Gram matrix, whose checks run only when g
-    differs from the last Gram it passed (see _gram_condition); the solve
+    raises ValueError, and such a g NotHermitian, and a finite p whose form
+    overflows float64 ValueError.  g passes the condition gate of a MIC's
+    inverse Gram matrix, whose checks run only when g differs, by shape or
+    bytes, from the last Gram it passed (see _gram_condition); the solve
     runs on every call.
     """
     p = _real(p, "probability vector")
@@ -458,7 +462,15 @@ def purity_form(p, g) -> float:
         raise ShapeMismatch(f"probability shape {p.shape} vs Gram shape {g.shape}")
     _check_finite(p)
     _gram_condition(g)
-    return float(p @ np.linalg.solve(g, p))
+    value = _quadratic(p, _lapack("solve1", g, p))
+    if not math.isfinite(value):
+        raise ValueError("the purity form overflows float64")
+    return value
+
+
+@np.errstate(over="ignore", invalid="ignore")  # purity_form refuses an overflow
+def _quadratic(p: np.ndarray, x: np.ndarray) -> float:
+    return float(p @ x)
 
 
 def _check_unit(i: int, v: np.ndarray) -> None:

@@ -236,17 +236,10 @@ def test_every_boundary_accepts_its_valid_arguments(name):
     fn(*valid)
 
 
-# A finite entry so large that the result overflows.  purity_form's
-# p @ G^-1 p and reconstruct_state's symmetrized sum still overflow with
-# numpy's RuntimeWarning (an error under this suite's warning filter).
-OVERFLOWING = {("purity_form", 0, 1e154), ("purity_form", 0, 1e308),
-               ("reconstruct_state", 0, 1e308)}
-
-
+# A finite entry so large that the result may overflow: purity_form's
+# p @ G^-1 p and reconstruct_state's symmetrized sum then raise ValueError.
 @pytest.mark.parametrize("name, position, entry", [
-    pytest.param(name, position, entry, marks=pytest.mark.xfail(
-        (name, position, entry) in OVERFLOWING, raises=RuntimeWarning, strict=True,
-        reason="a huge finite probability overflows the result untyped"))
+    (name, position, entry)
     for name in sorted(BOUNDARIES) for position in BOUNDARIES[name][2] for entry in (1e154, 1e308)])
 def test_a_huge_finite_entry_is_returned_or_refused_with_a_typed_error(name, position, entry):
     fn, valid, _, documents_value_error = BOUNDARIES[name]
@@ -258,3 +251,16 @@ def test_a_huge_finite_entry_is_returned_or_refused_with_a_typed_error(name, pos
         pass
     except ValueError as exc:
         assert type(exc) is ValueError and documents_value_error, f"{name}: {exc!r}"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: purity_form(_with_entry(P, 1, 1e154), MIC.gram),
+    lambda: purity_form(_with_entry(P, 1, 1e308), MIC.gram),
+    lambda: reconstruct_state(_with_entry(P, 1, 1e308), MIC),
+    lambda: reconstruct_state(np.full(4, 1.7e308), MIC),  # the einsum overflows, unflagged
+], ids=["purity_form-1e154", "purity_form-1e308", "reconstruct_state-1e308",
+        "reconstruct_state-all-1.7e308"])
+def test_an_overflowing_result_raises_value_error_naming_it(call):
+    with pytest.raises(ValueError, match="overflows float64") as info:
+        call()
+    assert info.type is ValueError

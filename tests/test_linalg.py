@@ -5,10 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from miclab import errors
+from miclab import analysis, ensembles, errors, linalg, povm
 from miclab.config import ToleranceConfig
-from miclab.errors import NonFinite, NotHermitian, ShapeMismatch, SingularOperator
+from miclab.constructions import sic_qubit
+from miclab.errors import (
+    ConvergenceFailure,
+    NonFinite,
+    NotHermitian,
+    ShapeMismatch,
+    SingularOperator,
+)
 from miclab.linalg import (
+    _cond,
+    _factors,
+    _lapack,
     _rounding,
     eigh,
     eigvalsh,
@@ -174,3 +184,132 @@ def test_lapack_rounding_stays_within_its_allowance(n):
         a = (a + a.conj().T) / 2
         r = np.linalg.cholesky(a)
         assert np.linalg.norm(r @ r.conj().T - a, 2) <= 8 * (n + 1) * u * np.trace(a).real
+
+
+# ------------------------------------------------------- the LAPACK entry point
+
+def _stacks(dtype, rng):
+    """Matrices of dtype: a stack, a single matrix, and two non-contiguous
+    views (every other row and column of a larger stack, and a transpose)."""
+    def draw(*shape):
+        a = rng.standard_normal(shape)
+        return (a + 1j * rng.standard_normal(shape) if dtype == complex else a).astype(dtype)
+    return [draw(3, 4, 4), draw(5, 5), draw(2, 8, 8)[:, ::2, ::2], draw(4, 4, 3, 3).mT]
+
+
+def _positive(a):
+    return a @ a.conj().mT + a.shape[-1] * np.eye(a.shape[-1])
+
+
+ENTRY_POINT = {
+    "eigvalsh": (lambda a: (a,), np.linalg.eigvalsh),
+    "eigh": (lambda a: (a,), np.linalg.eigh),
+    "svdvals": (lambda a: (a[..., 1:, :],), np.linalg.svdvals),  # (..., m, n), m < n
+    "cholesky": (lambda a: (_positive(a),), np.linalg.cholesky),
+    "solve1": (lambda a: (a, a[(0,) * (a.ndim - 2)][0].copy()), np.linalg.solve),
+    "inv": (lambda a: (a,), np.linalg.inv),
+}
+
+
+def _same_bits(got, want):
+    got = got if isinstance(got, tuple) else (got,)
+    want = tuple(want) if isinstance(want, tuple) else (want,)
+    return len(got) == len(want) and all(
+        g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        for g, w in zip(got, want))
+
+
+def test_entry_point_routes_every_lapack_call():
+    assert sorted(linalg._ROUTINES) == sorted(ENTRY_POINT)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("name", sorted(ENTRY_POINT))
+def test_entry_point_gives_numpys_bits(name, dtype):
+    args, public = ENTRY_POINT[name]
+    for a in _stacks(dtype, np.random.default_rng(len(name))):
+        x = args(a)
+        assert _same_bits(_lapack(name, *x), public(*x)), (name, a.shape, a.strides)
+
+
+@pytest.mark.parametrize("dtype", [int, bool, np.float32, np.complex64, float, complex])
+def test_entry_point_keeps_numpys_casting(dtype):
+    # numerical_rank reads its argument with numpy's dtype: ints and bools
+    # are factored as float64, and single precision comes back single
+    rng = np.random.default_rng(3)
+    a = (rng.standard_normal((3, 4, 4)) * 3).astype(dtype)
+    a[1, 3] = a[1, 2]
+    s = _lapack("svdvals", a)
+    assert _same_bits(s, np.linalg.svdvals(a))
+    assert numerical_rank(a).tolist() == np.count_nonzero(s > 1e-10 * s[:, :1], axis=1).tolist()
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.longdouble])
+def test_entry_point_refuses_what_numpy_refuses(dtype):
+    with pytest.raises(TypeError, match=f"array type {np.dtype(dtype).name} is unsupported in linalg"):
+        numerical_rank(np.eye(2, dtype=dtype))
+
+
+@pytest.mark.parametrize("a", [np.diag([1.0, 1e-13]), np.zeros((2, 2)), np.ones((3, 3)),
+                               np.array([[1.0, 2.0], [3.0, 4.0]]), np.diag([2.0, 1.0, 0.5])])
+def test_entry_point_condition_number_is_numpys(a):
+    assert np.float64(_cond(a)).tobytes() == np.linalg.cond(a).tobytes()
+
+
+def _failing(a, *b, signature):
+    # what numpy's gufuncs do where LAPACK fails: raise the invalid flag
+    return np.sqrt(np.full(a.shape[:-1], -1.0))
+
+
+def _fail(monkeypatch, name):
+    _, real, complex_ = linalg._ROUTINES[name]
+    monkeypatch.setitem(linalg._ROUTINES, name,
+                        linalg._routine(_failing, real, complex_, f"{name} did not converge"))
+
+
+def test_entry_point_cholesky_failure_is_no_factorization(monkeypatch):
+    assert _factors(np.eye(3)[None]) and not _factors(np.array([np.eye(2), -np.eye(2)]))
+    _fail(monkeypatch, "cholesky")
+    assert not _factors(np.eye(3)[None])
+
+
+def _refused_row_spectra(mic, monkeypatch):
+    # a batch that refuses its every row, whose redraws are all mic
+    monkeypatch.setattr(ensembles, "_orbit_spectrum",
+                        lambda rho: (np.zeros((len(rho), 4)), np.zeros(len(rho), dtype=bool)))
+    monkeypatch.setattr(ensembles, "random_mic", lambda kind, d, rng: mic)
+    return ensembles._block_spectra(ensembles.MicKind.WH_RANK1, 2, 0, 3, 11)
+
+
+def _purity_form(mic, monkeypatch):
+    monkeypatch.setattr(povm, "_PASSED", [(None, 0.0)])
+    return povm.purity_form(np.full(4, 0.25), mic.gram)
+
+
+def _warm_purity_form(mic, monkeypatch):
+    povm._gram_condition(mic.gram)  # the gate passes before the solve fails
+    return povm.purity_form(np.full(4, 0.25), mic.gram)
+
+
+def _inv_gram_distance(mic, monkeypatch):
+    mic._inverse_gram  # inverted before the eigvalsh fails
+    return analysis.inv_gram_distance(mic)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("eigvalsh", lambda mic, m: povm.born_probabilities(np.eye(2) / 2, mic)),
+    ("svdvals", _purity_form),
+    ("solve1", _warm_purity_form),
+    ("inv", lambda mic, m: povm.dual_basis(mic)),
+    ("svdvals", lambda mic, m: analysis.phi_matrix(mic, mic.matrices() / mic.weights()[:, None, None])),
+    ("inv", lambda mic, m: analysis.phi_matrix(mic, mic.matrices() / mic.weights()[:, None, None])),
+    ("eigvalsh", _inv_gram_distance),
+    ("eigvalsh", _refused_row_spectra),
+], ids=["born_probabilities", "purity_form-gate", "purity_form-solve", "dual_basis",
+        "phi_matrix-cond", "phi_matrix-inv", "inv_gram_distance", "spectra-refused-row"])
+def test_entry_point_failure_surfaces_as_convergence_failure(name, call, monkeypatch):
+    call(sic_qubit(), monkeypatch)  # each call runs through as it is
+    mic = sic_qubit()  # built, with its own LAPACK calls, before the routine fails
+    _fail(monkeypatch, name)
+    with pytest.raises(ConvergenceFailure, match=f"^{name} did not converge$"):
+        call(mic, monkeypatch)

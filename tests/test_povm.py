@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from miclab import povm
+from miclab import linalg, povm
 from miclab.constructions import mic_from_psd_basis, orthocross_mic, sic_mic, sic_qubit, wh_mic
 from miclab.config import DEFAULT_TOL, ToleranceConfig
 from miclab.ensembles import MicKind, haar_pure_states, random_mic
@@ -426,11 +426,12 @@ def test_gram_changed_in_place_is_checked_again():
 
 @pytest.fixture
 def svd_calls(monkeypatch):
-    """One entry per np.linalg.cond call, with the gate's memory emptied."""
+    """One entry per SVD through linalg._lapack, with the gate's memory emptied."""
     calls = []
-    real_cond = np.linalg.cond
-    monkeypatch.setattr(np.linalg, "cond", lambda a: calls.append(1) or real_cond(a))
-    povm._condition.cache_clear()
+    real, *signatures = linalg._ROUTINES["svdvals"]
+    monkeypatch.setitem(linalg._ROUTINES, "svdvals",
+                        (lambda *a, **k: calls.append(1) or real(*a, **k), *signatures))
+    monkeypatch.setattr(povm, "_PASSED", [(None, 0.0)])
     return calls
 
 
@@ -606,8 +607,9 @@ def test_psd_certificate_steps_aside_where_its_bound_fails(monkeypatch):
     # on a stack of at least 128 entries: for unit-norm matrices at n = 32
     # and the default zero_tol, not at 1e-15, and not for 31 2 x 2 matrices
     calls = []
-    real = np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or real(a))
+    real, *signatures = linalg._ROUTINES["cholesky"]
+    monkeypatch.setitem(linalg._ROUTINES, "cholesky",
+                        (lambda a, **k: calls.append(a.shape) or real(a, **k), *signatures))
     h = np.eye(32)[None] / np.sqrt(32)
     assert povm._psd(h, DEFAULT_TOL.zero_tol).all() and calls == [(1, 32, 32)]
     calls.clear()
@@ -635,6 +637,16 @@ def test_reconstruct_state_rejects_non_finite_probabilities(bad):
     assert info.value.index == 2
     with pytest.raises(NonFinite):
         reconstruct_state(np.full(4, bad), sic_mic(2))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e307])
+def test_reconstruct_state_returns_large_finite_operators_as_they_are(scale):
+    # entries beyond about 1e154 make the overflow check look closer; an
+    # operator that stays finite is still returned with the plain sum's bits
+    mic = sic_mic(2)
+    p = np.array([0.1, 0.2, 0.3, 0.4]) * scale
+    out = np.einsum("i,iab->ab", p, dual_basis(mic).stack)
+    assert reconstruct_state(p, mic).tobytes() == ((out + out.conj().T) / 2).tobytes()
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
