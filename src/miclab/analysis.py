@@ -35,6 +35,7 @@ import numpy as np
 from .config import CONDITION_LIMIT, DEFAULT_TOL, ToleranceConfig
 from .errors import (
     BiasedMic,
+    InvalidState,
     NotHermitian,
     ShapeMismatch,
     SingularConditionalMatrix,
@@ -187,12 +188,13 @@ def phi_matrix(mic: Mic, post_states, tol: ToleranceConfig = DEFAULT_TOL) -> Phi
     MIC probabilities (see cascaded_probability).  Its columns always sum
     to 1, and for quantum inputs it always contains a negative entry.
     Raises SingularConditionalMatrix when cond(M) reaches 1e12, InvalidState
-    for the lowest bad post-state and WrongCount for other than d^2 of them.
+    for the lowest bad post-state, one of no numbers too, WrongCount for
+    other than d^2 of them and ShapeMismatch for no sequence.
     """
     d = mic.dim
     n = d * d
     post_states = list(post_states) if np.iterable(post_states) else post_states  # read twice
-    states, ragged = _stack(post_states, "post-state")
+    states, ragged = _stack(post_states, "post-state", InvalidState)
     if ragged is not None or states.shape != (n, d, d) or not _valid_states(states, tol).all():
         # one state at a time, so the lowest bad index raises its own error
         states = np.array([_check_state(s, d, tol) for s in post_states])

@@ -198,7 +198,11 @@ def cmd_spectra(args, tol: ToleranceConfig) -> int:
         sys.stdout.write(table)
         summary_stream = sys.stderr
     if args.d == 3:
-        print(f"plateau_metric = {plateau_metric(hist)}", file=summary_stream)
+        try:
+            metric = plateau_metric(hist)
+        except ValueError as exc:  # a bin too wide for a whole one on each side of 1/12
+            metric = f"undefined ({exc})"
+        print(f"plateau_metric = {metric}", file=summary_stream)
     return 0
 
 

@@ -17,7 +17,6 @@ full rank (ensembles._squash_spectra).
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import numbers
 from dataclasses import dataclass
@@ -221,27 +220,19 @@ def sic_mic(d: int, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
 
 # ------------------------------------------------------------ orthocross MIC
 
-def orthocross_projectors(d: int) -> list[np.ndarray]:
-    """The d^2 projectors generating the orthocross MIC.
+def orthocross_projectors(d: int) -> np.ndarray:
+    """The d^2 projectors generating the orthocross MIC, as one complex
+    (d^2, d, d) array.
 
     First the d computational-basis projectors |j><j|, then projectors onto
     (|j> + |k>)/sqrt(2) for j < k in lexicographic order, then onto
     (|j> + i |k>)/sqrt(2), same ordering.  d must be at least 2.
     """
     _check_dimension(d, 2)
-    out = []
-    for j in range(d):
-        p = np.zeros((d, d), dtype=complex)
-        p[j, j] = 1.0
-        out.append(p)
-    for phase in (1.0, 1.0j):
-        for j, k in itertools.combinations(range(d), 2):
-            v = np.zeros(d, dtype=complex)
-            v[j] = 1.0
-            v[k] = phase
-            v /= np.sqrt(2)
-            out.append(np.outer(v, v.conj()))
-    return out
+    e = np.eye(d, dtype=complex)
+    j, k = np.triu_indices(d, 1)
+    v = np.concatenate([e, (e[j] + e[k]) / np.sqrt(2), (e[j] + 1j * e[k]) / np.sqrt(2)])
+    return v[:, :, None] * v[:, None, :].conj()
 
 
 def orthocross_mic(d: int, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
@@ -255,8 +246,7 @@ def orthocross_mic(d: int, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
     can ever have probability 1, or even probability above
     1 / (d - (1 + cot(3 pi / 4d)) / 2).
     """
-    projectors = orthocross_projectors(d)
-    return mic_from_psd_basis(projectors, tol)
+    return mic_from_psd_basis(orthocross_projectors(d), tol)
 
 
 def orthocross_omega_spectrum(d: int) -> np.ndarray:
@@ -316,11 +306,12 @@ def mic_from_psd_basis(basis, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
     E_i = Omega^{-1/2} A_i Omega^{-1/2}.  MICs themselves are fixed points
     of this map (their Omega is the identity), and rank-1 inputs give
     rank-1 MICs.  The basis is read as validate_povm reads effects (an
-    iterator once; ShapeMismatch if no stack of square matrices of numbers),
-    then it raises WrongCount for another number than d^2, NonFinite(i) for
-    the first element with a NaN or infinite entry, LinearlyDependent if the
-    basis does not span, NotPsd for a bad element, SingularOperator if Omega
-    is singular.
+    iterator once; ShapeMismatch for a basis that is no sequence, or for
+    its lowest element that is no d x d array of numbers, d from element
+    0), then it raises WrongCount for another number than d^2, NonFinite(i)
+    for the first element with a NaN or infinite entry, LinearlyDependent if
+    the basis does not span, NotPsd for a bad element, SingularOperator if
+    Omega is singular.
     """
     stack, ragged = _stack(basis, "basis element")
     if ragged is not None:

@@ -168,28 +168,30 @@ def _gram_condition(g: np.ndarray) -> float:
     return cond
 
 
-def _stack(effects, what: str = "effect") -> tuple[np.ndarray, ShapeMismatch | None]:
-    """The effects (an iterator is read once) as a fresh complex (N, d, d)
-    array, d from the first, cut before the first effect of another shape,
-    with the ShapeMismatch for it, which a cut at 0 raises at once."""
+def _stack(effects, what: str = "effect", error=ShapeMismatch):
+    """The effects as a fresh complex (N, d, d) array: an ndarray of numbers
+    of that shape copied whole, anything else read item by item (an iterator
+    once) up to the first that is no d x d array of numbers, d from item 0,
+    whose error, of type error, comes back too, raised at once for item 0."""
+    if (isinstance(effects, np.ndarray) and effects.dtype.kind in "biufc" and effects.ndim == 3
+            and effects.size and effects.shape[1] == effects.shape[2]):
+        return np.array(effects, dtype=complex, order="C"), None
     if not np.iterable(effects):
         raise ShapeMismatch(f"expected a sequence of {what}s, got {type(effects).__name__}")
-    effects = effects if type(effects) is np.ndarray else list(effects)
-    try:
-        mats = np.array(_as_array(effects, f"the {what}s"), order="C")
-        if mats.ndim == 3 and len(mats) and mats.shape[1] == mats.shape[2] > 0:
-            return mats, None
-    except ShapeMismatch:  # ragged, or not numbers: read one effect at a time
-        pass
-    rows = [_as_array(e, f"{what} {i}") for i, e in enumerate(effects)]
+    rows, fault = [], None
+    for i, e in enumerate(effects):
+        try:
+            e = _as_array(e, f"{what} {i}", error)
+            d = len(rows[0]) if rows else e.shape[0] if e.ndim else 0
+            if e.shape != (d, d) or d == 0:
+                raise error(f"{what} {i} has shape {e.shape}, expected {(d, d)}")
+        except error as exc:
+            fault = exc
+            break
+        rows.append(e)
     if not rows:
-        raise WrongCount(0, 1)
-    d = rows[0].shape[0] if rows[0].ndim else 0
-    i = next(i for i, e in enumerate(rows) if e.shape != (d, d) or d == 0)
-    error = ShapeMismatch(f"{what} {i} has shape {rows[i].shape}, expected {(d, d)}")
-    if i == 0:
-        raise error
-    return np.array(rows[:i]), error
+        raise fault or WrongCount(0, 1)
+    return np.array(rows), fault
 
 
 def _first(mask: np.ndarray) -> np.ndarray:
@@ -245,10 +247,10 @@ def _effect_rules(e: np.ndarray, tol: ToleranceConfig):
 def validate_povm(effects, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
     """Check that effects, an (N, d, d) array or a sequence or iterator of
     d x d matrices, form a POVM, with the PSD rule decided for all effects at
-    once (see _psd).  Effects that are no sequence, such as a scalar or
-    None, or an effect that is no array of numbers raise ShapeMismatch.
+    once (see _psd).  Effects that are no sequence raise ShapeMismatch.
 
-    Of several faulty effects the lowest index raises: ShapeMismatch,
+    Of several faulty effects the lowest index raises: ShapeMismatch for one
+    that is no d x d array of numbers (d from effect 0; see _stack),
     NonFinite, NotHermitian, or NotPsd for an eigenvalue below -zero_tol.
     Then SumNotIdentity if the sum misses the identity by more than
     zero_tol * d in Frobenius norm.
@@ -483,19 +485,19 @@ def _check_unit(i: int, v: np.ndarray) -> None:
 
 
 def _vector_rows(vectors) -> np.ndarray:
-    """The vectors as the rows of an (n, d) complex array, d from the first:
-    WrongCount(0, 1) if there are none, and ShapeMismatch for the first
-    vector of another length or of no numbers, or if vectors is no sequence."""
+    """The vectors, read one at a time, as the rows of an (n, d) complex
+    array, d from the first: ShapeMismatch for the first vector of another
+    length or of no numbers, or for no sequence, and WrongCount(0, 1) for none."""
     if not np.iterable(vectors):
         raise ShapeMismatch(f"expected a sequence of vectors, got {type(vectors).__name__}")
-    vs = [_as_array(v, f"vector {i}").ravel() for i, v in enumerate(vectors)]
-    if not vs:
+    rows = []
+    for i, v in enumerate(vectors):
+        rows.append(_as_array(v, f"vector {i}").ravel())
+        if len(rows[i]) != len(rows[0]):
+            raise ShapeMismatch(f"vector {i} has length {len(rows[i])}, expected {len(rows[0])}")
+    if not rows:
         raise WrongCount(0, 1)
-    d = len(vs[0])
-    for i, v in enumerate(vs):
-        if len(v) != d:
-            raise ShapeMismatch(f"vector {i} has length {len(v)}, expected {d}")
-    return np.array(vs)
+    return np.array(rows)
 
 
 def rescaled_vector_gram(vectors, weights, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import pytest
 
+from miclab import acceptance
 from miclab.acceptance import CRITERIA, run_criteria
 from wh_rank1_laws import d3_plateau_ratio
 
@@ -70,3 +71,27 @@ def test_criterion(number):
             f"{d3_plateau_ratio(Fraction(1, 198)):.4f} at bin width 1/198, "
             "so the shortfall is intrinsic, not a sampling artifact")
     assert result.passed, line
+
+
+def test_a_seed_reaches_only_the_criteria_that_take_a_key(monkeypatch):
+    # criteria 1-11 draw from substreams keyed (seed, n) at a scale;
+    # 12-14 take no arguments and run as pinned
+    calls = {}
+
+    def keyed(n):
+        def criterion(key=(), scale=1):
+            calls[n] = {"key": key, "scale": scale}
+            return n
+        return criterion
+
+    def pinned(n):
+        def criterion():
+            calls[n] = {}
+            return n
+        return criterion
+
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        tuple(keyed(n) if n <= 11 else pinned(n) for n in CRITERION_NUMBERS))
+    assert run_criteria(seed=5, scale=2) == CRITERION_NUMBERS
+    assert calls == {n: {"key": (5, n), "scale": 2} if n <= 11 else {} for n in CRITERION_NUMBERS}
+    assert run_criteria([13, 14], seed=5) == [13, 14]

@@ -4,6 +4,8 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miclab import analysis, linalg
 from miclab.analysis import (
@@ -434,6 +436,47 @@ def test_phi_matrix_refuses_the_first_bad_post_state(bad, k):
         phi_matrix(mic, posts)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
+
+
+PLANTED_POST_STATES = {**BAD_POST_STATES, "string": "ab", "objects": [object()]}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=3),
+                          st.sampled_from(sorted(PLANTED_POST_STATES))),
+                max_size=3))
+def test_phi_matrix_names_the_lowest_planted_fault(faults):
+    # the lowest bad post-state raises InvalidState whatever follows it:
+    # _check_state's error for an array, one naming the post-state otherwise
+    mic = sic_qubit()
+    posts = list(mic.matrices() / mic.weights()[:, None, None])
+    for index, kind in faults:
+        posts[index] = PLANTED_POST_STATES[kind]
+    if not faults:
+        got = phi_matrix(mic, posts).matrix
+        assert got.tobytes() == phi_matrix(mic, np.array(posts)).matrix.tobytes()
+        return
+    low = min(index for index, _ in faults)
+    with pytest.raises(InvalidState) as got:
+        phi_matrix(mic, posts)
+    if isinstance(posts[low], np.ndarray):
+        with pytest.raises(InvalidState) as want:
+            _check_state(posts[low], 2, DEFAULT_TOL)
+        assert str(got.value) == str(want.value)
+    else:
+        assert "is no array of numbers" in str(got.value)
+
+
+def test_post_states_of_no_numbers_raise_invalid_state():
+    mic = sic_qubit()
+    posts = list(mic.matrices() / mic.weights()[:, None, None])
+    with pytest.raises(InvalidState, match="^post-state 0 is no array of numbers"):
+        phi_matrix(mic, ["ab", *posts[1:]])
+    with pytest.raises(InvalidState, match="^post-state 0 is no array of numbers"):
+        cascaded_probability(np.eye(2) / 2, mic, ["ab", *posts[1:]], mic)
+    # an unreadable post-state 1 never pre-empts post-state 0 of the wrong shape
+    with pytest.raises(InvalidState, match=r"^state has shape \(3, 3\), expected \(2, 2\)"):
+        phi_matrix(mic, [np.eye(3) / 3, "ab", *posts[2:]])
 
 
 def test_phi_matrix_counts_the_post_states():

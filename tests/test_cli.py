@@ -11,7 +11,7 @@ import pytest
 from numpy.random import SeedSequence, default_rng
 
 from miclab import analysis, cli, linalg
-from miclab.ensembles import MicKind, SpectraHistogram, random_mic
+from miclab.ensembles import MicKind, SpectraHistogram, random_mic, spectra_study
 from miclab.serialize import histogram_to_table
 
 CLI = [sys.executable, "-m", "miclab"]
@@ -248,6 +248,18 @@ def test_spectra_prints_plateau_for_d3(tmp_path):
     assert "plateau_metric" in res.stdout
     header = out.read_text().split("\n")[0]
     assert header == "kind,d,bin_left,bin_right,count"
+
+
+def test_spectra_keeps_its_table_and_exits_0_when_the_plateau_metric_is_undefined(
+        tmp_path, capsys):
+    # a bin of 1/6 leaves no whole bin below 1/12: the summary says so
+    out = tmp_path / "t.csv"
+    argv = ["spectra", "wh", "--d", "3", "--n", "10", "--bin", "1/6", "--seed", "1"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ("plateau_metric = undefined (bin width 1/6 leaves "
+                                       "no whole bin on one side of 1/12)\n")
+    hist = spectra_study(MicKind.WH_GENERIC, 3, 10, Fraction(1, 6), seed=1)
+    assert out.read_text(encoding="utf-8") == histogram_to_table(hist)
 
 
 def test_spectra_negative_seed_exits_2():

@@ -400,6 +400,23 @@ def test_mic_from_psd_basis_refuses_a_basis_of_no_square_stack(basis):
         mic_from_psd_basis(basis)
 
 
+BASIS_READER_FAULTS = {"string": "ab", "objects": [object()], "3 x 3": np.eye(3),
+                       "vector": np.ones(2)}
+
+
+@pytest.mark.parametrize("low, high", [(1, 2), (1, 3), (2, 3)])
+@pytest.mark.parametrize("first, later", list(itertools.product(sorted(BASIS_READER_FAULTS),
+                                                                repeat=2)))
+def test_mic_from_psd_basis_names_its_lowest_reader_fault(first, later, low, high):
+    # shape faults come before non-finite ones, so the NaN element 0 waits,
+    # and of two unreadable or mis-shaped elements the lower is named
+    basis = _spanning_psd_basis()
+    basis[0] = np.full((2, 2), np.nan)
+    basis[low], basis[high] = BASIS_READER_FAULTS[first], BASIS_READER_FAULTS[later]
+    with pytest.raises(ShapeMismatch, match=f"^basis element {low} "):
+        mic_from_psd_basis(basis)
+
+
 def _spanning_psd_basis():
     # |0><0|, |1><1|, |+><+| and |+i><+i|: four PSD operators that span 2 x 2 matrices
     plus, plus_i = np.array([1, 1]) / np.sqrt(2), np.array([1, 1j]) / np.sqrt(2)

@@ -1,5 +1,7 @@
 """POVM and MIC container invariants: validation, Gram, duals, Born maps."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -108,6 +110,13 @@ def test_validate_povm_reports_the_lowest_faulty_index():
     assert info.value.index == 1
     with pytest.raises(ShapeMismatch, match="effect 1 "):
         validate_povm([e, ragged, not_psd])
+    # reading stops at the first unreadable effect, so it never pre-empts
+    # an earlier fault, and never a later one of its own kind
+    with pytest.raises(NonFinite) as info:
+        validate_povm([np.full((2, 2), np.nan), np.eye(2) / 2, "ab"])
+    assert info.value.index == 0
+    with pytest.raises(ShapeMismatch, match="effect 1 has shape"):
+        validate_povm([e, ragged, "ab"])
 
 
 def test_array_and_list_input_give_identical_bytes():
@@ -163,10 +172,16 @@ def test_effects_view_the_stored_arrays():
 
 def _reference_validate(effects, tol=DEFAULT_TOL):
     """The per-effect loop that validate_povm replaces: (error type, index)
-    for the first faulty effect, or (None, (matrices, weights))."""
-    mats = [np.asarray(e, dtype=complex) for e in effects]
-    d = mats[0].shape[0]
-    for i, e in enumerate(mats):
+    for the first faulty effect, or (None, (matrices, weights)).  An effect
+    that is no array of numbers is a ShapeMismatch at its index."""
+    mats = []
+    for i, e in enumerate(effects):
+        try:
+            e = np.asarray(e, dtype=complex)
+        except (TypeError, ValueError):
+            return ShapeMismatch, i
+        mats.append(e)
+        d = mats[0].shape[0]
         if e.shape != (d, d):
             return ShapeMismatch, i
         if not np.isfinite(e).all():
@@ -189,13 +204,16 @@ def _break(e, fault, rng):
         return e + 1e-6 * (a - a.T)
     if fault == "ragged":
         return np.eye(d + 1, dtype=complex)
+    if fault == "unreadable":
+        return "ab" if rng.random() < 0.5 else [object()]
     return np.where(rng.random((d, d)) < 0.5, np.nan, e)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=20),
        st.lists(st.tuples(st.integers(min_value=0, max_value=19),
-                          st.sampled_from(["psd", "hermitian", "ragged", "nan"])),
+                          st.sampled_from(["psd", "hermitian", "ragged", "nan",
+                                           "unreadable"])),
                 max_size=3),
        st.integers(min_value=0, max_value=10_000))
 def test_batched_validation_matches_per_effect_loop(d, n, faults, seed):
@@ -204,7 +222,8 @@ def test_batched_validation_matches_per_effect_loop(d, n, faults, seed):
     r = np.linalg.inv(np.linalg.cholesky(sum(basis)))
     effects = [r @ a @ r.conj().T for a in basis]  # squashed to sum to I
     for index, fault in faults:
-        effects[index % n] = _break(effects[index % n], fault, rng)
+        if isinstance(effects[index % n], np.ndarray):  # an unreadable one stays so
+            effects[index % n] = _break(effects[index % n], fault, rng)
     expected, detail = _reference_validate(effects)
     if expected is None:
         povm = validate_povm(effects)
@@ -214,7 +233,7 @@ def test_batched_validation_matches_per_effect_loop(d, n, faults, seed):
     with pytest.raises(expected) as info:
         validate_povm(effects)
     if expected is ShapeMismatch:
-        assert f"effect {detail} has shape" in str(info.value)
+        assert str(info.value).startswith(f"effect {detail} ")
     elif detail is not None:
         assert info.value.index == detail
 
@@ -737,6 +756,23 @@ def test_rank1_inputs_are_refused_with_typed_errors():
         for weights in (1.0, [[1.0]], [[1.0, 1.0]], [1.0, 1.0]):
             with pytest.raises(ShapeMismatch, match="weights of shape"):
                 check([[1, 0]], weights)
+
+
+VECTOR_READER_FAULTS = {"string": "ab", "objects": [object()], "length 3": np.ones(3) / np.sqrt(3)}
+
+
+@pytest.mark.parametrize("low, high", [(1, 2), (1, 3), (2, 3)])
+@pytest.mark.parametrize("first, later", list(itertools.product(sorted(VECTOR_READER_FAULTS),
+                                                                repeat=2)))
+def test_rank1_inputs_name_their_lowest_reader_fault(first, later, low, high):
+    # lengths are checked before norms, so the NaN vector 0 waits, and of
+    # two unreadable or mis-sized vectors the lower is named
+    vecs = [np.array([np.nan, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0]),
+            np.array([0.0, 1.0])]
+    vecs[low], vecs[high] = VECTOR_READER_FAULTS[first], VECTOR_READER_FAULTS[later]
+    for check in (rescaled_vector_gram, rank1_mic_check):
+        with pytest.raises(ShapeMismatch, match=f"^vector {low} "):
+            check(vecs, [0.5] * 4)
 
 
 @pytest.mark.parametrize("call, error", [
