@@ -41,7 +41,7 @@ from .errors import (
     SingularConditionalMatrix,
     WrongCount,
 )
-from .linalg import _as_array, _cond, _lapack, eigvalsh
+from .linalg import _as_array, _cond, _einsum, _lapack, eigvalsh
 from .povm import (Mic, Povm, _check_finite, _check_state, _real, _stack, _valid_states,
                    born_probabilities, dual_basis, is_unbiased, validate_povm)
 
@@ -188,19 +188,22 @@ def phi_matrix(mic: Mic, post_states, tol: ToleranceConfig = DEFAULT_TOL) -> Phi
     MIC probabilities (see cascaded_probability).  Its columns always sum
     to 1, and for quantum inputs it always contains a negative entry.
     Raises SingularConditionalMatrix when cond(M) reaches 1e12, InvalidState
-    for the lowest bad post-state, one of no numbers too, WrongCount for
-    other than d^2 of them and ShapeMismatch for no sequence.
+    for the lowest bad post-state (one of no numbers, or no d x d matrix,
+    names its index), WrongCount for other than d^2 of them and
+    ShapeMismatch for no sequence.
     """
     d = mic.dim
     n = d * d
-    post_states = list(post_states) if np.iterable(post_states) else post_states  # read twice
-    states, ragged = _stack(post_states, "post-state", InvalidState)
-    if ragged is not None or states.shape != (n, d, d) or not _valid_states(states, tol).all():
+    states, ragged = _stack(post_states, "post-state", InvalidState, d)
+    if ragged is not None or len(states) != n or not _valid_states(states, tol).all():
         # one state at a time, so the lowest bad index raises its own error
-        states = np.array([_check_state(s, d, tol) for s in post_states])
+        for s in states:
+            _check_state(s, d, tol)
+        if ragged is not None:
+            raise ragged
         if len(states) != n:
             raise WrongCount(len(states), n)
-    m = np.einsum("iab,jba->ij", mic.matrices(), states).real
+    m = _einsum("iab,jba->ij", mic.matrices(), states).real
     cond = _cond(m)
     if not np.isfinite(cond) or cond >= CONDITION_LIMIT:
         raise SingularConditionalMatrix(cond)
@@ -227,8 +230,8 @@ def cascaded_probability(rho, mic: Mic, post_states, second_povm,
     second = second_povm if isinstance(second_povm, Povm) else validate_povm(second_povm, tol)
     if second.dim != mic.dim:
         raise ShapeMismatch(f"second POVM has dimension {second.dim}, expected {mic.dim}")
-    cond_second = np.einsum("jab,iba->ji", second.matrices(),
-                            _as_array(post_states, "post-states")).real
+    cond_second = _einsum("jab,iba->ji", second.matrices(),
+                          _as_array(post_states, "post-states")).real
     return cond_second @ phi.matrix @ p_first
 
 

@@ -39,7 +39,8 @@ from .errors import (
     WrongCount,
     WrongDimension,
 )
-from .linalg import _as_array, _as_square, _lapack, eigh, hermiticity_defect, numerical_rank
+from .linalg import (_as_array, _as_square, _einsum, _lapack, eigh, hermiticity_defect,
+                     numerical_rank)
 from .povm import (Mic, _check_finite, _check_state, _check_unit, _frozen, _stack,
                    mic_from_matrices, validate_povm)
 
@@ -137,7 +138,7 @@ def _displacement_basis(d: int) -> np.ndarray:
 def _displacement_components(rho: np.ndarray) -> np.ndarray:
     """tr(D_kl^dagger rho), row-major in (k, l), of a (d, d) state or each of a (..., d, d) stack."""
     ops = _displacement_basis(rho.shape[-1])
-    return np.einsum("kba,...ba->...k", ops.conj(), rho)
+    return _einsum("kba,...ba->...k", ops.conj(), rho)
 
 
 def wh_mic(rho, overlap_tol: float = 1e-8, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
@@ -165,7 +166,7 @@ def wh_mic(rho, overlap_tol: float = 1e-8, tol: ToleranceConfig = DEFAULT_TOL) -
         idx = int(np.argmax(small))
         raise DegenerateFiducial(idx // d, idx % d, float(np.abs(components[idx])))
     ops = _displacement_basis(d)
-    effects = np.einsum("kab,bc,kdc->kad", ops, rho, ops.conj()) / d
+    effects = _einsum("kab,bc,kdc->kad", ops, rho, ops.conj()) / d
     return mic_from_matrices(effects, tol)
 
 
@@ -271,7 +272,7 @@ def orthocross_probability_bound(d: int) -> float:
 
 def _basis_gram(a: np.ndarray) -> np.ndarray:
     # the real part of tr(A_i A_j) for each basis of a (..., n, d, d) stack
-    return np.einsum("...iab,...jba->...ij", a, a).real
+    return _einsum("...iab,...jba->...ij", a, a).real
 
 
 def _squash(a: np.ndarray, tol: ToleranceConfig):
@@ -296,7 +297,7 @@ def _squash(a: np.ndarray, tol: ToleranceConfig):
     # layout slows every later gate, hence the C-ordered copy.
     a = np.moveaxis(np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1))), (0, 1), (-2, -1))
     r = np.moveaxis(np.ascontiguousarray(np.moveaxis(r, (-1, -2), (0, 1))), (0, 1), (-1, -2))
-    return w, safe, np.ascontiguousarray(np.einsum("...ab,...kbc,...cd->...kad", r, a, r))
+    return w, safe, np.ascontiguousarray(_einsum("...ab,...kbc,...cd->...kad", r, a, r))
 
 
 def mic_from_psd_basis(basis, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
@@ -374,7 +375,7 @@ def appleby_mic(d: int, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
     ops = _displacement_basis(d)
     b = ops[1:].sum(axis=0) / np.sqrt(d + 1)
     b = (b + b.conj().T) / 2
-    conjugates = np.einsum("kab,bc,kdc->kad", ops, b, ops.conj())
+    conjugates = _einsum("kab,bc,kdc->kad", ops, b, ops.conj())
     eye = np.eye(d)
     effects = (eye[None, :, :] + conjugates / np.sqrt(d + 1)) / (d * d)
     return mic_from_matrices(effects, tol)

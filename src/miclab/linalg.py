@@ -5,14 +5,29 @@ tolerance conventions: eigenvalues always come back in ascending order,
 Hermiticity is checked before any eigendecomposition, and rank/singularity
 decisions are made relative to the largest singular value.
 
-_lapack is the library's one way into LAPACK.  It calls the compiled
-routine (gufunc) that numpy.linalg's public function calls, from the
-private numpy.linalg._umath_linalg: eigvalsh_lo, eigh_lo, svd, cholesky_lo,
-solve1 and inv, with numpy's signature strings, casting and errstate, but
-without the public function's Python around it (2-3 us a call).  The same
-routine on the same input gives the same bits, so every result, and every
-pinned output, is what the public function gives.  A numpy that renames a
-gufunc fails at import, and so in tier-1: there is no fallback path.
+The library reaches three parts of numpy through one entry point each, by
+the private names that numpy's public functions themselves call, without
+their Python around them:
+
+* _lapack, for LAPACK: the compiled routine (gufunc) of numpy.linalg's
+  public function, from numpy.linalg._umath_linalg (eigvalsh_lo, eigh_lo,
+  svd, cholesky_lo, solve1 and inv), with numpy's signature strings,
+  casting and error state (2-3 us a call less);
+* _einsum, for einsum: numpy._core.multiarray.c_einsum, which np.einsum
+  returns from without optimize, numpy's default (1-2 us a call less);
+* _under, for error states: each state is built once, at import, by
+  numpy._core.umath._make_extobj, and entered through numpy's
+  _extobj_contextvar, as np.errstate enters the state it rebuilds on
+  every entry (about 1 us a block).  _quietly runs a function with every
+  floating-point error ignored, where the caller reads a non-finite
+  result itself; each LAPACK routine runs under numpy.linalg's own state.
+  Each state names all four errors and numpy's default buffer size, so
+  none depends on the state the importing program left.
+
+The same routine on the same input gives the same bits, so every result,
+and every pinned output, is what the public function gives.  A numpy that
+renames one of these names fails at import, and so in tier-1: there is no
+fallback path.  acceptance.py's oracles keep numpy's public functions.
 """
 
 from __future__ import annotations
@@ -23,6 +38,8 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 
 import numpy as np
+from numpy._core.umath import UFUNC_BUFSIZE_DEFAULT, _extobj_contextvar, _make_extobj
+from numpy._core.multiarray import c_einsum as _einsum
 from numpy.linalg import _umath_linalg
 
 from .config import DEFAULT_TOL, ToleranceConfig
@@ -30,6 +47,21 @@ from .errors import ConvergenceFailure, NonFinite, NotHermitian, ShapeMismatch
 
 
 _COMPLEX, _FLOAT = np.dtype(complex), np.dtype(float)
+
+
+def _under(state, f, *args, **kwargs):
+    """f(*args, **kwargs) under numpy's error state state, as a with block of
+    np.errstate runs it, without building the state again."""
+    token = _extobj_contextvar.set(state)
+    try:
+        return f(*args, **kwargs)
+    finally:
+        _extobj_contextvar.reset(token)
+
+
+# f(*args) with every floating-point error ignored, as np.errstate with all="ignore"
+# runs it, where the caller reads a non-finite result itself
+_quietly = functools.partial(_under, _make_extobj(all="ignore", bufsize=UFUNC_BUFSIZE_DEFAULT))
 
 
 @functools.cache
@@ -97,8 +129,8 @@ def hermiticity_defect(a):
     one whose A - A^dagger overflows; neither makes numpy warn.
     """
     a = _as_square(a)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN, read as inf below
-        defect = np.abs(a - a.mT.conj()).max(axis=(-2, -1), initial=0.0)
+    # inf - inf is NaN, read as inf below
+    defect = _quietly(lambda: np.abs(a - a.mT.conj()).max(axis=(-2, -1), initial=0.0))
     if a.ndim == 2:
         defect = float(defect)
         return defect if defect == defect else np.inf
@@ -136,13 +168,14 @@ _CERTIFY_MIN_ENTRIES = 128
 
 
 def _routine(gufunc, real: str, complex_: str, message: str):
-    """(gufunc under numpy.linalg's errstate, its signature for real input,
+    """(gufunc under numpy.linalg's error state, its signature for real input,
     for complex input).  The gufunc reports LAPACK failing as an invalid
     operation, which raises ConvergenceFailure(message), numpy's message."""
     def fail(err, flag):
         raise ConvergenceFailure(message)
-    return (np.errstate(call=fail, invalid="call", over="ignore", divide="ignore",
-                        under="ignore")(gufunc), real, complex_)
+    state = _make_extobj(call=fail, invalid="call", over="ignore", divide="ignore",
+                         under="ignore", bufsize=UFUNC_BUFSIZE_DEFAULT)
+    return functools.partial(_under, state, gufunc), real, complex_
 
 
 _ROUTINES = {
@@ -185,8 +218,7 @@ def _cond(a: np.ndarray) -> float:
     """np.linalg.cond(a) of one non-empty matrix: its largest over its least
     singular value, inf where that is NaN and a holds no NaN."""
     s = _lapack("svdvals", a)
-    with np.errstate(all="ignore"):
-        cond = float(s[0] / s[-1])
+    cond = float(_quietly(np.divide, s[0], s[-1]))
     return np.inf if cond != cond and not np.isnan(a).any() else cond
 
 

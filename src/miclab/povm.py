@@ -48,8 +48,8 @@ from .errors import (
     SumNotIdentity,
     WrongCount,
 )
-from .linalg import (_CERTIFY_MIN_ENTRIES, _as_array, _cond, _factors, _lapack, _rounding,
-                     eigh, eigvalsh, hermiticity_defect, numerical_rank)
+from .linalg import (_CERTIFY_MIN_ENTRIES, _as_array, _cond, _einsum, _factors, _lapack,
+                     _quietly, _rounding, eigh, eigvalsh, hermiticity_defect, numerical_rank)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -131,11 +131,11 @@ class Mic(Povm):
         # the exact inverse is symmetric; averaging halves the solve error
         # that otherwise concentrates in the small-eigenvalue subspace
         coeffs = (self._inverse_gram + self._inverse_gram.T) / 2.0
-        duals = np.einsum("ij,jab->iab", coeffs, mats)
+        duals = _einsum("ij,jab->iab", coeffs, mats)
         # exactly Hermitian in theory; large inverse-Gram coefficients can
         # leave rounding asymmetry big enough to trip downstream eigh gates
         duals = (duals + duals.conj().transpose(0, 2, 1)) / 2.0
-        check = np.einsum("iab,jba->ij", mats, duals)
+        check = _einsum("iab,jba->ij", mats, duals)
         defect = float(np.abs(check - np.eye(n)).max())
         if defect > 1e-8:
             raise IllConditionedGram(_gram_condition(self.gram),
@@ -168,13 +168,15 @@ def _gram_condition(g: np.ndarray) -> float:
     return cond
 
 
-def _stack(effects, what: str = "effect", error=ShapeMismatch):
+def _stack(effects, what: str = "effect", error=ShapeMismatch, d: int | None = None):
     """The effects as a fresh complex (N, d, d) array: an ndarray of numbers
     of that shape copied whole, anything else read item by item (an iterator
-    once) up to the first that is no d x d array of numbers, d from item 0,
-    whose error, of type error, comes back too, raised at once for item 0."""
+    once) up to the first that is no d x d array of numbers, whose error, of
+    type error, comes back too, raised at once for item 0.  Unless the
+    caller gives d, it is item 0's size, and an item 0 that is no nonempty
+    square matrix, or no item at all (WrongCount(0, 1)), raises."""
     if (isinstance(effects, np.ndarray) and effects.dtype.kind in "biufc" and effects.ndim == 3
-            and effects.size and effects.shape[1] == effects.shape[2]):
+            and effects.size and effects.shape[1] == effects.shape[2] and d in (None, effects.shape[1])):
         return np.array(effects, dtype=complex, order="C"), None
     if not np.iterable(effects):
         raise ShapeMismatch(f"expected a sequence of {what}s, got {type(effects).__name__}")
@@ -182,16 +184,20 @@ def _stack(effects, what: str = "effect", error=ShapeMismatch):
     for i, e in enumerate(effects):
         try:
             e = _as_array(e, f"{what} {i}", error)
-            d = len(rows[0]) if rows else e.shape[0] if e.ndim else 0
-            if e.shape != (d, d) or d == 0:
-                raise error(f"{what} {i} has shape {e.shape}, expected {(d, d)}")
+            if d is None and e.ndim == 2 and e.shape[0] == e.shape[1] and e.size:
+                d = e.shape[0]
+            if e.shape != (d, d):
+                expected = "a nonempty square matrix" if d is None else (d, d)
+                raise error(f"{what} {i} has shape {e.shape}, expected {expected}")
         except error as exc:
             fault = exc
             break
         rows.append(e)
-    if not rows:
-        raise fault or WrongCount(0, 1)
-    return np.array(rows), fault
+    if fault is not None and not rows:
+        raise fault
+    if d is None:
+        raise WrongCount(0, 1)
+    return np.array(rows, dtype=complex).reshape(len(rows), d, d), fault
 
 
 def _first(mask: np.ndarray) -> np.ndarray:
@@ -222,10 +228,10 @@ def _psd(h: np.ndarray, zero_tol: float) -> np.ndarray:
     s = zero_tol / 2
     if h.size >= _CERTIFY_MIN_ENTRIES:
         flat = h.reshape(-1, n * n)
-        with np.errstate(over="ignore", invalid="ignore"):  # an inf norm steps aside
-            f = float(np.sqrt(np.vecdot(flat, flat).real.max()))
-            if _rounding(n) * (f + s) <= s and _factors(h + s * np.eye(n)):
-                return np.ones(h.shape[:-2], dtype=bool)
+        # an inf norm steps aside
+        f = _quietly(lambda: float(np.sqrt(np.vecdot(flat, flat).real.max())))
+        if _rounding(n) * (f + s) <= s and _factors(h + s * np.eye(n)):
+            return np.ones(h.shape[:-2], dtype=bool)
     return _lapack("eigvalsh", h)[..., 0] >= -zero_tol
 
 
@@ -239,8 +245,8 @@ def _effect_rules(e: np.ndarray, tol: ToleranceConfig):
     # only finite Hermitian effects reach LAPACK
     h = e if hermitian.all() else np.where(hermitian[..., None, None], e, 0)
     d = e.shape[-1]
-    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows fails below
-        deficit = np.linalg.norm(e.sum(axis=-3) - np.eye(d), axis=(-2, -1))
+    # a sum that overflows fails below
+    deficit = _quietly(lambda: np.linalg.norm(e.sum(axis=-3) - np.eye(d), axis=(-2, -1)))
     return _first(~hermitian | ~_psd(h, tol.zero_tol)), deficit <= tol.zero_tol * d, deficit
 
 
@@ -277,12 +283,11 @@ def _gram_rules(mats: np.ndarray, tol: ToleranceConfig):
     """gram's rules on each set of effects of a (..., n, d, d) stack: whether
     its Gram matrix tr(E_i E_j) is finite with imaginary residue at most
     zero_tol, and that matrix's real part, symmetrized."""
-    g = np.einsum("...iab,...jba->...ij", mats, mats)
+    g = _einsum("...iab,...jba->...ij", mats, mats)
     real = np.isfinite(g).all(axis=(-2, -1))
     real &= np.abs(g.imag).max(axis=(-2, -1), initial=0.0) <= tol.zero_tol
     g = g.real
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Gram is refused above
-        return real, (g + g.mT) / 2
+    return real, _quietly(lambda: (g + g.mT) / 2)  # a non-finite Gram is refused above
 
 
 def _gram_rank(g: np.ndarray, tol: ToleranceConfig):
@@ -311,7 +316,7 @@ def gram(povm: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     mats = povm.matrices()
     real, g = _gram_rules(mats, tol)
     if not real:
-        c = np.einsum("iab,jba->ij", mats, mats)
+        c = _einsum("iab,jba->ij", mats, mats)
         finite = np.isfinite(mats).all(axis=(1, 2))
         finite = np.isfinite(c).all(axis=1) if finite.all() else finite
         if not finite.all():
@@ -365,9 +370,7 @@ def _check_state(rho, d: int, tol: ToleranceConfig) -> np.ndarray:
     if rho.shape != (d, d):
         raise InvalidState(f"state has shape {rho.shape}, expected {(d, d)}")
     # a non-finite entry makes the defect NaN or inf, and an overflow makes it inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        defect = np.abs(rho - rho.conj().T).max()
-        tr = complex(rho.trace())
+    defect, tr = _quietly(lambda: (np.abs(rho - rho.conj().T).max(), complex(rho.trace())))
     if not defect <= tol.hermitian_tol:
         if not np.isfinite(rho).all():
             raise InvalidState("state has a non-finite entry")
@@ -385,8 +388,7 @@ def _valid_states(rhos: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Mask of the states of a (B, d, d) stack that _check_state accepts, by its rules."""
     ok = hermiticity_defect(rhos) <= tol.hermitian_tol
     rhos = np.where(ok[:, None, None], rhos, 0)  # only finite states reach the sums below
-    with np.errstate(over="ignore"):
-        ok &= np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0) <= 1e-10
+    ok &= _quietly(lambda: np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0) <= 1e-10)
     half = rhos / 2
     ok &= _psd(half + half.conj().transpose(0, 2, 1), tol.zero_tol)
     return ok
@@ -416,7 +418,7 @@ def _check_finite(a: np.ndarray) -> None:
 def born_probabilities(rho, povm: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Outcome probabilities p_i = tr(rho E_i) of a state under a POVM."""
     rho = _check_state(rho, povm.dim, tol)
-    p = np.einsum("ab,iba->i", rho, povm.matrices()).real
+    p = _einsum("ab,iba->i", rho, povm.matrices()).real
     return _frozen(p)
 
 
@@ -427,21 +429,24 @@ def reconstruct_state(p, mic: Mic, tol: ToleranceConfig = DEFAULT_TOL) -> np.nda
     The result is always Hermitian with trace equal to sum(p); it need not be
     positive semidefinite for an arbitrary probability vector.  A NaN or
     infinite p_i raises NonFinite(i), and a complex p with a nonzero
-    imaginary part, or a finite p whose operator overflows, ValueError.
+    imaginary part, or a finite p whose operator overflows, ValueError;
+    a MIC without a dual basis raises before p's entries are read.
     """
     p = _real(p, "probability vector")
     n = mic.dim * mic.dim
     if p.shape != (n,):
         raise ShapeMismatch(f"expected {n} probabilities, got shape {p.shape}")
-    _check_finite(p)
-    out = np.einsum("i,iab->ab", p, dual_basis(mic, tol).stack)
+    out = _einsum("i,iab->ab", p, dual_basis(mic, tol).stack)
     # einsum flags no overflow, and the sum below can overflow only where an
-    # entry exceeds about 1e154, as the sum of squares then does
+    # entry exceeds about 1e154, as the sum of squares then does.  A NaN or
+    # infinite p_i makes every entry non-finite, so p is checked only here.
     if not math.isfinite(np.vdot(out, out).real):
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not np.isfinite(out + out.conj().T).all():
-                raise ValueError("the reconstructed operator overflows float64")
-    return _frozen((out + out.conj().T) / 2)
+        _check_finite(p)
+        if not _quietly(lambda: np.isfinite(out + out.conj().T).all()):
+            raise ValueError("the reconstructed operator overflows float64")
+    out += out.conj().T
+    out /= 2
+    return _frozen(out)
 
 
 def purity_form(p, g) -> float:
@@ -464,22 +469,16 @@ def purity_form(p, g) -> float:
         raise ShapeMismatch(f"probability shape {p.shape} vs Gram shape {g.shape}")
     _check_finite(p)
     _gram_condition(g)
-    value = _quadratic(p, _lapack("solve1", g, p))
+    value = float(_quietly(np.matmul, p, _lapack("solve1", g, p)))
     if not math.isfinite(value):
         raise ValueError("the purity form overflows float64")
     return value
 
 
-@np.errstate(over="ignore", invalid="ignore")  # purity_form refuses an overflow
-def _quadratic(p: np.ndarray, x: np.ndarray) -> float:
-    return float(p @ x)
-
-
 def _check_unit(i: int, v: np.ndarray) -> None:
     # NotNormalized(i, |v|) unless |v| is 1 within 1e-10; a non-finite norm,
     # or one that overflows, fails too
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = float(np.linalg.norm(v))
+    norm = _quietly(lambda: float(np.linalg.norm(v)))
     if not abs(norm - 1.0) <= 1e-10:
         raise NotNormalized(i, norm)
 

@@ -420,6 +420,13 @@ BAD_POST_STATES = {
 }
 
 
+def _post_state_error(state, k):
+    # the message of _check_state's error on post-state k; a shape fault names k
+    with pytest.raises(InvalidState) as want:
+        _check_state(state, 2, DEFAULT_TOL)
+    return str(want.value).replace("state has shape", f"post-state {k} has shape", 1)
+
+
 @pytest.mark.parametrize("k", [0, 2, 3])
 @pytest.mark.parametrize("bad", sorted(BAD_POST_STATES))
 def test_phi_matrix_refuses_the_first_bad_post_state(bad, k):
@@ -430,12 +437,9 @@ def test_phi_matrix_refuses_the_first_bad_post_state(bad, k):
     posts[k] = BAD_POST_STATES[bad]
     if k < 3:
         posts[3] = 3 * np.eye(2)  # a later bad state never decides
-    with pytest.raises(InvalidState) as want:
-        _check_state(posts[k], 2, DEFAULT_TOL)
     with pytest.raises(InvalidState) as got:
         phi_matrix(mic, posts)
-    assert type(got.value) is type(want.value)
-    assert str(got.value) == str(want.value)
+    assert str(got.value) == _post_state_error(posts[k], k)
 
 
 PLANTED_POST_STATES = {**BAD_POST_STATES, "string": "ab", "objects": [object()]}
@@ -460,9 +464,7 @@ def test_phi_matrix_names_the_lowest_planted_fault(faults):
     with pytest.raises(InvalidState) as got:
         phi_matrix(mic, posts)
     if isinstance(posts[low], np.ndarray):
-        with pytest.raises(InvalidState) as want:
-            _check_state(posts[low], 2, DEFAULT_TOL)
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == _post_state_error(posts[low], low)
     else:
         assert "is no array of numbers" in str(got.value)
 
@@ -475,8 +477,28 @@ def test_post_states_of_no_numbers_raise_invalid_state():
     with pytest.raises(InvalidState, match="^post-state 0 is no array of numbers"):
         cascaded_probability(np.eye(2) / 2, mic, ["ab", *posts[1:]], mic)
     # an unreadable post-state 1 never pre-empts post-state 0 of the wrong shape
-    with pytest.raises(InvalidState, match=r"^state has shape \(3, 3\), expected \(2, 2\)"):
+    with pytest.raises(InvalidState, match=r"^post-state 0 has shape \(3, 3\), expected \(2, 2\)"):
         phi_matrix(mic, [np.eye(3) / 3, "ab", *posts[2:]])
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("state", [np.full(2, 0.5), np.array(0.5), np.eye(3) / 3, np.zeros((0, 0))],
+                         ids=["vector", "scalar", "3x3", "0x0"])
+def test_every_post_state_shape_fault_names_its_index(state, k):
+    # at post-state 0 too, where the stack has not yet read a d x d state
+    mic = sic_qubit()
+    posts = list(mic.matrices() / mic.weights()[:, None, None])
+    posts[k] = state
+    with pytest.raises(InvalidState) as got:
+        phi_matrix(mic, posts)
+    assert str(got.value) == f"post-state {k} has shape {state.shape}, expected (2, 2)"
+
+
+def test_no_post_states_miss_all_d_squared():
+    with pytest.raises(WrongCount, match="^expected 4 elements, got 0$"):
+        phi_matrix(sic_qubit(), [])
+    with pytest.raises(WrongCount, match="^expected 9 elements, got 0$"):
+        phi_matrix(sic_mic(3), iter([]))
 
 
 def test_phi_matrix_counts_the_post_states():

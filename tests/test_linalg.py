@@ -1,4 +1,7 @@
+import pathlib
 import pickle
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,19 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miclab import analysis, ensembles, errors, linalg, povm
-from miclab.config import ToleranceConfig
-from miclab.constructions import sic_qubit
+from miclab.config import DEFAULT_TOL, ToleranceConfig
+from miclab.constructions import sic_mic, sic_qubit
 from miclab.errors import (
     ConvergenceFailure,
+    InvalidState,
     NonFinite,
     NotHermitian,
+    NotNormalized,
     ShapeMismatch,
     SingularOperator,
 )
 from miclab.linalg import (
     _cond,
+    _einsum,
     _factors,
     _lapack,
+    _quietly,
     _rounding,
     eigh,
     eigvalsh,
@@ -313,3 +320,138 @@ def test_entry_point_failure_surfaces_as_convergence_failure(name, call, monkeyp
     _fail(monkeypatch, name)
     with pytest.raises(ConvergenceFailure, match=f"^{name} did not converge$"):
         call(mic, monkeypatch)
+
+
+# ------------------------------------------------ einsum and error states
+
+SOURCES = sorted(pathlib.Path(linalg.__file__).parent.glob("*.py"))
+EINSUM_CALL = re.compile(r'_einsum\(\s*"([^"]+)"')
+SUBSCRIPTS = sorted({sub for path in SOURCES for sub in EINSUM_CALL.findall(path.read_text())})
+
+
+def test_einsum_entry_point_sees_every_library_subscript():
+    # every call names its subscripts as a literal, so SUBSCRIPTS holds them all
+    texts = [path.read_text() for path in SOURCES]
+    calls = sum(text.count("_einsum(") for text in texts)
+    literal = sum(len(EINSUM_CALL.findall(text)) for text in texts)
+    assert calls == literal == 13 and len(SUBSCRIPTS) == 9
+
+
+def test_einsum_and_errstate_entry_points_are_the_only_ones():
+    # acceptance.py's oracles keep numpy's public functions
+    for path in SOURCES:
+        if path.name != "acceptance.py":
+            text = path.read_text()
+            assert "np.einsum(" not in text and "np.errstate(" not in text, path.name
+
+
+def _operands(subscripts, sizes, ellipsis, dtypes, layout, rng):
+    ops = []
+    for term, dtype in zip(subscripts.split("->")[0].split(","), dtypes):
+        shape = (*(ellipsis if term.startswith("...") else ()),
+                 *(sizes[c] for c in term.removeprefix("...")))
+        grow = 2 if layout == "strided" else 1
+        a = rng.standard_normal(tuple(grow * n for n in shape))
+        if dtype == complex:
+            a = a + 1j * rng.standard_normal(a.shape)
+        a = a[tuple(slice(None, None, grow) for _ in shape)]  # every other entry on every axis
+        ops.append(np.asfortranarray(a) if layout == "F" else a)
+    return ops
+
+
+@pytest.mark.parametrize("layout", ["C", "strided", "F"])
+@pytest.mark.parametrize("dtypes", ["float", "complex", "mixed"])
+@pytest.mark.parametrize("subscripts", SUBSCRIPTS)
+def test_einsum_entry_point_gives_numpys_bits(subscripts, dtypes, layout):
+    # every letter at 2..4 and, one at a time, at 1 (a stack or a matrix of
+    # one); "mixed" is a float first operand with complex others, as the
+    # dual basis and reconstruct_state call it
+    letters = sorted(set(subscripts) - set(",.->"))
+    n_ops = subscripts.count(",") + 1
+    kinds = {"float": [float] * n_ops, "complex": [complex] * n_ops,
+             "mixed": [float] + [complex] * (n_ops - 1)}[dtypes]
+    rng = np.random.default_rng(len(subscripts))
+    base = {c: 2 + i % 3 for i, c in enumerate(letters)}
+    for one in [None, *letters]:
+        sizes = {**base, **({one: 1} if one else {})}
+        for ellipsis in [(), (1,), (3, 2)]:
+            ops = _operands(subscripts, sizes, ellipsis, kinds, layout, rng)
+            assert _same_bits(_einsum(subscripts, *ops), np.einsum(subscripts, *ops)), \
+                (sizes, ellipsis, [op.strides for op in ops])
+
+
+def test_errstate_entry_point_ignores_every_error_and_restores_the_callers_state():
+    with np.errstate(all="raise"):
+        before = np.geterr()
+        assert _quietly(np.geterr) == dict.fromkeys(before, "ignore")
+        assert _quietly(np.divide, np.ones(2), 0.0).tolist() == [np.inf, np.inf]
+        inner = _quietly(lambda: (_quietly(np.sqrt, -1.0), np.geterr()))  # nested
+        assert np.isnan(inner[0]) and inner[1] == dict.fromkeys(before, "ignore")
+        with pytest.raises(ZeroDivisionError):
+            _quietly(lambda: 1 / 0)
+        assert np.geterr() == before
+        with pytest.raises(FloatingPointError):
+            np.divide(1.0, 0.0)
+
+
+def test_errstate_entry_point_does_not_read_the_callers_buffer_size():
+    old = np.setbufsize(8192 * 2)
+    try:
+        assert _quietly(np.getbufsize) == 8192
+    finally:
+        np.setbufsize(old)
+
+
+def test_errstate_entry_point_of_lapack_is_numpy_linalgs():
+    # numpy.linalg calls its gufuncs with invalid="call", the call raising
+    # its LinAlgError, and every other error ignored
+    seen = linalg._routine(lambda *a, **k: (np.geterr(), np.geterrcall()), "d->d", "D->d", "failed")
+    with np.errstate(all="raise"):
+        state, call = seen[0](np.eye(2), signature="d->d")
+    assert state == {"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "call"}
+    with pytest.raises(ConvergenceFailure, match="^failed$"):
+        call("invalid value", 8)
+
+
+HUGE = 1.7e308
+NAN_STATE = np.array([[0.5, np.nan], [np.nan, 0.5]])
+
+
+@pytest.mark.parametrize("call, outcome", [
+    (lambda: povm._check_state(NAN_STATE, 2, DEFAULT_TOL), (InvalidState, "state has a non-finite entry")),
+    (lambda: povm._check_state(np.diag([np.inf, 0.5]), 2, DEFAULT_TOL), (InvalidState, "non-finite")),
+    (lambda: povm._check_state(np.array([[0.5, HUGE], [-HUGE, 0.5]]), 2, DEFAULT_TOL),
+     (InvalidState, r"not Hermitian \(defect inf\)")),
+    (lambda: povm._check_state(np.diag([HUGE, HUGE]), 2, DEFAULT_TOL), (InvalidState, r"trace \(inf\+0j\)")),
+    (lambda: hermiticity_defect(NAN_STATE), np.inf),
+    (lambda: hermiticity_defect(np.array([[0.0, HUGE], [-HUGE, 0.0]])), np.inf),
+    (lambda: hermiticity_defect(np.array([NAN_STATE, np.eye(2)])).tolist(), [np.inf, 0.0]),
+    (lambda: povm._psd(np.tile(np.diag([HUGE, 1.0]), (32, 1, 1)), 1e-10).all(), True),  # an inf norm
+    (lambda: povm.purity_form(np.full(4, 1e200), sic_qubit().gram), (ValueError, "purity form overflows")),
+    (lambda: povm.purity_form([0.25, np.nan, 0.25, np.inf], sic_qubit().gram), (NonFinite, "element 1 ")),
+    (lambda: povm.reconstruct_state(np.full(4, HUGE), sic_qubit()), (ValueError, "operator overflows")),
+    (lambda: povm.reconstruct_state([0.25, np.nan, 0.25, np.nan], sic_qubit()), (NonFinite, "element 1 ")),
+    (lambda: povm.reconstruct_state([0.25, 0.25, np.inf, np.nan], sic_qubit()), (NonFinite, "element 2 ")),
+    (lambda: povm.reconstruct_state([-np.inf, np.inf, 0.25, 0.25], sic_qubit()), (NonFinite, "element 0 ")),
+    (lambda: povm.reconstruct_state(np.full(9, np.nan), sic_mic(3)), (NonFinite, "element 0 ")),
+    (lambda: _cond(np.zeros((2, 2))), np.inf),
+    (lambda: povm.validate_povm([np.diag([HUGE, 0.0])] * 2), (errors.SumNotIdentity, "deviates")),
+    (lambda: povm._valid_states(np.array([np.diag([HUGE, HUGE]), np.eye(2) / 2]), DEFAULT_TOL).tolist(),
+     [False, True]),
+    (lambda: povm.rescaled_vector_gram([[HUGE, HUGE]], [1.0]), (NotNormalized, "norm inf")),
+], ids=["check_state-nan", "check_state-inf", "check_state-defect-overflow", "check_state-trace-overflow",
+        "hermiticity_defect-nan", "hermiticity_defect-overflow", "hermiticity_defect-stack",
+        "psd-inf-norm", "purity_form-overflow", "purity_form-nan",
+        "reconstruct_state-overflow", "reconstruct_state-nan-1-3", "reconstruct_state-inf-2-nan-3",
+        "reconstruct_state-inf-0-1", "reconstruct_state-all-nan", "cond-zero", "effect-sum-overflow",
+        "valid_states-trace-overflow", "unit-norm-overflow"])
+def test_errstate_entry_point_boundaries_warn_nothing(call, outcome):
+    # with every warning an error, each boundary returns or raises as it
+    # did under np.errstate: a floating-point warning would raise instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(outcome, tuple):
+            with pytest.raises(outcome[0], match=outcome[1]):
+                call()
+        else:
+            assert call() == outcome

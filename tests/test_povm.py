@@ -119,6 +119,18 @@ def test_validate_povm_reports_the_lowest_faulty_index():
         validate_povm([e, ragged, "ab"])
 
 
+@pytest.mark.parametrize("first", [1.0, [0.5, 0.5], np.ones((2, 3)), np.zeros((0, 0))],
+                         ids=["scalar", "vector", "2x3", "0x0"])
+def test_an_effect_0_of_no_square_shape_says_so(first):
+    # no d can be read off effect 0, so its message names no (d, d)
+    shape = np.shape(first)
+    with pytest.raises(ShapeMismatch) as info:
+        validate_povm([first, 2.0])
+    assert str(info.value) == f"effect 0 has shape {shape}, expected a nonempty square matrix"
+    with pytest.raises(ShapeMismatch, match=r"^basis element 0 has shape .*, expected a nonempty square matrix$"):
+        mic_from_psd_basis([first, np.eye(2)])
+
+
 def test_array_and_list_input_give_identical_bytes():
     stack = random_mic_fixture(3, 5).matrices()
     from_array = mic_from_matrices(np.array(stack))
