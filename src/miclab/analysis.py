@@ -188,17 +188,16 @@ def phi_matrix(mic: Mic, post_states, tol: ToleranceConfig = DEFAULT_TOL) -> Phi
     MIC probabilities (see cascaded_probability).  Its columns always sum
     to 1, and for quantum inputs it always contains a negative entry.
     Raises SingularConditionalMatrix when cond(M) reaches 1e12, InvalidState
-    for the lowest bad post-state (one of no numbers, or no d x d matrix,
-    names its index), WrongCount for other than d^2 of them and
-    ShapeMismatch for no sequence.
+    naming the lowest bad post-state by its index, WrongCount for other than
+    d^2 of them and ShapeMismatch for no sequence.
     """
     d = mic.dim
     n = d * d
     states, ragged = _stack(post_states, "post-state", InvalidState, d)
     if ragged is not None or len(states) != n or not _valid_states(states, tol).all():
         # one state at a time, so the lowest bad index raises its own error
-        for s in states:
-            _check_state(s, d, tol)
+        for i, s in enumerate(states):
+            _check_state(s, d, tol, f"post-state {i}")
         if ragged is not None:
             raise ragged
         if len(states) != n:

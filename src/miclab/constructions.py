@@ -39,8 +39,8 @@ from .errors import (
     WrongCount,
     WrongDimension,
 )
-from .linalg import (_as_array, _as_square, _einsum, _lapack, eigh, hermiticity_defect,
-                     numerical_rank)
+from .linalg import (_as_array, _as_square, _einsum, _lapack, _quietly, eigh,
+                     hermiticity_defect, numerical_rank)
 from .povm import (Mic, _check_finite, _check_state, _check_unit, _frozen, _stack,
                    mic_from_matrices, validate_povm)
 
@@ -288,16 +288,13 @@ def _squash(a: np.ndarray, tol: ToleranceConfig):
     safe &= (w[..., -1] > 0) & (w[..., 0] > tol.rank_tol * w[..., -1])
     w = np.where(safe[..., None], w, 1.0)
     r = (v / np.sqrt(w)[..., None, :]) @ v.conj().mT
-    # The operands are copied with their contracted axes outermost in memory
-    # (A's b, c and R's column, row), so numpy's iterator makes b and c the
-    # outer loops and its inner loop runs over the whole batch.  Each entry
-    # still adds its d^2 terms in (b, c) order: the same bits, in one half to
-    # two thirds of the time at d = 5.  An out= array would set the iteration
-    # order by its own layout and change the bits; a result left in this
-    # layout slows every later gate, hence the C-ordered copy.
-    a = np.moveaxis(np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1))), (0, 1), (-2, -1))
-    r = np.moveaxis(np.ascontiguousarray(np.moveaxis(r, (-1, -2), (0, 1))), (0, 1), (-1, -2))
-    return w, safe, np.ascontiguousarray(_einsum("...ab,...kbc,...cd->...kad", r, a, r))
+    # R A_k R by two BLAS products: R [A_1 | ... | A_n], then its rows (a, k) times
+    # R, of the same shapes alone as in a stack, so a basis has the same bits in
+    # any batch.  A basis that is not PSD can overflow; later gates refuse it.
+    *lead, n, d, _ = a.shape
+    h = np.ascontiguousarray(np.swapaxes(a, -3, -2)).reshape(*lead, d, n * d)
+    p = _quietly(lambda: (r @ h).reshape(*lead, d * n, d) @ r)
+    return w, safe, np.ascontiguousarray(np.swapaxes(p.reshape(*lead, d, n, d), -3, -2))
 
 
 def mic_from_psd_basis(basis, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
@@ -309,12 +306,12 @@ def mic_from_psd_basis(basis, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
     rank-1 MICs.  The basis is read as validate_povm reads effects (an
     iterator once; ShapeMismatch for a basis that is no sequence, or for
     its lowest element that is no d x d array of numbers, d from element
-    0), then it raises WrongCount for another number than d^2, NonFinite(i)
-    for the first element with a NaN or infinite entry, LinearlyDependent if
-    the basis does not span, NotPsd for a bad element, SingularOperator if
-    Omega is singular.
+    0), then it raises WrongCount for another number than d^2 (expected 4
+    for none), NonFinite(i) for the first element with a NaN or infinite
+    entry, LinearlyDependent if the basis does not span, NotPsd for a bad
+    element, SingularOperator if Omega is singular.
     """
-    stack, ragged = _stack(basis, "basis element")
+    stack, ragged = _stack(basis, "basis element", least=4)
     if ragged is not None:
         raise ragged
     d = stack.shape[1]

@@ -230,10 +230,13 @@ def random_mic(kind: MicKind, d: int, rng: np.random.Generator,
 
     Degenerate draws (linearly dependent basis, or a fiducial with a
     vanishing displacement overlap) are discarded and redrawn from the
-    same stream, up to MAX_DRAW_ATTEMPTS times.
+    same stream, up to MAX_DRAW_ATTEMPTS times.  An rng that is no Generator
+    raises ValueError before any draw.
     """
     kind = MicKind(kind)
     _check_dimension(d, 2)
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be a numpy.random.Generator, got {rng!r}")
     for _ in range(MAX_DRAW_ATTEMPTS):
         draw = _draw(kind, d, rng)
         try:
@@ -524,7 +527,8 @@ def _squash_spectra(a: np.ndarray):
     Rounding, with u = 2^-53 and n = d^2.  The bound holds for the computed
     R's Hermitian part R~, whose singular values are w^-1/2 within a factor
     1 +- 35 d^2 u sqrt(kappa), kappa = w_max / w_min: eigh's V is unitary
-    within 16 d^2 u.  The effects are within 6 d^3 u kappa of R~ A_i R~ in
+    within 16 d^2 u.  The effects (R A_i) R, two complex products of length
+    d (Higham, Lemma 3.5), are within 6 d^3 u kappa of R~ A_i R~ in
     relative Frobenius norm, so their Gram is within n (12 d^3 u kappa +
     3 d^2 u) lambda_max of G_E, and eigvalsh adds 16 n^2 u ||G_E||_F (the
     constants of linalg._rounding).  Skew parts of the A_i, which the
@@ -536,12 +540,12 @@ def _squash_spectra(a: np.ndarray):
     shrinks the least-to-largest ratio svdvals finds by a factor of at least
     1 - 0.1 n^2.5 u / rank_tol.  Where n^2.5 u <= rank_tol the factor
     exceeds 0.9 and the ratio stays above 900 rank_tol.  The constants of
-    the effects and of V and R~ were measured below a seventh of their
-    stated values at d = 2 to 8 and cond(Omega) up to 10^3; those of the
-    Gram, eigvalsh and svdvals are linalg._rounding's.  So rows are
-    certified only where d <= _SPECTRAL_CERTIFICATE_MAX_D = 8 (there n^2.5 u
-    < 4e-12) and n^2.5 u <= rank_tol; elsewhere every kept row builds its
-    basis Gram.
+    V and R~ were measured below a seventh of their stated values, and the
+    effects' below a 25th (0.23 d^3 u kappa at d = 2, less at larger d),
+    at d = 2 to 8 and cond(Omega) up to 10^3; those of the Gram, eigvalsh
+    and svdvals are linalg._rounding's.  So rows are certified only where
+    d <= _SPECTRAL_CERTIFICATE_MAX_D = 8 (there n^2.5 u < 4e-12) and
+    n^2.5 u <= rank_tol; elsewhere every kept row builds its basis Gram.
     """
     tol, n = DEFAULT_TOL, a.shape[1]
     w, kept, e = _squash(a, tol)

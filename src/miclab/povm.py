@@ -168,13 +168,13 @@ def _gram_condition(g: np.ndarray) -> float:
     return cond
 
 
-def _stack(effects, what: str = "effect", error=ShapeMismatch, d: int | None = None):
+def _stack(effects, what: str = "effect", error=ShapeMismatch, d: int | None = None, least=1):
     """The effects as a fresh complex (N, d, d) array: an ndarray of numbers
     of that shape copied whole, anything else read item by item (an iterator
     once) up to the first that is no d x d array of numbers, whose error, of
     type error, comes back too, raised at once for item 0.  Unless the
     caller gives d, it is item 0's size, and an item 0 that is no nonempty
-    square matrix, or no item at all (WrongCount(0, 1)), raises."""
+    square matrix, or no item at all (WrongCount(0, least)), raises."""
     if (isinstance(effects, np.ndarray) and effects.dtype.kind in "biufc" and effects.ndim == 3
             and effects.size and effects.shape[1] == effects.shape[2] and d in (None, effects.shape[1])):
         return np.array(effects, dtype=complex, order="C"), None
@@ -196,7 +196,7 @@ def _stack(effects, what: str = "effect", error=ShapeMismatch, d: int | None = N
     if fault is not None and not rows:
         raise fault
     if d is None:
-        raise WrongCount(0, 1)
+        raise WrongCount(0, least)
     return np.array(rows, dtype=complex).reshape(len(rows), d, d), fault
 
 
@@ -365,22 +365,22 @@ def dual_basis(mic: Mic, tol: ToleranceConfig = DEFAULT_TOL) -> DualBasis:
     return mic.duals
 
 
-def _check_state(rho, d: int, tol: ToleranceConfig) -> np.ndarray:
-    rho = _as_array(rho, "state", InvalidState)
+def _check_state(rho, d: int, tol: ToleranceConfig, what: str = "state") -> np.ndarray:
+    rho = _as_array(rho, what, InvalidState)
     if rho.shape != (d, d):
-        raise InvalidState(f"state has shape {rho.shape}, expected {(d, d)}")
+        raise InvalidState(f"{what} has shape {rho.shape}, expected {(d, d)}")
     # a non-finite entry makes the defect NaN or inf, and an overflow makes it inf
     defect, tr = _quietly(lambda: (np.abs(rho - rho.conj().T).max(), complex(rho.trace())))
     if not defect <= tol.hermitian_tol:
         if not np.isfinite(rho).all():
-            raise InvalidState("state has a non-finite entry")
-        raise InvalidState(f"state is not Hermitian (defect {defect:.3e})")
+            raise InvalidState(f"{what} has a non-finite entry")
+        raise InvalidState(f"{what} is not Hermitian (defect {defect:.3e})")
     if not abs(tr - 1.0) <= 1e-10:
-        raise InvalidState(f"state has trace {tr!r}, expected 1")
+        raise InvalidState(f"{what} has trace {tr!r}, expected 1")
     half = rho / 2  # a sum of two halves cannot overflow
     w = _lapack("eigvalsh", half + half.conj().T)
     if w[0] < -tol.zero_tol:
-        raise InvalidState(f"state has negative eigenvalue {w[0]:.3e}")
+        raise InvalidState(f"{what} has negative eigenvalue {w[0]:.3e}")
     return rho
 
 

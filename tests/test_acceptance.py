@@ -40,14 +40,14 @@ STDOUT_SHA256 = {
     4: "e932123b43f87256b377ddbae9fa55af4052c954d4d59f4fe24f799ecbcc3a5d",
     5: "45727d6ba549b66fa6f949086339ae8c30b67b276f0dcca733da9ad75256baf0",
     6: "13708125c23a28401d05c2e95111974a43df31f5971a01464b01409867552b0e",
-    7: "9b6ec270fd51950ce7d5a5759aed28845b8730f18835c42ff18041fa77b3013d",
+    7: "277312106147a8f162244eb378e9233703d02a3e1c9a13ec0cf3f38fb3d256be",
     8: "ff3bfcca1887e85e1dcba51ec2899a65cbbe8107245360f7585eb3e22173f56c",
     9: "43a5b7225340243eef5612ac66aea0bcb26b15cc0610ad20424519744e11273e",
-    10: "e5ea3ffd7bdfe7e055044e86aadaecbfc68de8be4dae3939c463a207728c4708",
+    10: "dc2c92129569e4167ba271f5f29ae9ee98cfd6e7def036908ebfe9cab80f4918",
     11: "567089581ddb5247001f0f3b5be0532bcabbd85632b444f832aeb1b9ed4afe27",
     12: "d1266b4afdd7f493982623889f0ff699087f7fd428c7d0ef8c24e6fa6abd49ca",
     13: "360c486c0895856cc0a2ff8d8394384502ac11eed1f30ff4697437606f6babc8",
-    14: "859925c8e681e98085f752cec06d34dbc63fb7975e81f27c79c50299767b2090",
+    14: "deb0655eee36bea261718111a4e694c8ad28f80135fed00d61f6304f7bd4a12d",
 }
 
 

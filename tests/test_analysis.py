@@ -421,10 +421,11 @@ BAD_POST_STATES = {
 
 
 def _post_state_error(state, k):
-    # the message of _check_state's error on post-state k; a shape fault names k
+    # the message of _check_state's error on post-state k, which names k
     with pytest.raises(InvalidState) as want:
         _check_state(state, 2, DEFAULT_TOL)
-    return str(want.value).replace("state has shape", f"post-state {k} has shape", 1)
+    assert str(want.value).startswith("state ")
+    return f"post-state {k}{str(want.value).removeprefix('state')}"
 
 
 @pytest.mark.parametrize("k", [0, 2, 3])
@@ -440,6 +441,14 @@ def test_phi_matrix_refuses_the_first_bad_post_state(bad, k):
     with pytest.raises(InvalidState) as got:
         phi_matrix(mic, posts)
     assert str(got.value) == _post_state_error(posts[k], k)
+
+
+def test_phi_matrix_value_faults_name_the_post_state():
+    half = np.eye(2) / 2
+    with pytest.raises(InvalidState, match=r"^post-state 1 is not Hermitian \(defect 1\.000e-01\)$"):
+        phi_matrix(sic_qubit(), [half, [[0.5, 0.1], [0, 0.5]], half, half])
+    with pytest.raises(InvalidState, match=r"^post-state 2 has trace \(2\+0j\), expected 1$"):
+        phi_matrix(sic_qubit(), [half, half, 2 * half, half])
 
 
 PLANTED_POST_STATES = {**BAD_POST_STATES, "string": "ab", "objects": [object()]}

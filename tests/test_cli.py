@@ -504,18 +504,18 @@ DOCUMENT_AND_REPORT_DIGESTS = {
         "891f561f1c737f56ea3f78714b46beb909adab90cb56517f44715a8f573778d9"),
     ("wh", 2): ("5440eccb298a7f6eea4c8e8d7fbbcb42d91e839b14bee782f8d7dec91341040e",
         "4ec721954e7e7e670af89fca07c31fcf80277de7199ccc68b979b98583821402"),
-    ("orthocross", 2): ("4047bcac15df8dc3e86e21c0568d7faa4b09e5fb5b37b6e4fe1e8d17545b9a8c",
-        "e661a91e91c57bdb4435512bf994b760d6565fa0b0a0ff544304a04a27ece696"),
+    ("orthocross", 2): ("ccd870d205d23d6c2631f18fee23e5d5fa7a5eed01283109bc99adbe6dc699df",
+        "d3870e56cf5f3122e93fe73502759d36d9008378c617ec84fd3a159846651b5e"),
     ("equiangular", 2): ("724b00a953692e375e3363407a62c89f5bac0c974a3d9991ded4595f27716d33",
         "7bd62ef1c9af0dbae969b5e8ef8a74a863c82e483690da2ce5e5ba1180a92841"),
     ("tensorhedron", 2): ("0a180209c7314a006f5247d1bd63418b5047f1cfacd3f0b7c55243a61973b534",
         "c64da88d760782c8bd507971d0caeb876aa1507cb6b17d9b81b59cc996eab6f2"),
     ("near-orthogonal", 2): ("c09714059762d0f11fbff251b5ec39e3a183ed8c5b760921231fdff625b28eb3",
         "c4fae9032e973386ac0e28559ab88de9bb229f9973e3fe0cb5addd7227e9793f"),
-    ("random:generic", 2): ("bf3983045f4c0d2d77d5da77dce563bd108726ee04dc42668b9ef4654cd7baab",
-        "fc023ce8b30b79128d4f8ec41fdee60d1918f2719999422eb576c0e42940983c"),
-    ("random:generic-rank1", 2): ("6350b03408b343625c1357c8b99db5cad5ed5fe2f7922d9fa92d3264b0af9f07",
-        "511b08c66bd209c824e53ee3403805e50ed99acb8eb79e2384e009972b820362"),
+    ("random:generic", 2): ("c0317cdf471cba4747341d74515c1928045062fc7708daeaa6817533df9d3b4b",
+        "a5d7ac8367cdcfbbb7b7879f214fb82ff1673390d01430d54b8400ead934b69c"),
+    ("random:generic-rank1", 2): ("c37ec303a7e274669a6580d54a82d4fd8f1795a7101a3df3711decae7dba06d3",
+        "a5baada03768c2b97f274631f7900e8aaa2b2ecf9bc7bee5c23e20b85c933a2d"),
     ("random:wh", 2): ("5440eccb298a7f6eea4c8e8d7fbbcb42d91e839b14bee782f8d7dec91341040e",
         "4ec721954e7e7e670af89fca07c31fcf80277de7199ccc68b979b98583821402"),
     ("random:wh-rank1", 2): ("1ec726397fca979868963746ef68c7dffee04dcd07969979ff12079b0ccfbd14",
@@ -524,8 +524,8 @@ DOCUMENT_AND_REPORT_DIGESTS = {
         "8528927f07e67d535cd1ae3e1e6f8a465ee5db61c9fea5987ec530775cb9f30c"),
     ("wh", 3): ("39ed7c0a157831d4f326d3c3217678d73a8de2492af55abe1d54689450161833",
         "e6c445b582ad817e45f4248302aa9ff0c5156675a4ca4661df5e1a345d5fd3fa"),
-    ("orthocross", 3): ("6589cbda0d9f783c479a3598932d9d606f915507a2b173789e0c79d77e556e0f",
-        "0d67395f58b7689972c74dfe32a293be810cd51630cd0e2a9594875cccd70407"),
+    ("orthocross", 3): ("aec1785559d70af0c5d39b713376857fdd871093af4c66197f0ea1c1ddc53589",
+        "52a76c784975ff17cda94973a6b6b28763b476f643b64c54c64b075904dfe6e3"),
     ("equiangular", 3): ("18ad39a337362c7eca995d43792140f7475da674ce0e6791fef9417a7636eaca",
         "0fd7b6db0a21f510bea1feb365a33a47691d93a2cb06f0d20b8d4326fd659f81"),
     ("appleby", 3): ("856f047cfcd2d2f0b0f3f738cdff921d38591b52158ac45d3682562f42b0f512",
@@ -534,10 +534,10 @@ DOCUMENT_AND_REPORT_DIGESTS = {
         "c030283c82bdfb5384635ed4191500f841c5ca7726fcd786bcc3589648ff591b"),
     ("near-orthogonal", 3): ("3dcd883d904f0147e362ae4014cf187a41f2d1b756b59a5d25b440358f10b44c",
         "8fca60066666baa98211fea28a4103e7dfa6a387cea8b74aebe73dd842d90dd4"),
-    ("random:generic", 3): ("cb2e3ece047202d50fcd9103e01090cf78b9fb9b469f33ba0a33c3d9ddaa9e75",
-        "580f6dec740ffaad68aa939dceddabb5107bbf690b9e4720344a3eccddd2d112"),
-    ("random:generic-rank1", 3): ("d62b3b3c7991df316ebce226df07173183a8523bd68bace7dc50f0798289b537",
-        "c077ca11c9170f25a261083b7fc3c25560cd173c9cca714d61c1775fb07d226d"),
+    ("random:generic", 3): ("cf3a40d6e23bbb20e388cf0585e3751c2e3a23c5313acbd670d9660b52c3dbda",
+        "b1a0f4d395b32c56f5f74321909c494ce92b0224cce26dfa9b298d18e51db0d2"),
+    ("random:generic-rank1", 3): ("81b6b056ceba06963c504e8f017cfcc7c164ffd89d6e91b0879650ae93ece5b9",
+        "3d27bf03268604bd34eafb0bb1acecc67338b660a20d7ebf008160f3bf9cf433"),
     ("random:wh", 3): ("39ed7c0a157831d4f326d3c3217678d73a8de2492af55abe1d54689450161833",
         "e6c445b582ad817e45f4248302aa9ff0c5156675a4ca4661df5e1a345d5fd3fa"),
     ("random:wh-rank1", 3): ("48b2e1456647da91998672db901985665830f050f7869ee28cb39af612c64260",
@@ -546,18 +546,18 @@ DOCUMENT_AND_REPORT_DIGESTS = {
         "83e293515cefcc9d4f885a4730ea484a584dd667d4964a881790ac428d98bb55"),
     ("wh", 4): ("07d46a1b346c4e1bdeb0c6bb127bd362b4d233385c11587a299272dcfe0773d1",
         "608b1ff012e2463d6c8deba9e4712c8da11599df9c08ded7b8cfb06d0ced7ab5"),
-    ("orthocross", 4): ("a2ae96f9dacc2a267b94df4f59b1e3a9717115a0251bf9e0f49b31eb84e3bff1",
-        "50562708b2830405aaeb57f17fe2dff24a4bf5db11b8c65bb2c64891b989b170"),
+    ("orthocross", 4): ("d204c7f77b4fc2bf7d9bb5970194fb642286c448e0c34f0c9e24c3f3a7b57684",
+        "21e1f0589eae4321251c46bb742076c66a743cee27cfd143d55ea2be2fccac72"),
     ("equiangular", 4): ("a318c7806f02a7759adcf8efe5d244dd9e6296d088763270758488ade078c574",
         "3002e5e58a3e6f8d8d0b5ca9e47a9e160a1bec3d262b8482a1b2a6dfda15fe87"),
     ("tensorhedron", 4): ("6efdcfde285367831707d4abd5d4bfd96ee2dff5bb9fae4a1852821678690263",
         "9184a122ce103b66f7531e2605b4756b1b1c15e967f54acb85090450e84f2e95"),
     ("near-orthogonal", 4): ("7943ce106bf09b5c820880e86749247aa706b6930f0f6c2619d08302f602e6a7",
         "75aa8379a7cef9d591e98e5ab385dc0cc0d8db0e30d126422afc82300fc45d8c"),
-    ("random:generic", 4): ("a5ac685de1533ad82edba1e18e2b650d13da1fbff4605883878c0c2860a30100",
-        "9e90f4def8793df468070ebb8a8b8cb6cbb2dbd84e500fb4285eaa530ca791dc"),
-    ("random:generic-rank1", 4): ("1e869bf5ec982da4db0f3ca608ef4c5cb1afe84c66503453a44ac9e989787195",
-        "ac93d1eff7ff0465118a066c2b314210199b38ca336fbbf231b49021171f1a3c"),
+    ("random:generic", 4): ("e3393a94e5461895ee2d9cdd49e411075947ea1b71f376bb83918792398fd539",
+        "6de04153777233bd97273b72111d2852520af3c961464ac7c1bf9fae79cfea88"),
+    ("random:generic-rank1", 4): ("6b67435b9ede748a539df93d1a929a36482b9aa193b787cb8324531aece055b9",
+        "9b9f61df3c0710c917014d9218e1a903b1179276619938987c61232b43389ac9"),
     ("random:wh", 4): ("07d46a1b346c4e1bdeb0c6bb127bd362b4d233385c11587a299272dcfe0773d1",
         "608b1ff012e2463d6c8deba9e4712c8da11599df9c08ded7b8cfb06d0ced7ab5"),
     ("random:wh-rank1", 4): ("b14b2342ed6090abc2e70a2a3483e60661682c9b53ee88a351828d7083ea422c",
@@ -566,18 +566,18 @@ DOCUMENT_AND_REPORT_DIGESTS = {
         "b254fd7fd75e2796ccf670f422be848f8b11894ec40847f0eb6ebdb3f0a51b36"),
     ("wh", 5): ("bdc80861791b8d117c34067b961a08ed35b6caa560a1e0d9c43316ebea6d536b",
         "84726d0c3ac3cb51b8f79d5e15678fbe7f118a3033d144028f299f930dfd5b47"),
-    ("orthocross", 5): ("d2768d4bb81c457b594ff6c67319233652ceb2a68791538aedefff7ddc8eaa22",
-        "029fd08a79b5e40748bd314710e0e9f0bd258c3d9c51d79f20531a215c146982"),
+    ("orthocross", 5): ("9276be17a6d7e5a28eda7cdc69bdb3e5c650719a5bb1d15def6fcfd04fd5741f",
+        "e5ec6987cf07f0272ed57a8b7d2c1a48a24e7344877ff1fe5eed42d51c941a6f"),
     ("equiangular", 5): ("a39cf2d2d5d8eb62c9031d652033cdc809ccf1018ba77a8d93c1939da6115cba",
         "7983df5b064378061c4fee5391473b0c561e8a0dae106d8213d31e4ee10c1242"),
     ("appleby", 5): ("e1173da6455eb4e944b8ec434a143ce7a069aff36536e3615601929ab22e6faa",
         "9ae9558649dad33ca60d1e299eac909de165747d17d7b4c6178d65cb4ba82f1a"),
     ("near-orthogonal", 5): ("2e9d292d3d72de7ae5751c8c60e35aaf056e516946f6dcd15bca55db4c3f61e8",
         "d62b1e4d0bc8084892a113fabccf79a4fa151d66194758c7a8b1c8e8666caec6"),
-    ("random:generic", 5): ("663cf232950cdd5407be1b20a6f1a7737ec58c611b63cac62de5943e3bbe1adf",
-        "8cdc901bbdf785bdb27b7b0edbe52b0541d1e36f736fbbd2018a57881f584558"),
-    ("random:generic-rank1", 5): ("8122d9396ff3053a79dfc6bc42dd65a631237fa844c13c42e685a6047413fcd0",
-        "b16b8f138d974f9a71b47b86435494d1f2ba2d6c65ebab765de55379ab4f7e8f"),
+    ("random:generic", 5): ("6dde66cf4767403444d4975e9c28d9be10be04a30e03020dd181f0120a0939f1",
+        "2f96d9a920263f2dece5e342e4fdeacfd20e9ed8bf3c83b8c66d98fd397cee3b"),
+    ("random:generic-rank1", 5): ("cc7cd1c3f633eaecc32047328b3c4b00c37dd77486fa51d44d2d0bd0c0cb9bcd",
+        "8394cf7dc0a7a12f3823514586ed805f41b2b7757789cf2400a8a81112da75c2"),
     ("random:wh", 5): ("bdc80861791b8d117c34067b961a08ed35b6caa560a1e0d9c43316ebea6d536b",
         "84726d0c3ac3cb51b8f79d5e15678fbe7f118a3033d144028f299f930dfd5b47"),
     ("random:wh-rank1", 5): ("7546a3d34d1cf6394beb184640f5b92b3c3e15ca789e89e6c312133bd4b6db08",
@@ -588,7 +588,7 @@ DOCUMENT_AND_REPORT_DIGESTS = {
 GEN_EXTRA_ARGS = {"wh": ["--seed", "7"], "equiangular": ["--beta", "0.5"],
                   "near-orthogonal": ["--t", "0.9"]}
 VERIFY_CONJECTURES_DIGEST = (
-    "26c4ceb27d200c4aee247d35bf865ff09696aa7ef5c13537a58857607b59347c")
+    "bef07ad0006f92e9cadbf9921753fc5eec3e399e4ada89d999f055597b0c08ef")
 
 
 def test_analyze_reports_are_byte_stable(tmp_path):
@@ -604,10 +604,10 @@ def test_analyze_reports_are_byte_stable(tmp_path):
 # sha256 of the gen document of the generic kinds at seed 0 past the d <= 5 pins
 # above: the squash's unbatched path at a d the spectra batch never meets
 WIDE_GENERIC_DOCUMENT_DIGESTS = {
-    ("random:generic", 6): "ed80fa55d861724edccc1bb7783d9e1980aaf149832690f6386e30d6058bbd27",
-    ("random:generic", 8): "028bf2556152cf6f7d6498c78d639bcfa9ed4912fe8ca21ea8bceafb877971af",
-    ("random:generic-rank1", 6): "ddaab426c4f6f6edf39b099a46a1dbb483910c13134862667bc72d24a748731a",
-    ("random:generic-rank1", 8): "a109879efcd73e0342df051740661c33eb58a2a16613b37cc03b94a18946abcd",
+    ("random:generic", 6): "d48877c1b2b16475580b00a191f59cf2c48535815e32578860e415558989e1ca",
+    ("random:generic", 8): "e95787c710aa8fc59e7c4e7aa5ae57bc516b9ce4d84aa7fb1510e26d93f4f5d8",
+    ("random:generic-rank1", 6): "95a95a451d7b60507571bb61e43e1b66f750d59c581e53f8c48088c7808c559d",
+    ("random:generic-rank1", 8): "e3f02edc420c9c80aab4965ec972d0cf690a81f0a5236d73d74cd8078ed819f0",
 }
 
 

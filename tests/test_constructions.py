@@ -7,7 +7,7 @@ import pytest
 
 from miclab import constructions
 from miclab.analysis import group_covariance_check, orthogonal_pairs
-from miclab.config import DEFAULT_TOL
+from miclab.config import DEFAULT_TOL, ToleranceConfig
 from miclab.constructions import (
     SicFiducial,
     _basis_gram,
@@ -46,7 +46,7 @@ from miclab.errors import (
     WrongDimension,
 )
 from miclab.linalg import numerical_rank
-from miclab.povm import born_probabilities, is_unbiased, mic_from_matrices
+from miclab.povm import born_probabilities, is_unbiased, mic_from_matrices, validate_povm
 
 
 # ------------------------------------------------------------------- SICs
@@ -384,10 +384,29 @@ def test_spanning_basis_with_a_singular_omega_is_refused():
     assert not safe and w.tolist() == [1.0, 1.0]
 
 
-@pytest.mark.parametrize("basis", [[], np.zeros((0, 2, 2))])
+@pytest.mark.parametrize("basis", [[], np.zeros((0, 2, 2)), iter([])])
 def test_mic_from_psd_basis_rejects_an_empty_basis(basis):
-    with pytest.raises(WrongCount):
+    # past the trivial d = 1, the least basis has d^2 = 4 elements
+    with pytest.raises(WrongCount, match="^expected 4 elements, got 0$") as info:
         mic_from_psd_basis(basis)
+    assert (info.value.got, info.value.expected) == (0, 4)
+
+
+def test_validate_povm_of_no_effects_expects_at_least_one():
+    with pytest.raises(WrongCount, match="^expected 1 elements, got 0$") as info:
+        validate_povm([])
+    assert (info.value.got, info.value.expected) == (0, 1)
+
+
+def test_squash_that_overflows_raises_non_finite_without_a_warning():
+    # a basis that is not PSD, with Omega = 1e-160 diag(2, 1.5) safely positive
+    # under a rank_tol of 1e-300: R A_1 R has entries near 1e310
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    y = np.array([[0, -1j], [1j, 0]])
+    s, e = 1e150, 1e-160
+    basis = [s * x, -s * x + e * np.eye(2), s * y, -s * y + e * np.diag([1, 0.5])]
+    with pytest.raises(NonFinite):
+        mic_from_psd_basis(basis, ToleranceConfig(rank_tol=1e-300))
 
 
 @pytest.mark.parametrize("basis", [

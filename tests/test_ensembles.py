@@ -121,22 +121,22 @@ def test_block_samplers_match_per_call_draws_bytewise(block, reference, d):
 # computed with the per-call samplers the block samplers replaced.  Unlike
 # the spectra tables, these catch a change in the last bit of any effect.
 RANDOM_MIC_DIGESTS = {
-    ("generic", 2, 7): "bb8a03cca215390b03e8a573263bdf44b693c3c8deba127e2edb32bf7c02f099",
-    ("generic", 2, 96): "18b96728bcf0442aa57a22eb582a0cd1c676004c8878d82a42624e99950fa7f3",
-    ("generic", 3, 7): "d52ee99e7af21d321c2b174fe8a7d446b747ab542d92c7e0781c4ce0d7540140",
-    ("generic", 3, 96): "c2c16996e3cc8a009b612cb0701459293b236e18f4e8bbdea2982b669aa12005",
-    ("generic", 4, 7): "cb1653f8578b1267458088ffc1f3e03aa31a34d282060cf48a09b25aaa8939cb",
-    ("generic", 4, 96): "4ca22c66f7c2be509128b0a0a6a1d492b9e02636270eba00b79d33e426c73850",
-    ("generic", 5, 7): "7268da1453736e5c5559469d4906d848092970f8067c406902ffddaaa486cffa",
-    ("generic", 5, 96): "d9cca9b1bdce6db2101c570e93bcd7c6c49a075b174043e7ec5c18e7b795c3b4",
-    ("generic-rank1", 2, 7): "a9c760b5bebd0bdfa19b2d3238db16763f707c02ce32e9f8821ddc106c70af27",
-    ("generic-rank1", 2, 96): "a5e1efdc9f5e6489d2c9890af1289cccaf11e65d34a36d2e9265cfbc4efdcd19",
-    ("generic-rank1", 3, 7): "6bb0072865d3e97f054d1adf6cb99ffde5ba0ea8433711cc0b24e04630c7643a",
-    ("generic-rank1", 3, 96): "6c3c5ce7739c6a175d2d9692c5d5726a6a9992f60f5d025b41a9d72bbb1f08fc",
-    ("generic-rank1", 4, 7): "154ab4b45624cd2237bfa6e7a334be0e5e4f563cafed795eca61ab3fd4ddb3e8",
-    ("generic-rank1", 4, 96): "cd81acf97f5eed2e12ab566730b5da4572f450ed7170f5b7782c466e002c4927",
-    ("generic-rank1", 5, 7): "0fe28c4f5190142c1fd1e16ff2ac9006e8b11869c78399ac6267dab8de15ba9c",
-    ("generic-rank1", 5, 96): "fd33467f5ea3c64dce95059514fe77cd50d8fd1b9fd268cebe3e9db723ffd06d",
+    ("generic", 2, 7): "ee71d9e09084d13a8f00a14a774e8ad093587ba85fe9e4366f57521d72058f64",
+    ("generic", 2, 96): "8cac56a7f7e65f2fa3ce035809ca88ed046e462035acaea10ad285855a7e09f5",
+    ("generic", 3, 7): "05b047fa207f2b2a3eebfaa436903fb9c0fd699e7fa3d5679bf3df58949dc26f",
+    ("generic", 3, 96): "0169141a36604e3d89ac1e57872ad0f3ab0d2581e060931d0bfb353e17bdfff8",
+    ("generic", 4, 7): "9e64e40451113b6309d5ada4dfaf425616f76673005924e196058a28ffb1e209",
+    ("generic", 4, 96): "7f5fe40a41fc6b42b5c14e0dd6f85a4fc4fd97a0c168b2dc66e4e01b6284a5e3",
+    ("generic", 5, 7): "1738625c2340bd65a833d1fc85816dbf71de7ba17b5a3aedac7b9c5e60e2d7c5",
+    ("generic", 5, 96): "08d916f0501c77c3659cdb09c3eeab2d9d75a2b857883ac6a018cbd1dc669a9b",
+    ("generic-rank1", 2, 7): "0a1416c5e37c3c7d8815db0fdead2c3727ce7643438bb2d1c1c2d8fa85bfff76",
+    ("generic-rank1", 2, 96): "8d86209d7536801f775b38ab097bd2af8393a62d1b5d3f6851a6f3b671aa667d",
+    ("generic-rank1", 3, 7): "186fd22336d0f7b0ffe590819955b72bfb71c59381118c49e8eef388f8cc272d",
+    ("generic-rank1", 3, 96): "61f0930dd0b57cc8a6cfa2fffc492f65873522eb779ac59643c435e81ef4fad8",
+    ("generic-rank1", 4, 7): "70588fdb411b9c510a0602cf47ff75128cff8739da8be479622651935ce22d29",
+    ("generic-rank1", 4, 96): "f464bb37fb7c1cfd699ec1977ecf2cbfc93522d73af0ab682bea2be6e5762bad",
+    ("generic-rank1", 5, 7): "49ec4a86415039d581ba5d417fa6d6f13517b043d070e7eb4fb638f0d1bc888b",
+    ("generic-rank1", 5, 96): "5225064b9d4178f58d4a5da924a6505c0f541db6503788d232a65b247829cb8d",
     ("wh", 2, 7): "bee377eb84185c7502a029a8fc34d3887343411c8dc8ea08a5380274298bb07a",
     ("wh", 2, 96): "08a5186b8c5427b1c68b7287c0294c4797e8ef34dd5e6ca52ab9fe05034b924b",
     ("wh", 3, 7): "fd4627baa86166e4990fed6e5eae18b8ceb47d972f127b093dddda7ef189d8c1",
@@ -175,6 +175,18 @@ def test_random_mic_checks_the_dimension_before_it_draws(kind, monkeypatch):
         random_mic(kind, 0, np.random.default_rng(0))
     with pytest.raises(ValueError, match="d must be at least 2, got 1"):
         random_mic(kind, 1, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("rng", [5, None, "seed", np.random.PCG64(0), np.random.RandomState(0)],
+                         ids=["int", "None", "str", "bit-generator", "RandomState"])
+def test_random_mic_refuses_an_rng_that_is_no_generator_before_it_draws(rng, monkeypatch):
+    def draw(*args):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(ensembles, "_draw", draw)
+    for kind in MicKind:
+        with pytest.raises(ValueError, match=r"^rng must be a numpy\.random\.Generator, got "):
+            random_mic(kind, 2, rng)
 
 
 @pytest.mark.parametrize("kind", list(MicKind))
@@ -476,29 +488,55 @@ def test_generic_spectra_match_the_dense_path_bitwise(kind, d, n, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", GENERIC)
-def test_squash_effects_are_the_plain_einsum_bitwise(kind):
-    # _squash copies its einsum operands into another memory layout before
-    # the product.  That the bits stay those of the plain einsum is a
-    # property of numpy's iterator, not of the algebra, so it is checked
-    # byte for byte: at d = 2..8 on the batch sizes 1, 2, step - 1 and step
-    # of _block_spectra, at every batch size at d = 5, and on
-    # mic_from_psd_basis's unbatched (d^2, d, d) path at d = 2..12
+def test_squash_effects_are_the_same_bits_in_any_batch(kind):
+    # _squash's two matrix products have the same shapes for a basis alone
+    # as in a stack, so each basis of a batch gets the bits of
+    # mic_from_psd_basis's unbatched (d^2, d, d) path: at d = 2..8 on the
+    # batch sizes 1, 2, step - 1 and step of _block_spectra, at every batch
+    # size at d = 5, and on batches of two at d = 9..12
     rng = np.random.default_rng(24)
-    cases = [(d, None) for d in range(2, 13)]
+    cases = [(d, 2) for d in range(9, 13)]
     for d in range(2, 9):
         step = max(1, ensembles.BATCH_ENTRIES // d ** 4)
         sizes = range(1, step + 1) if d == 5 else {1, 2, step - 1, step} - {0}
         cases += [(d, s) for s in sorted(sizes)]
     for d, s in cases:
-        z = rng.standard_normal((s or 1, *ensembles._normals_shape(kind, d)))
-        a = ensembles._draws(kind, d, z)
-        a = a if s else a[0]
+        a = ensembles._draws(kind, d, rng.standard_normal((s, *ensembles._normals_shape(kind, d))))
         w, safe, e = constructions._squash(a, DEFAULT_TOL)
-        v = np.linalg.eigh(a.sum(axis=-3))[1]
-        r = (v / np.sqrt(w)[..., None, :]) @ v.conj().mT
-        plain = np.einsum("...ab,...kbc,...cd->...kad", r, a, r)
+        alone = [constructions._squash(b, DEFAULT_TOL) for b in a]
         assert np.all(safe) and e.flags.c_contiguous, (d, s)
-        assert e.tobytes() == plain.tobytes(), (d, s)
+        assert all(one[2].flags.c_contiguous for one in alone), (d, s)
+        assert e.tobytes() == np.array([one[2] for one in alone]).tobytes(), (d, s)
+        assert w.tobytes() == np.array([one[0] for one in alone]).tobytes(), (d, s)
+
+
+@pytest.mark.parametrize("kind", GENERIC)
+def test_squash_effects_are_r_a_r_within_rounding(kind):
+    # Oracle: R = V diag(w^-1/2) V^dagger from numpy's public eigh of Omega,
+    # as _squash forms it, and R @ A_i @ R for each i alone.  Both sides are
+    # (R A_i) R, two complex products of length d, each entry within
+    # c = sqrt(2) gamma_{d+2} of its exact value relative to |x| |y|
+    # (Higham, Accuracy and Stability, Lemma 3.5 and Problem 3.7).  So each
+    # side is within (2c + c^2) |R| |A_i| |R| of R A_i R entrywise, and the
+    # two within twice that, below 5c |R| |A_i| |R| while c <= 1/2.  A wrong
+    # index in the products' layout misses by O(1).
+    rng = np.random.default_rng(31)
+    u = np.finfo(float).eps / 2
+    worst = 0.0
+    for d in range(2, 9):
+        a = ensembles._draws(kind, d, rng.standard_normal((3, *ensembles._normals_shape(kind, d))))
+        c = np.sqrt(2) * (d + 2) * u / (1 - (d + 2) * u)
+        for stack in (a, a[0]):  # the batched and the unbatched path
+            e = constructions._squash(stack, DEFAULT_TOL)[2]
+            for b, got in zip(np.reshape(stack, (-1, d * d, d, d)), np.reshape(e, (-1, d * d, d, d))):
+                w, v = np.linalg.eigh(b.sum(axis=0))
+                r = (v / np.sqrt(w)) @ v.conj().T
+                for ai, ei in zip(b, got):
+                    dev = np.abs(ei - r @ ai @ r)
+                    scale = np.abs(r) @ np.abs(ai) @ np.abs(r)
+                    assert np.all(dev <= 5 * c * scale), (d, float((dev / scale).max() / c))
+                    worst = max(worst, float(dev.max()))
+    assert 0 < worst < 1e-15  # the products do round, by a few units of 1e-16
 
 
 def _refusing_draw(monkeypatch, refuse, seed, n):

@@ -334,7 +334,7 @@ def test_einsum_entry_point_sees_every_library_subscript():
     texts = [path.read_text() for path in SOURCES]
     calls = sum(text.count("_einsum(") for text in texts)
     literal = sum(len(EINSUM_CALL.findall(text)) for text in texts)
-    assert calls == literal == 13 and len(SUBSCRIPTS) == 9
+    assert calls == literal == 12 and len(SUBSCRIPTS) == 8
 
 
 def test_einsum_and_errstate_entry_points_are_the_only_ones():
