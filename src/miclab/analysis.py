@@ -41,7 +41,7 @@ from .errors import (
     SingularConditionalMatrix,
     WrongCount,
 )
-from .linalg import _as_array, _cond, _einsum, _lapack, eigvalsh
+from .linalg import _as_array, _cond, _lapack, _pairing, eigvalsh
 from .povm import (Mic, Povm, _check_finite, _check_state, _real, _stack, _valid_states,
                    born_probabilities, dual_basis, is_unbiased, validate_povm)
 
@@ -202,7 +202,7 @@ def phi_matrix(mic: Mic, post_states, tol: ToleranceConfig = DEFAULT_TOL) -> Phi
             raise ragged
         if len(states) != n:
             raise WrongCount(len(states), n)
-    m = _einsum("iab,jba->ij", mic.matrices(), states).real
+    m = _pairing(mic.matrices(), states).real
     cond = _cond(m)
     if not np.isfinite(cond) or cond >= CONDITION_LIMIT:
         raise SingularConditionalMatrix(cond)
@@ -229,8 +229,7 @@ def cascaded_probability(rho, mic: Mic, post_states, second_povm,
     second = second_povm if isinstance(second_povm, Povm) else validate_povm(second_povm, tol)
     if second.dim != mic.dim:
         raise ShapeMismatch(f"second POVM has dimension {second.dim}, expected {mic.dim}")
-    cond_second = _einsum("jab,iba->ji", second.matrices(),
-                          _as_array(post_states, "post-states")).real
+    cond_second = _pairing(second.matrices(), _as_array(post_states, "post-states")).real
     return cond_second @ phi.matrix @ p_first
 
 

@@ -8,10 +8,11 @@ root of its sum, equiangular interpolations, a rank-(d+1)/2 covariant family
 for odd dimensions, tensor products, and a hand-built rank-1 unbiased MIC in
 dimension three with exactly seven orthogonal pairs of effects.
 
-mic_from_psd_basis checks the basis Gram's rank first, by numerical_rank's
-SVD, then squashes (_squash).  The generic spectra batch builds the basis
-Gram only for the rows whose squashed spectra do not already certify its
-full rank (ensembles._squash_spectra).
+mic_from_psd_basis checks the basis Gram's rank first (_basis_rank: the
+Gram as gram builds it, its rank by povm._gram_rank, eigvalsh with
+numerical_rank's SVD near rank_tol), then squashes (_squash).  The generic
+spectra batch builds the basis Gram only for the rows whose squashed
+spectra do not already certify its full rank (ensembles._squash_spectra).
 """
 
 from __future__ import annotations
@@ -39,10 +40,9 @@ from .errors import (
     WrongCount,
     WrongDimension,
 )
-from .linalg import (_as_array, _as_square, _einsum, _lapack, _quietly, eigh,
-                     hermiticity_defect, numerical_rank)
-from .povm import (Mic, _check_finite, _check_state, _check_unit, _frozen, _stack,
-                   mic_from_matrices, validate_povm)
+from .linalg import _as_array, _as_square, _einsum, _lapack, _quietly, eigh, hermiticity_defect
+from .povm import (Mic, _check_finite, _check_state, _check_unit, _frozen, _gram_rank,
+                   _gram_rules, _stack, mic_from_matrices, validate_povm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,9 +270,10 @@ def orthocross_probability_bound(d: int) -> float:
 
 # ----------------------------------------------- generic squashed-basis MICs
 
-def _basis_gram(a: np.ndarray) -> np.ndarray:
-    # the real part of tr(A_i A_j) for each basis of a (..., n, d, d) stack
-    return _einsum("...iab,...jba->...ij", a, a).real
+def _basis_rank(a: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    # the rank of each basis of a (..., n, d, d) stack: _gram_rank's of its
+    # Gram tr(A_i A_j), real part symmetrized, as gram builds it
+    return _gram_rank(_gram_rules(a, tol)[1], tol)[1]
 
 
 def _squash(a: np.ndarray, tol: ToleranceConfig):
@@ -319,7 +320,7 @@ def mic_from_psd_basis(basis, tol: ToleranceConfig = DEFAULT_TOL) -> Mic:
     if len(stack) != d * d:
         raise WrongCount(len(stack), d * d)
     _check_finite(stack.reshape(len(stack), -1))
-    rank = numerical_rank(_basis_gram(stack), tol)
+    rank = int(_basis_rank(stack, tol))
     if rank != d * d:
         raise LinearlyDependent(rank, d * d, "input basis")
     _, safe, effects = _squash(stack, tol)

@@ -69,7 +69,8 @@ MIC Gram's gives its eigenvalues and runs the rank SVD only near rank_tol.
 The basis-rank gate comes last, and only for the rows every other gate
 keeps whose full rank the MIC Gram's eigenvalues and Omega's do not
 certify (_squash_spectra): those rows alone build the basis Gram, and
-numerical_rank's SVD decides them as one stack.  The PSD checks of
+_gram_rank decides them as one stack, as it decides the single build's
+(eigvalsh, and numerical_rank's SVD near rank_tol).  The PSD checks of
 fiducials and effects are each one Cholesky certificate over its stack
 (povm._psd, with margin zero_tol / 2).  It passes a stack only if every
 matrix factors and the margin covers LAPACK's rounding; any other stack
@@ -99,7 +100,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .constructions import (
-    _basis_gram,
+    _basis_rank,
     _check_dimension,
     _displacement_components,
     _is_integer,
@@ -113,7 +114,7 @@ from .errors import (
     SamplingExhausted,
     WrongDimension,
 )
-from .linalg import _UNIT_ROUNDOFF, _lapack, numerical_rank
+from .linalg import _UNIT_ROUNDOFF, _lapack
 from .povm import Mic, _effect_rules, _gram_rank, _gram_rules, _negligible, _valid_states
 
 MAX_DRAW_ATTEMPTS = 100
@@ -510,8 +511,9 @@ def _squash_spectra(a: np.ndarray):
     (_squash, and the basis rank last), validate_povm (_effect_rules),
     validate_mic (_negligible, _gram_rank) and gram (_gram_rules).  Only the
     rows every other gate keeps, and whose full rank the spectra at hand do
-    not certify, build their basis Gram tr(A_i A_j) for numerical_rank, as
-    one stack.  A refused row means nothing.
+    not certify, take the basis rank (constructions._basis_rank), as one
+    stack.  Every Gram is linalg._pairing's, so a row has the single build's
+    bits in any batch.  A refused row means nothing.
 
     The certificate.  For Hermitian A_i and any invertible Hermitian R, the
     map X -> R X R on C^(d x d) has singular values sigma_i(R) sigma_j(R),
@@ -522,7 +524,7 @@ def _squash_spectra(a: np.ndarray):
     is certified where beta = min|eig| / max|eig| (w_min / w_max)^2 exceeds
     1e3 rank_tol, _gram_rank's margin; at the default rank_tol, beta > 1e-6
     needs cond(Omega) < 10^3 and cond(G_E) < 10^6.  Every other kept row
-    takes numerical_rank's SVD, so every verdict is numerical_rank's.
+    takes _gram_rank of its basis Gram, so every verdict is numerical_rank's.
 
     Rounding, with u = 2^-53 and n = d^2.  The bound holds for the computed
     R's Hermitian part R~, whose singular values are w^-1/2 within a factor
@@ -561,7 +563,7 @@ def _squash_spectra(a: np.ndarray):
         low, high = s.min(axis=-1) * w[:, 0] ** 2, s.max(axis=-1) * w[:, -1] ** 2
         doubt &= ~(low > 1e3 * tol.rank_tol * high)
     if doubt.any():
-        kept[doubt] = numerical_rank(_basis_gram(a[doubt]), tol) == n
+        kept[doubt] = _basis_rank(a[doubt], tol) == n
     return eigs, kept
 
 

@@ -28,6 +28,12 @@ The same routine on the same input gives the same bits, so every result,
 and every pinned output, is what the public function gives.  A numpy that
 renames one of these names fails at import, and so in tier-1: there is no
 fallback path.  acceptance.py's oracles keep numpy's public functions.
+
+A fourth entry point is public numpy: _pairing computes every trace pairing
+tr(X_i Y_j) of two stacks (the Gram matrices of effects and of bases, the
+dual basis's biorthogonality check, Phi's conditional matrix and the
+cascade's) as one matmul, a BLAS product for each stack of the leading
+axes, so a stack has the same bits alone as in a batch.
 """
 
 from __future__ import annotations
@@ -205,6 +211,17 @@ def _lapack(name: str, a: np.ndarray, *b: np.ndarray):
     return out
 
 
+def _pairing(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """tr(X_i Y_j) for an (..., n, d, d) stack x and an (..., m, d, d) stack y,
+    as an (..., n, m) array: one matrix product (BLAS) of x's rows flattened
+    by y's transposes flattened.  Each stack of the leading axes is its own
+    product of the same shapes, so a row has the same bits in any batch.  A
+    non-finite entry gives a non-finite result without a warning."""
+    *lead, n, d, _ = x.shape
+    yt = np.swapaxes(y, -1, -2).reshape(*y.shape[:-2], d * d)
+    return _quietly(np.matmul, x.reshape(*lead, n, d * d), yt.mT)
+
+
 def _factors(a: np.ndarray) -> bool:
     """Whether numpy's Cholesky factorization factors every matrix of the stack a."""
     try:
@@ -222,15 +239,13 @@ def _cond(a: np.ndarray) -> float:
     return np.inf if cond != cond and not np.isnan(a).any() else cond
 
 
-def eigh(h, tol: ToleranceConfig = DEFAULT_TOL):
-    """Eigendecomposition of a Hermitian matrix or a (..., n, n) stack of them.
+def _hermitian(h, tol: ToleranceConfig) -> np.ndarray:
+    """h as a square matrix or stack that is Hermitian within hermitian_tol.
 
-    Returns (eigenvalues, eigenvectors) with real eigenvalues in ascending
-    order along the last axis and eigenvectors as columns.  The first matrix
-    (in C order of the leading axes) that has a non-finite entry raises
-    NonFinite, or that deviates from its own adjoint by more than
-    hermitian_tol NotHermitian, either naming its index; LAPACK not
-    converging raises ConvergenceFailure, and no square matrix ShapeMismatch.
+    The first matrix (in C order of the leading axes) that has a non-finite
+    entry raises NonFinite, or that deviates from its own adjoint by more
+    than hermitian_tol NotHermitian, either naming its index; no square
+    matrix raises ShapeMismatch.
     """
     h = _as_square(h)
     defect = np.ravel(hermiticity_defect(h))
@@ -240,12 +255,23 @@ def eigh(h, tol: ToleranceConfig = DEFAULT_TOL):
             raise NonFinite(i)
         raise NotHermitian(f"hermiticity defect {defect[i]:.3e} exceeds "
                            f"{tol.hermitian_tol:.1e}", index=i)
-    return _lapack("eigh", h)
+    return h
+
+
+def eigh(h, tol: ToleranceConfig = DEFAULT_TOL):
+    """Eigendecomposition of a Hermitian matrix or a (..., n, n) stack of them.
+
+    Returns (eigenvalues, eigenvectors) with real eigenvalues in ascending
+    order along the last axis and eigenvectors as columns.  h is checked as
+    _hermitian checks it; LAPACK not converging raises ConvergenceFailure.
+    """
+    return _lapack("eigh", _hermitian(h, tol))
 
 
 def eigvalsh(h, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, or of each in a stack."""
-    return eigh(h, tol)[0]
+    """Ascending eigenvalues of a Hermitian matrix, or of each in a stack,
+    checked and raising as eigh, by LAPACK's eigenvalues-only routine."""
+    return _lapack("eigvalsh", _hermitian(h, tol))
 
 
 def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL):

@@ -6,19 +6,25 @@ complete POVM) has exactly d^2 effects that are linearly independent as
 operators, so every density matrix is determined by its outcome probabilities.
 
 The central object throughout is the Gram matrix G with entries
-tr(E_i E_j).  It is real, symmetric, positive definite for a MIC, and its
-entries sum to d.  The dual basis {E~_i}, defined by tr(E_i E~_j) = delta_ij,
-is obtained by applying the inverse Gram matrix to the effects and is what
-turns measured probabilities back into operators.  A validated POVM holds
-its N effects as one read-only (N, d, d) array beside their weights tr E_i.
-A MIC inverts its Gram matrix once, on first use and behind the
-condition gate cond(G) <= 1e12, and keeps the inverse; its dual basis
-(checked for biorthogonality and kept as one read-only (d^2, d, d) array),
-the inverse-Gram distance and the half-integer probe all read that one
-inverse.  The purity form passes the same gate, which remembers the last
-Gram matrix it passed by comparing bytes, and solves on every call.  A
-finite p whose reconstruction or purity form overflows float64 raises
-ValueError.  All LAPACK calls go through linalg._lapack.
+tr(E_i E_j), one matrix product (linalg._pairing).  It is real, symmetric,
+positive definite for a MIC, and its entries sum to d.  The dual basis
+{E~_i}, defined by tr(E_i E~_j) = delta_ij, is what turns measured
+probabilities back into operators.  A validated POVM holds its N effects
+as one read-only (N, d, d) array beside their weights tr E_i.
+
+A MIC makes one inversion, on first use and behind the condition gate
+cond(G) <= 1e12, and keeps it: Y = (A W)^-1, where the rows of A are the
+effects' real coordinates (the diagonal, then 2 Re and 2 Im of the upper
+triangle) and W weights them so that tr(X Y) = x . W y (_coordinates).
+The duals' coordinates are Y's columns, so the duals are exactly Hermitian
+and miss biorthogonality by about u sqrt(cond(G)), where duals taken from
+G^-1 missed it by u cond(G); they are checked to 1e-8 and kept as one
+read-only (d^2, d, d) array.  G = A W A^T, so the inverse Gram matrix is
+Y^T W Y, which the inverse-Gram distance and the half-integer probe read.
+The purity form passes the same gate, which remembers the last Gram matrix
+it passed by comparing bytes, and solves on every call.  A finite p whose
+reconstruction or purity form overflows float64 raises ValueError.  All
+LAPACK calls go through linalg._lapack.
 
 The PSD rule, least eigenvalue at least -zero_tol, is decided for a whole
 stack (the effects of validate_povm and of the generic spectra batch, the
@@ -49,7 +55,8 @@ from .errors import (
     WrongCount,
 )
 from .linalg import (_CERTIFY_MIN_ENTRIES, _as_array, _cond, _einsum, _factors, _lapack,
-                     _quietly, _rounding, eigh, eigvalsh, hermiticity_defect, numerical_rank)
+                     _pairing, _quietly, _rounding, eigh, eigvalsh, hermiticity_defect,
+                     numerical_rank)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -111,7 +118,7 @@ class Mic(Povm):
     """A validated MIC with its d^2 x d^2 Gram matrix.
 
     duals is the dual basis, computed and checked on first use and then
-    kept, like the inverse Gram matrix it is built from: stack and gram are
+    kept, like the one inversion it is built from: stack and gram are
     read-only, so neither goes stale.  A MIC whose Gram matrix is refused
     raises IllConditionedGram on every access.
     """
@@ -119,28 +126,59 @@ class Mic(Povm):
     gram: np.ndarray
 
     @functools.cached_property
-    def _inverse_gram(self) -> np.ndarray:
-        # G^-1 behind the condition gate, once per MIC
+    def _coordinate_inverse(self) -> np.ndarray:
+        # Y = (A W)^-1 behind the condition gate, once per MIC (see _coordinates)
         _gram_condition(self.gram)
-        return _frozen(_lapack("inv", self.gram))
+        gather = _coordinates(self.dim)[0]
+        return _lapack("inv", self.stack.reshape(len(self.stack), -1).view(float) @ gather)
+
+    @functools.cached_property
+    def _inverse_gram(self) -> np.ndarray:
+        # G = A W A^T, so G^-1 = Y^T W Y
+        y = self._coordinate_inverse
+        return _frozen((y.T * _coordinates(self.dim)[1]) @ y)
 
     @functools.cached_property
     def duals(self) -> DualBasis:
         mats = self.matrices()
-        n = mats.shape[0]
-        # the exact inverse is symmetric; averaging halves the solve error
-        # that otherwise concentrates in the small-eigenvalue subspace
-        coeffs = (self._inverse_gram + self._inverse_gram.T) / 2.0
-        duals = _einsum("ij,jab->iab", coeffs, mats)
-        # exactly Hermitian in theory; large inverse-Gram coefficients can
-        # leave rounding asymmetry big enough to trip downstream eigh gates
-        duals = (duals + duals.conj().transpose(0, 2, 1)) / 2.0
-        check = _einsum("iab,jba->ij", mats, duals)
-        defect = float(np.abs(check - np.eye(n)).max())
+        n, d = len(mats), self.dim
+        # column j of Y holds the coordinates of E~_j, so the duals are exactly Hermitian
+        duals = (self._coordinate_inverse.T @ _coordinates(d)[2]).view(complex).reshape(n, d, d)
+        defect = float(np.abs(_pairing(mats, duals) - np.eye(n)).max())
         if defect > 1e-8:
             raise IllConditionedGram(_gram_condition(self.gram),
                                      f"biorthogonality defect {defect:.3e} exceeds 1e-8")
         return DualBasis(dim=self.dim, stack=_frozen(duals))
+
+
+@functools.cache
+def _coordinates(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gather, w, scatter) of the real coordinates of d x d Hermitian matrices.
+
+    A matrix X's coordinates x are its diagonal, then 2 Re and 2 Im of its
+    upper triangle (row-major), so tr(X Y) = x . W y, with W = diag(w) one
+    on the diagonal's coordinates and 1/2 on the others.  gather maps the
+    real view (re, im interleaved) of a flattened matrix, or of the rows of
+    a stack, to x W; scatter maps coordinates back to that view, with
+    halves, and makes the lower triangle the conjugate of the upper.  Both
+    hold one nonzero (0, +-1/2 or 1) per output entry, so either product is
+    exact.  A MIC whose effects have coordinates A then has G = A W A^T, and
+    with Y = (A W)^-1 the duals' coordinates are Y's columns and G^-1 is
+    Y^T W Y.
+    """
+    n = d * d
+    i, j = np.triu_indices(d, 1)
+    diag, upper, lower = np.arange(d) * (d + 1), i * d + j, j * d + i
+    k = np.arange(n)
+    w = np.where(k < d, 1.0, 0.5)
+    # positions in the real view: diagonal real parts, upper real parts, upper imaginary parts
+    source = np.concatenate([2 * diag, 2 * upper, 2 * upper + 1])
+    gather = np.zeros((2 * n, n))
+    gather[source, k] = 1.0
+    scatter = np.zeros((n, 2 * n))
+    scatter[k, source] = w
+    scatter[k[d:], np.concatenate([2 * lower, 2 * lower + 1])] = np.repeat([0.5, -0.5], len(i))
+    return _frozen(gather), _frozen(w), _frozen(scatter)
 
 
 # ((shape, bytes), cond) of the last Gram matrix that passed the gate
@@ -170,13 +208,15 @@ def _gram_condition(g: np.ndarray) -> float:
 
 def _stack(effects, what: str = "effect", error=ShapeMismatch, d: int | None = None, least=1):
     """The effects as a fresh complex (N, d, d) array: an ndarray of numbers
-    of that shape copied whole, anything else read item by item (an iterator
-    once) up to the first that is no d x d array of numbers, whose error, of
-    type error, comes back too, raised at once for item 0.  Unless the
-    caller gives d, it is item 0's size, and an item 0 that is no nonempty
-    square matrix, or no item at all (WrongCount(0, least)), raises."""
+    of that shape (d >= 1, N >= 0) copied whole, anything else read item by
+    item (an iterator once) up to the first that is no d x d array of
+    numbers, whose error, of type error, comes back too, raised at once for
+    item 0.  Unless the caller or the array's shape gives d, it is item 0's
+    size, and an item 0 that is no nonempty square matrix, or no item at all
+    (WrongCount(0, least)), raises."""
     if (isinstance(effects, np.ndarray) and effects.dtype.kind in "biufc" and effects.ndim == 3
-            and effects.size and effects.shape[1] == effects.shape[2] and d in (None, effects.shape[1])):
+            and effects.shape[1] and effects.shape[1] == effects.shape[2]
+            and d in (None, effects.shape[1])):
         return np.array(effects, dtype=complex, order="C"), None
     if not np.iterable(effects):
         raise ShapeMismatch(f"expected a sequence of {what}s, got {type(effects).__name__}")
@@ -262,6 +302,8 @@ def validate_povm(effects, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
     zero_tol * d in Frobenius norm.
     """
     mats, ragged = _stack(effects)
+    if not len(mats):
+        raise WrongCount(0, 1)
     first, summed, deficit = _effect_rules(mats, tol)
     if first < len(mats):
         eigh(mats[:first + 1], tol)  # raises NonFinite or NotHermitian for a non-Hermitian one
@@ -283,7 +325,7 @@ def _gram_rules(mats: np.ndarray, tol: ToleranceConfig):
     """gram's rules on each set of effects of a (..., n, d, d) stack: whether
     its Gram matrix tr(E_i E_j) is finite with imaginary residue at most
     zero_tol, and that matrix's real part, symmetrized."""
-    g = _einsum("...iab,...jba->...ij", mats, mats)
+    g = _pairing(mats, mats)
     real = np.isfinite(g).all(axis=(-2, -1))
     real &= np.abs(g.imag).max(axis=(-2, -1), initial=0.0) <= tol.zero_tol
     g = g.real
@@ -316,7 +358,7 @@ def gram(povm: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     mats = povm.matrices()
     real, g = _gram_rules(mats, tol)
     if not real:
-        c = _einsum("iab,jba->ij", mats, mats)
+        c = _pairing(mats, mats)
         finite = np.isfinite(mats).all(axis=(1, 2))
         finite = np.isfinite(c).all(axis=1) if finite.all() else finite
         if not finite.all():
@@ -356,7 +398,8 @@ def is_unbiased(mic: Mic, tol: float = 1e-9) -> bool:
 
 
 def dual_basis(mic: Mic, tol: ToleranceConfig = DEFAULT_TOL) -> DualBasis:
-    """Basis dual to the MIC's effects, E~_i = sum_j [G^-1]_ij E_j.
+    """Basis dual to the MIC's effects, E~_i = sum_j [G^-1]_ij E_j, taken
+    from the inverse of the effects' real coordinates (see Mic.duals).
 
     Refuses Gram matrices with condition number above 1e12 and verifies the
     biorthogonality relation tr(E_i E~_j) = delta_ij to 1e-8, both once per

@@ -34,20 +34,20 @@ COUNT_PHRASES = {3: "8000 random MICs", 4: "40000 states", 5: "/2000",
 
 # sha256 of each line of `miclab verify acceptance` stdout, by criterion
 STDOUT_SHA256 = {
-    1: "33084ae5ad5cf353e8cedc56df7ca402cee623887beb04119a03128f71d7e69b",
-    2: "79ba7e74695245f38db202d2cebcca2cd5e2ec93a9441d70616bc9eab38f69d2",
+    1: "af9eb0691dcf930a891d422e5fbfdc75a0925ae20fc3fd2dde336536960d2496",
+    2: "80da665a2e172556c8b7c592ec44c6d792c3f26838a936cd78c7ec7b455f5a96",
     3: "1daadd4bc2e9aef9ae973bd8f4354a251a551bc9b70c22812352df5448af062f",
-    4: "e932123b43f87256b377ddbae9fa55af4052c954d4d59f4fe24f799ecbcc3a5d",
-    5: "45727d6ba549b66fa6f949086339ae8c30b67b276f0dcca733da9ad75256baf0",
-    6: "13708125c23a28401d05c2e95111974a43df31f5971a01464b01409867552b0e",
-    7: "277312106147a8f162244eb378e9233703d02a3e1c9a13ec0cf3f38fb3d256be",
-    8: "ff3bfcca1887e85e1dcba51ec2899a65cbbe8107245360f7585eb3e22173f56c",
+    4: "32f6d16f68b6390a1e51208ad8c2140d89f9e4ab07fadfe02ea8ee0b71b98cf9",
+    5: "9188a489bde7a3afa1ec031364fab5ea1460c7c66c057e65530a9fbf1175691b",
+    6: "8aa159004c60e60e9b56c50eb5b227abf8dd23cea5b44009b08e47289b4275bc",
+    7: "bcda79532e849662d56334debeb1b1aef5fea1a97bdaae960b918d6c0793651e",
+    8: "5c4a34076646cae21a79d973061b282434a29b028fb2cfa01c519cbb6918a43e",
     9: "43a5b7225340243eef5612ac66aea0bcb26b15cc0610ad20424519744e11273e",
-    10: "dc2c92129569e4167ba271f5f29ae9ee98cfd6e7def036908ebfe9cab80f4918",
+    10: "410f815009bc7c077d9df998c5c461be6545cd83c4585fc40c4ebc06b4fff770",
     11: "567089581ddb5247001f0f3b5be0532bcabbd85632b444f832aeb1b9ed4afe27",
     12: "d1266b4afdd7f493982623889f0ff699087f7fd428c7d0ef8c24e6fa6abd49ca",
     13: "360c486c0895856cc0a2ff8d8394384502ac11eed1f30ff4697437606f6babc8",
-    14: "deb0655eee36bea261718111a4e694c8ad28f80135fed00d61f6304f7bd4a12d",
+    14: "03e58050b874f81778bc43f815039eaf65eb2702b2e0e0dbf7fc10f5848ae9a9",
 }
 
 

@@ -305,11 +305,21 @@ def test_sic_tensor_powers_match_their_closed_forms(d, k):
     assert close(pairs.min_offdiagonal, (1 / (d * d * (d + 1))) ** k)
 
 
-def _reference_inv_gram_distance(mic):
-    # inv_gram_distance with an inverse of its own, from np.linalg.inv
-    a = np.eye(len(mic.gram)) - np.linalg.inv(mic.gram) / mic.dim
+def _reference_inv_gram_distance(mic, g_inv):
+    # inv_gram_distance of the inverse g_inv, with numpy's public eigvalsh
+    a = np.eye(len(mic.gram)) - g_inv / mic.dim
     a = (a + a.T) / 2
     return float(np.sqrt((np.linalg.eigvalsh(a) ** 2).sum()))
+
+
+def _coordinate_inverse(mic):
+    # Y = (A W)^-1 by numpy's public inv, A W holding each effect's diagonal,
+    # then the real and the imaginary parts of its upper triangle
+    d, m = mic.dim, mic.matrices()
+    i, j = np.triu_indices(d, 1)
+    k = np.arange(d)
+    aw = np.concatenate([m[:, k, k].real, m[:, i, j].real, m[:, i, j].imag], axis=1)
+    return np.linalg.inv(aw)
 
 
 def _mics_of_each_kind(d):
@@ -323,13 +333,22 @@ def _mics_of_each_kind(d):
                                   for d in (2, 3, 4, 5)]
                          + [pytest.param(lambda: [tensorhedron_mic(sic_qubit(), 3)],
                                          id="tensorhedron-qubit-3")])
-def test_shared_inverse_has_the_bits_of_np_linalg_inv(mics):
+def test_shared_inverse_is_y_t_w_y_of_the_coordinate_inverse(mics):
     # the dual basis, the inverse-Gram distance and the half-integer probe
-    # read the MIC's one solve, which is bitwise np.linalg.inv's
+    # read the MIC's one solve, bitwise np.linalg.inv's Y of the effects'
+    # coordinates.  G = A W A^T, so G^-1 = Y^T W Y; its residual against G
+    # is of the order of inv(G)'s own, n u cond(G), and measured at most
+    # half of that on these MICs, so four times it is asserted
+    u = np.finfo(float).eps / 2
     for mic in mics():
-        assert mic._inverse_gram.tobytes() == np.linalg.inv(mic.gram).tobytes()
+        y = _coordinate_inverse(mic)
+        n = len(y)
+        g_inv = (y.T * np.where(np.arange(n) < mic.dim, 1.0, 0.5)) @ y
+        assert mic._inverse_gram.tobytes() == g_inv.tobytes()
+        s = np.linalg.svd(mic.gram, compute_uv=False)
+        assert np.abs(g_inv @ mic.gram - np.eye(n)).max() <= 4 * n * u * s[0] / s[-1]
         if is_unbiased(mic):
-            got, want = inv_gram_distance(mic), _reference_inv_gram_distance(mic)
+            got, want = inv_gram_distance(mic), _reference_inv_gram_distance(mic, g_inv)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 

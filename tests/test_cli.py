@@ -501,94 +501,94 @@ def test_env_tolerance_applies_to_gen_and_analyze_only():
 # d = 5 alone takes ~10 s
 DOCUMENT_AND_REPORT_DIGESTS = {
     ("sic", 2): ("43a1712a52fd07ed88b0ab116492dcde7eb1f808a2ca5743feecbf2fd4ba55e8",
-        "891f561f1c737f56ea3f78714b46beb909adab90cb56517f44715a8f573778d9"),
+        "34e35a6580e8184fb4fd807f0bd53a3e5cce1a6113946031862de46f6787c90d"),
     ("wh", 2): ("5440eccb298a7f6eea4c8e8d7fbbcb42d91e839b14bee782f8d7dec91341040e",
-        "4ec721954e7e7e670af89fca07c31fcf80277de7199ccc68b979b98583821402"),
+        "08488d829a1c53dd2e0d015cb96cb2ec92a6b72d069f05bda29bc157b501366d"),
     ("orthocross", 2): ("ccd870d205d23d6c2631f18fee23e5d5fa7a5eed01283109bc99adbe6dc699df",
-        "d3870e56cf5f3122e93fe73502759d36d9008378c617ec84fd3a159846651b5e"),
+        "9c142f07557d310af03ad82c5f195225ce1404ba2c0f528114a98c8c8e528a0b"),
     ("equiangular", 2): ("724b00a953692e375e3363407a62c89f5bac0c974a3d9991ded4595f27716d33",
-        "7bd62ef1c9af0dbae969b5e8ef8a74a863c82e483690da2ce5e5ba1180a92841"),
+        "1ffeeff75c5404df6d57cc0a7b3851ecb5e01249f8ac1f923840a8b9af174bf8"),
     ("tensorhedron", 2): ("0a180209c7314a006f5247d1bd63418b5047f1cfacd3f0b7c55243a61973b534",
-        "c64da88d760782c8bd507971d0caeb876aa1507cb6b17d9b81b59cc996eab6f2"),
+        "a6c6b4d74f5b83004b9f47eb06e75d86301de72a1c3fdc68b0d51b53e19509d0"),
     ("near-orthogonal", 2): ("c09714059762d0f11fbff251b5ec39e3a183ed8c5b760921231fdff625b28eb3",
-        "c4fae9032e973386ac0e28559ab88de9bb229f9973e3fe0cb5addd7227e9793f"),
+        "5a1009705cfa615b7280f57de031d22521ec93d90b98f72c80e01d574292305b"),
     ("random:generic", 2): ("c0317cdf471cba4747341d74515c1928045062fc7708daeaa6817533df9d3b4b",
-        "a5d7ac8367cdcfbbb7b7879f214fb82ff1673390d01430d54b8400ead934b69c"),
+        "288ad7c82e646932160ed73493956ce369cd3c0cbba7d6301e37689f3f5f3e42"),
     ("random:generic-rank1", 2): ("c37ec303a7e274669a6580d54a82d4fd8f1795a7101a3df3711decae7dba06d3",
-        "a5baada03768c2b97f274631f7900e8aaa2b2ecf9bc7bee5c23e20b85c933a2d"),
+        "22effd0159fb137d2b6fba25027b8f79098a7564c777b0f6df0cbbd323cc3490"),
     ("random:wh", 2): ("5440eccb298a7f6eea4c8e8d7fbbcb42d91e839b14bee782f8d7dec91341040e",
-        "4ec721954e7e7e670af89fca07c31fcf80277de7199ccc68b979b98583821402"),
+        "08488d829a1c53dd2e0d015cb96cb2ec92a6b72d069f05bda29bc157b501366d"),
     ("random:wh-rank1", 2): ("1ec726397fca979868963746ef68c7dffee04dcd07969979ff12079b0ccfbd14",
-        "bb82b94deb892def537ec9334bcd0dadc3d32776d40c9a2ef86f446fdf48f5a1"),
+        "96a21d4415ad7e4901fc1f588f9e7d7daa1bfccaf7123fff4126870522f208ae"),
     ("sic", 3): ("f0988b7f6780523b49a76dda20311210ad658ba7895f5e5ceab96e6afdb8d6a1",
-        "8528927f07e67d535cd1ae3e1e6f8a465ee5db61c9fea5987ec530775cb9f30c"),
+        "882c106063c61282b155a9725194a2d481f75da747a780cef0c4754b2f774b26"),
     ("wh", 3): ("39ed7c0a157831d4f326d3c3217678d73a8de2492af55abe1d54689450161833",
-        "e6c445b582ad817e45f4248302aa9ff0c5156675a4ca4661df5e1a345d5fd3fa"),
+        "c119132c730a7fca2a947db2a1d84e03b8521962bd6f6a3d2d963101dc099629"),
     ("orthocross", 3): ("aec1785559d70af0c5d39b713376857fdd871093af4c66197f0ea1c1ddc53589",
-        "52a76c784975ff17cda94973a6b6b28763b476f643b64c54c64b075904dfe6e3"),
+        "7b34454880bf286ad99238ea333e189dda81d63dda2b04acf91d1471cd49d584"),
     ("equiangular", 3): ("18ad39a337362c7eca995d43792140f7475da674ce0e6791fef9417a7636eaca",
-        "0fd7b6db0a21f510bea1feb365a33a47691d93a2cb06f0d20b8d4326fd659f81"),
+        "5a1272a4118a3dd1606d65a95c54dcdf8d88bed7eaee6befe79306771059e627"),
     ("appleby", 3): ("856f047cfcd2d2f0b0f3f738cdff921d38591b52158ac45d3682562f42b0f512",
-        "3f82bf81f416cf5d4f3d29380d9b1f5bc18831446f3984f4af718160f6bc27d9"),
+        "6c2adcd926992eb040ea5a24b604e1b548a88746ac2525275e5dd6fdc601c22d"),
     ("tensorhedron", 3): ("66fefd145be00f1133be7bf5ff58fe4862e38b8079e5ce87e7bcab71a4eb0e60",
-        "c030283c82bdfb5384635ed4191500f841c5ca7726fcd786bcc3589648ff591b"),
+        "f43c30a2152a3f806b70856eef42f3bb7ffa5c5544f6200c4d235396f53520b3"),
     ("near-orthogonal", 3): ("3dcd883d904f0147e362ae4014cf187a41f2d1b756b59a5d25b440358f10b44c",
-        "8fca60066666baa98211fea28a4103e7dfa6a387cea8b74aebe73dd842d90dd4"),
+        "1d65f8b58b586b72b2a11eb3a8d04367a220508e17054fd90dc0e1aff5a5f865"),
     ("random:generic", 3): ("cf3a40d6e23bbb20e388cf0585e3751c2e3a23c5313acbd670d9660b52c3dbda",
-        "b1a0f4d395b32c56f5f74321909c494ce92b0224cce26dfa9b298d18e51db0d2"),
+        "658d49ed7ece7991915d5364da689347ad23c4dcdd129dde5a809bc7121bf1a5"),
     ("random:generic-rank1", 3): ("81b6b056ceba06963c504e8f017cfcc7c164ffd89d6e91b0879650ae93ece5b9",
-        "3d27bf03268604bd34eafb0bb1acecc67338b660a20d7ebf008160f3bf9cf433"),
+        "fab6c31d7992908733b9488e8d3b0af2977c4d126402489e318ed7895b33f8cd"),
     ("random:wh", 3): ("39ed7c0a157831d4f326d3c3217678d73a8de2492af55abe1d54689450161833",
-        "e6c445b582ad817e45f4248302aa9ff0c5156675a4ca4661df5e1a345d5fd3fa"),
+        "c119132c730a7fca2a947db2a1d84e03b8521962bd6f6a3d2d963101dc099629"),
     ("random:wh-rank1", 3): ("48b2e1456647da91998672db901985665830f050f7869ee28cb39af612c64260",
-        "65aefc1705d5962a780db4d9d4b05b11c76f88e18deff4e311a8b22715a4c154"),
+        "f7df5f696e3033a819cc975cb9db2b4410984f87c463fb3906a5fa44ae3495c5"),
     ("sic", 4): ("9244cd2fa8fc3e4c05d6a8896635312a991304e5111eb48de8612b75281affc6",
-        "83e293515cefcc9d4f885a4730ea484a584dd667d4964a881790ac428d98bb55"),
+        "118f26836aea078fe58621a7e477cd304c7ec64eea1aa7cb1c315d999c62f715"),
     ("wh", 4): ("07d46a1b346c4e1bdeb0c6bb127bd362b4d233385c11587a299272dcfe0773d1",
-        "608b1ff012e2463d6c8deba9e4712c8da11599df9c08ded7b8cfb06d0ced7ab5"),
+        "4202bb9e9bad344add9ea5c52f89712e00395c2c973635031fe3d24fc34a86ca"),
     ("orthocross", 4): ("d204c7f77b4fc2bf7d9bb5970194fb642286c448e0c34f0c9e24c3f3a7b57684",
-        "21e1f0589eae4321251c46bb742076c66a743cee27cfd143d55ea2be2fccac72"),
+        "8691703d9442793a5e290e640521eb8e9b2f3e50afb07920a6eaa8b012b6dc4c"),
     ("equiangular", 4): ("a318c7806f02a7759adcf8efe5d244dd9e6296d088763270758488ade078c574",
-        "3002e5e58a3e6f8d8d0b5ca9e47a9e160a1bec3d262b8482a1b2a6dfda15fe87"),
+        "174fc9dd42a9af7b4a03e7bf629371a0d0c9e015cbeca9d62d7fb876fe7f6b90"),
     ("tensorhedron", 4): ("6efdcfde285367831707d4abd5d4bfd96ee2dff5bb9fae4a1852821678690263",
-        "9184a122ce103b66f7531e2605b4756b1b1c15e967f54acb85090450e84f2e95"),
+        "3a11097191a710ba18af8ddf7157bda05387c4974f4d9ad14c8ad6278e953606"),
     ("near-orthogonal", 4): ("7943ce106bf09b5c820880e86749247aa706b6930f0f6c2619d08302f602e6a7",
-        "75aa8379a7cef9d591e98e5ab385dc0cc0d8db0e30d126422afc82300fc45d8c"),
+        "6ad307d31f7784a230d5ff92678c82f441429b28c0f4ec48b6a78c43738585fd"),
     ("random:generic", 4): ("e3393a94e5461895ee2d9cdd49e411075947ea1b71f376bb83918792398fd539",
-        "6de04153777233bd97273b72111d2852520af3c961464ac7c1bf9fae79cfea88"),
+        "18df181929e24300c0d69b65e9f542ab836bf82b2fe8ceade0f2b6284379ea23"),
     ("random:generic-rank1", 4): ("6b67435b9ede748a539df93d1a929a36482b9aa193b787cb8324531aece055b9",
-        "9b9f61df3c0710c917014d9218e1a903b1179276619938987c61232b43389ac9"),
+        "fafd3fd6ba8321375168764e9586457958ff8c8fdc2b1a2369a7a8038e9538d3"),
     ("random:wh", 4): ("07d46a1b346c4e1bdeb0c6bb127bd362b4d233385c11587a299272dcfe0773d1",
-        "608b1ff012e2463d6c8deba9e4712c8da11599df9c08ded7b8cfb06d0ced7ab5"),
+        "4202bb9e9bad344add9ea5c52f89712e00395c2c973635031fe3d24fc34a86ca"),
     ("random:wh-rank1", 4): ("b14b2342ed6090abc2e70a2a3483e60661682c9b53ee88a351828d7083ea422c",
-        "68fed2225d84cd38dce9a65927b4f245a6040901a08ac926e2b04aa8cb52b7ef"),
+        "0610fa033cf1078264cdf106ccc9d12b62079d9238d2c66ecd62081bc9a4942f"),
     ("sic", 5): ("c502239ffb806f0d482aed596027516d8a782c5b6110328054952ea54149cf3e",
-        "b254fd7fd75e2796ccf670f422be848f8b11894ec40847f0eb6ebdb3f0a51b36"),
+        "f52caa013d2a3fb4f3ca6c59600e1dcd8abd60d3d44d91764ca5edcb9c28918e"),
     ("wh", 5): ("bdc80861791b8d117c34067b961a08ed35b6caa560a1e0d9c43316ebea6d536b",
-        "84726d0c3ac3cb51b8f79d5e15678fbe7f118a3033d144028f299f930dfd5b47"),
+        "db00fedc25411a161dbb2074c8cfd8e020655c9f09f13a5253664ea53aebe2de"),
     ("orthocross", 5): ("9276be17a6d7e5a28eda7cdc69bdb3e5c650719a5bb1d15def6fcfd04fd5741f",
-        "e5ec6987cf07f0272ed57a8b7d2c1a48a24e7344877ff1fe5eed42d51c941a6f"),
+        "abc7547794895a81d8b358de15296beb6f611c61df491bef93f201d0907e48b3"),
     ("equiangular", 5): ("a39cf2d2d5d8eb62c9031d652033cdc809ccf1018ba77a8d93c1939da6115cba",
-        "7983df5b064378061c4fee5391473b0c561e8a0dae106d8213d31e4ee10c1242"),
+        "71f967b7ec40978956c92e1554a3ae04fad808e708ce4e6cb8cdd19d4fd291b8"),
     ("appleby", 5): ("e1173da6455eb4e944b8ec434a143ce7a069aff36536e3615601929ab22e6faa",
-        "9ae9558649dad33ca60d1e299eac909de165747d17d7b4c6178d65cb4ba82f1a"),
+        "f59b3c2befae3f08d9241a5e8e3eca6296ff8fa445275b17b53130c570f77e00"),
     ("near-orthogonal", 5): ("2e9d292d3d72de7ae5751c8c60e35aaf056e516946f6dcd15bca55db4c3f61e8",
-        "d62b1e4d0bc8084892a113fabccf79a4fa151d66194758c7a8b1c8e8666caec6"),
+        "19e0b6541cc59a37166997f70cbbb9ed2fc8d635e3c5aa590c781535c2f0461b"),
     ("random:generic", 5): ("6dde66cf4767403444d4975e9c28d9be10be04a30e03020dd181f0120a0939f1",
-        "2f96d9a920263f2dece5e342e4fdeacfd20e9ed8bf3c83b8c66d98fd397cee3b"),
+        "3594578b7833fa714acd5bf7350e2c3ec6b8a86dd4ad1c5448a93c4fb43c9f72"),
     ("random:generic-rank1", 5): ("cc7cd1c3f633eaecc32047328b3c4b00c37dd77486fa51d44d2d0bd0c0cb9bcd",
-        "8394cf7dc0a7a12f3823514586ed805f41b2b7757789cf2400a8a81112da75c2"),
+        "af6ff218f8deee9e310c9d0aceb46beb27552fcb62f841cab610947afe981943"),
     ("random:wh", 5): ("bdc80861791b8d117c34067b961a08ed35b6caa560a1e0d9c43316ebea6d536b",
-        "84726d0c3ac3cb51b8f79d5e15678fbe7f118a3033d144028f299f930dfd5b47"),
+        "db00fedc25411a161dbb2074c8cfd8e020655c9f09f13a5253664ea53aebe2de"),
     ("random:wh-rank1", 5): ("7546a3d34d1cf6394beb184640f5b92b3c3e15ca789e89e6c312133bd4b6db08",
-        "9b03ecd509e0a73df7d81bbfaaaedcdf1d753c05f1b3a1245c53bea16162d74d"),
+        "7eb11abd25d5379f21dcec84bd6e4f3ea25a97d9a6b5357f0519a0fd4f5d5ca3"),
     ("example7", 3): ("1805af95075b5d0fbd26bded740bb8e7c153a069af630a8b49d7374b5f8592c9",
-        "81a9d5117b071406db3b7790f7be8b8711ae68020bdebfee7a985dc990f274cd"),
+        "c7c622ef0c8b95af8bf17629edd5de3e1c863316c7c860de6826f678fba88557"),
 }
 GEN_EXTRA_ARGS = {"wh": ["--seed", "7"], "equiangular": ["--beta", "0.5"],
                   "near-orthogonal": ["--t", "0.9"]}
 VERIFY_CONJECTURES_DIGEST = (
-    "bef07ad0006f92e9cadbf9921753fc5eec3e399e4ada89d999f055597b0c08ef")
+    "20ff579a1f83aa8ef34df0a9e0070f1e8747c1177956695956440878dab78121")
 
 
 def test_analyze_reports_are_byte_stable(tmp_path):

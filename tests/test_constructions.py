@@ -5,12 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from miclab import constructions
+from miclab import constructions, povm
 from miclab.analysis import group_covariance_check, orthogonal_pairs
 from miclab.config import DEFAULT_TOL, ToleranceConfig
 from miclab.constructions import (
     SicFiducial,
-    _basis_gram,
+    _basis_rank,
     _squash,
     appleby_mic,
     builtin_fiducial,
@@ -365,7 +365,7 @@ def test_squash_of_a_stack_maps_each_omega_to_the_identity():
     a = a @ a.conj().swapaxes(-1, -2)
     w, safe, e = _squash(a, DEFAULT_TOL)
     assert safe.all() and np.abs(w - np.linalg.eigvalsh(a.sum(axis=-3))).max() < 1e-10
-    assert numerical_rank(_basis_gram(a), DEFAULT_TOL).tolist() == [[9] * 3] * 2
+    assert _basis_rank(a, DEFAULT_TOL).tolist() == [[9] * 3] * 2
     assert np.abs(e.sum(axis=-3) - np.eye(3)).max() < 1e-10
     one = _squash(a[1, 2], DEFAULT_TOL)
     assert np.array_equal(one[0], w[1, 2]) and one[1] and np.array_equal(one[2], e[1, 2])
@@ -380,7 +380,7 @@ def test_spanning_basis_with_a_singular_omega_is_refused():
     with pytest.raises(SingularOperator, match=r"\[0\.000e\+00, 1\.000e\+00\]"):
         mic_from_psd_basis(basis)
     w, safe, _ = _squash(np.array(basis), DEFAULT_TOL)
-    assert numerical_rank(_basis_gram(np.array(basis)), DEFAULT_TOL) == 4
+    assert _basis_rank(np.array(basis), DEFAULT_TOL) == 4
     assert not safe and w.tolist() == [1.0, 1.0]
 
 
@@ -390,6 +390,49 @@ def test_mic_from_psd_basis_rejects_an_empty_basis(basis):
     with pytest.raises(WrongCount, match="^expected 4 elements, got 0$") as info:
         mic_from_psd_basis(basis)
     assert (info.value.got, info.value.expected) == (0, 4)
+
+
+def test_an_empty_array_basis_reads_d_from_its_shape():
+    # (0, 3, 3) says d = 3: a basis then needs 9 elements, while a POVM
+    # needs at least one effect of any size
+    with pytest.raises(WrongCount, match="^expected 9 elements, got 0$") as info:
+        mic_from_psd_basis(np.zeros((0, 3, 3)))
+    assert (info.value.got, info.value.expected) == (0, 9)
+    with pytest.raises(WrongCount, match="^expected 1 elements, got 0$") as info:
+        validate_povm(np.zeros((0, 3, 3)))
+    assert (info.value.got, info.value.expected) == (0, 1)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_basis_rank_verdicts_are_numerical_ranks_on_near_dependent_bases(d, monkeypatch):
+    # The last element a_0 + a_1 + eps x makes the basis nearly dependent:
+    # its Gram's least eigenvalue falls as eps^2, so the sweep crosses
+    # rank_tol.  mic_from_psd_basis decides the basis rank by _gram_rank,
+    # eigvalsh with numerical_rank's SVD inside its 1e3 margin, and each
+    # verdict is numerical_rank's on the same symmetrized basis Gram; the
+    # sweep reaches both verdicts and the SVD.
+    svds = []
+    monkeypatch.setattr(povm, "numerical_rank",
+                        lambda g, tol: svds.append(len(g)) or numerical_rank(g, tol))
+    rng = np.random.default_rng(40 + d)
+    n = d * d
+    a = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    a = a @ a.conj().mT
+    x = a[-1]
+    verdicts = set()
+    for eps in np.logspace(-1, -7, 25):
+        b = a.copy()
+        b[-1] = a[0] + a[1] + eps * x
+        want = numerical_rank(povm._gram_rules(b, DEFAULT_TOL)[1])
+        assert _basis_rank(b, DEFAULT_TOL) == want, eps
+        try:
+            mic_from_psd_basis(b)
+            basis_rank = n
+        except LinearlyDependent as exc:  # the basis gate names the input basis
+            basis_rank = exc.rank if "input basis" in str(exc) else n
+        assert basis_rank == want, eps
+        verdicts.add(want == n)
+    assert verdicts == {True, False} and svds
 
 
 def test_validate_povm_of_no_effects_expects_at_least_one():
@@ -461,9 +504,10 @@ def _with_entry(value, i):
 @pytest.mark.parametrize("value", [np.nan, complex(0, np.nan)])
 @pytest.mark.parametrize("i", [0, 2])
 def test_mic_from_psd_basis_refuses_a_nan_element_before_the_svd(value, i, capfd, monkeypatch):
-    # LAPACK's SVD of a NaN Gram complains on stderr and does not converge
-    monkeypatch.setattr(constructions, "numerical_rank",
-                        lambda *args: pytest.fail("the SVD was reached"))
+    # LAPACK's SVD of a NaN Gram complains on stderr and does not converge;
+    # the rank gate's eigvalsh and SVD are both behind _gram_rank
+    monkeypatch.setattr(constructions, "_gram_rank",
+                        lambda *args: pytest.fail("the rank gate was reached"))
     with pytest.raises(NonFinite) as info:
         mic_from_psd_basis(_with_entry(value, i))
     assert info.value.index == i

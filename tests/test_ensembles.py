@@ -511,6 +511,26 @@ def test_squash_effects_are_the_same_bits_in_any_batch(kind):
 
 
 @pytest.mark.parametrize("kind", GENERIC)
+def test_gram_pairings_are_the_same_bits_in_any_batch(kind):
+    # linalg._pairing is one matrix product per stack of the leading axes,
+    # of the same shapes alone as in a batch, so the MIC Gram of _gram_rules
+    # and the basis Gram have each row's unbatched bits, and so gram's: at
+    # every batch size 1..step of _block_spectra, d = 2..5
+    rng = np.random.default_rng(32)
+    for d in range(2, 6):
+        step = max(1, ensembles.BATCH_ENTRIES // d ** 4)
+        for s in range(1, step + 1):
+            a = ensembles._draws(kind, d, rng.standard_normal((s, *ensembles._normals_shape(kind, d))))
+            e = constructions._squash(a, DEFAULT_TOL)[2]
+            for batch in (e, a):
+                together = povm._gram_rules(batch, DEFAULT_TOL)[1]
+                alone = [povm._gram_rules(b, DEFAULT_TOL)[1] for b in batch]
+                assert together.tobytes() == np.array(alone).tobytes(), (d, s)
+            dense = povm.gram(povm.Povm(dim=d, stack=e[-1], traces=np.ones(d * d)))
+            assert dense.tobytes() == povm._gram_rules(e, DEFAULT_TOL)[1][-1].tobytes(), (d, s)
+
+
+@pytest.mark.parametrize("kind", GENERIC)
 def test_squash_effects_are_r_a_r_within_rounding(kind):
     # Oracle: R = V diag(w^-1/2) V^dagger from numpy's public eigh of Omega,
     # as _squash forms it, and R @ A_i @ R for each i alone.  Both sides are
@@ -831,8 +851,7 @@ def test_gram_rank_near_the_threshold_is_decided_by_svd(kind, d, monkeypatch):
         calls.append(len(a))
         return numerical_rank(a, tol)
 
-    # the basis gate's rank and the MIC Gram's
-    monkeypatch.setattr(ensembles, "numerical_rank", rank)
+    # _gram_rank's SVD, of the MIC Gram and of the basis Gram
     monkeypatch.setattr(povm, "numerical_rank", rank)
     a = ensembles._draw(kind, d, np.random.default_rng(1))
     x = ensembles._draw(kind, d, np.random.default_rng(2))[0]
@@ -930,11 +949,11 @@ def test_spectral_certificate_stops_past_the_dimensions_it_was_measured_at(kind,
     # it spares some kept rows their basis Gram, and past it none
     rows = []
 
-    def gram(a):
+    def rank(a, tol):
         rows.append(len(a))
-        return constructions._basis_gram(a)
+        return constructions._basis_rank(a, tol)
 
-    monkeypatch.setattr(ensembles, "_basis_gram", gram)
+    monkeypatch.setattr(ensembles, "_basis_rank", rank)
     for d, seed in ((8, 3), (9, 3)):
         rows.clear()
         draws = np.array([ensembles._draw(kind, d, _substream(seed, i)) for i in range(6)])

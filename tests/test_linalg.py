@@ -25,6 +25,7 @@ from miclab.linalg import (
     _einsum,
     _factors,
     _lapack,
+    _pairing,
     _quietly,
     _rounding,
     eigh,
@@ -80,6 +81,57 @@ def test_eigh_names_the_first_faulty_matrix_of_a_stack():
     with pytest.raises(NonFinite) as info:
         eigvalsh(stack)
     assert info.value.index == 1
+
+
+def test_eigvalsh_checks_as_eigh_and_gives_numpys_eigenvalues_only_bits():
+    # the eigenvalues-only routine, behind eigh's checks
+    rng = np.random.default_rng(6)
+    stack = np.array([random_hermitian(5, rng) for _ in range(3)])
+    assert eigvalsh(stack).tobytes() == np.linalg.eigvalsh(stack).tobytes()
+    assert np.abs(eigvalsh(stack) - eigh(stack)[0]).max() < 1e-13
+    for bad, error in ((np.nan, NonFinite), (1.0, NotHermitian)):
+        stack[1, 0, 2] = bad
+        with pytest.raises(error) as info:
+            eigvalsh(stack)
+        assert info.value.index == 1
+
+
+# ------------------------------------------------------ trace pairings
+
+def _complex_stack(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_pairing_is_einsum_within_rounding():
+    # Both sides sum d^2 complex products tr(X_i Y_j) = sum_ab X_i[a,b] Y_j[b,a],
+    # each within c = sqrt(2) gamma_{d^2+2} of the exact value relative to
+    # sum_ab |X_i[a,b]| |Y_j[b,a]| (Higham, Accuracy and Stability, Lemma 3.5
+    # and Problem 3.7), so they differ by at most 2c times it.  A pairing that
+    # misses the transpose misses by O(1).
+    rng = np.random.default_rng(12)
+    u = np.finfo(float).eps / 2
+    for d in range(1, 9):
+        k = d * d + 2
+        c = np.sqrt(2) * k * u / (1 - k * u)
+        for x, y in ((_complex_stack(rng, 5, d, d), _complex_stack(rng, 3, d, d)),
+                     (_complex_stack(rng, 2, 4, d, d), _complex_stack(rng, 2, 6, d, d))):
+            bound = 2 * c * np.einsum("...iab,...jba->...ij", np.abs(x), np.abs(y))
+            got = _pairing(x, y)
+            assert got.shape == (*x.shape[:-2], y.shape[-3])
+            assert (np.abs(got - np.einsum("...iab,...jba->...ij", x, y)) <= bound).all(), d
+            if d > 1:
+                assert not (np.abs(got - np.einsum("...iab,...jab->...ij", x, y)) <= bound).all()
+
+
+def test_pairing_of_non_finite_entries_is_non_finite_without_a_warning():
+    x = _complex_stack(np.random.default_rng(13), 4, 3, 3)
+    for bad in (np.inf, -np.inf, np.nan, complex(0, np.inf)):
+        y = x.copy()
+        y[2, 1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _pairing(x, y)
+        assert not np.isfinite(got[:, 2]).all() and np.isfinite(np.delete(got, 2, axis=1)).all()
 
 
 # one instance of every error class, with its own constructor arguments
@@ -334,7 +386,7 @@ def test_einsum_entry_point_sees_every_library_subscript():
     texts = [path.read_text() for path in SOURCES]
     calls = sum(text.count("_einsum(") for text in texts)
     literal = sum(len(EINSUM_CALL.findall(text)) for text in texts)
-    assert calls == literal == 12 and len(SUBSCRIPTS) == 8
+    assert calls == literal == 5 and len(SUBSCRIPTS) == 4
 
 
 def test_einsum_and_errstate_entry_points_are_the_only_ones():
@@ -364,8 +416,8 @@ def _operands(subscripts, sizes, ellipsis, dtypes, layout, rng):
 @pytest.mark.parametrize("subscripts", SUBSCRIPTS)
 def test_einsum_entry_point_gives_numpys_bits(subscripts, dtypes, layout):
     # every letter at 2..4 and, one at a time, at 1 (a stack or a matrix of
-    # one); "mixed" is a float first operand with complex others, as the
-    # dual basis and reconstruct_state call it
+    # one); "mixed" is a float first operand with complex others, as
+    # reconstruct_state calls it
     letters = sorted(set(subscripts) - set(",.->"))
     n_ops = subscripts.count(",") + 1
     kinds = {"float": [float] * n_ops, "complex": [complex] * n_ops,
