@@ -333,7 +333,7 @@ def _mics_of_each_kind(d):
                                   for d in (2, 3, 4, 5)]
                          + [pytest.param(lambda: [tensorhedron_mic(sic_qubit(), 3)],
                                          id="tensorhedron-qubit-3")])
-def test_shared_inverse_is_y_t_w_y_of_the_coordinate_inverse(mics):
+def test_shared_inverse_has_the_bits_of_np_linalg_inv(mics):
     # the dual basis, the inverse-Gram distance and the half-integer probe
     # read the MIC's one solve, bitwise np.linalg.inv's Y of the effects'
     # coordinates.  G = A W A^T, so G^-1 = Y^T W Y; its residual against G
